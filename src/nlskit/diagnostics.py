@@ -20,8 +20,8 @@ from .grid import GridSpec
 from .morawetz import (MorawetzWeight, SpacetimeAccumulators, interaction_report,
                        virial_V, virial_Vdot)
 from .scattering import StrichartzAccumulator
-from .system import (BOUNDARY_MASS_LIMIT, SystemState, boundary_mass_fraction,
-                     energy, lq_norm, mass, sup_cube_mass)
+from .system import (BOUNDARY_MASS_LIMIT, Snapshot, SystemState,
+                     boundary_mass_fraction, energy, lq_norm, mass, sup_cube_mass)
 
 
 def fmt17(x: float) -> str:
@@ -76,6 +76,7 @@ class DiagnosticsCollector:
         return cols
 
     def __call__(self, state: SystemState):
+        snap = Snapshot(state)  # pieces shared by this snapshot's observables
         rec: dict[str, float] = {"t": state.t}
         for mu in range(self.coupling.n):
             rec[f"mass_{mu + 1}"] = mass(state, mu)
@@ -86,19 +87,19 @@ class DiagnosticsCollector:
         if self.opts.cube_mass:
             rec["sup_cube_mass"] = sup_cube_mass(state)
         if self.opts.weight is not None:
-            rec["V"] = virial_V(state, self.opts.weight, self.opts.center)
-            rec["Vdot"] = virial_Vdot(state, self.opts.weight, self.opts.center)
+            rec["V"] = virial_V(snap, self.opts.weight, self.opts.center)
+            rec["Vdot"] = virial_Vdot(snap, self.opts.weight, self.opts.center)
         if self.opts.interaction is not None:
-            rep = interaction_report(state, self.opts.interaction)
+            rep = interaction_report(snap, self.opts.interaction)
             self.reports.append(rep)
             rec["I"], rec["Idot"] = rep.I, rep.Idot
             rec["N_term"], rec["rhs_lower"] = rep.N_term, rep.rhs_lower
         if self.accumulators is not None:
-            self.accumulators.update(state)
+            self.accumulators.update(snap)
             for name in self.accumulators.names:
                 rec[f"acc_{name}"] = self.accumulators.totals[name]
         if self.strichartz is not None:
-            self.strichartz.update(state)
+            self.strichartz.update(snap)
             rec["strichartz"] = self.strichartz.value()
         b = boundary_mass_fraction(state)
         self.max_boundary_fraction = max(self.max_boundary_fraction, b)

@@ -59,10 +59,12 @@ class StepParams:
 MIN_MODULUS = 1e-300  # below this, |u|^{p-1} for p < 1 is defined as zero
 
 
-def _nonlinear_exponents(arrays: list[np.ndarray], coupling: CouplingSpec) -> list[np.ndarray]:
+def _nonlinear_exponents(arrays: list[np.ndarray], coupling: CouplingSpec,
+                         t: float) -> list[np.ndarray]:
     """g_mu = sum_nu beta[mu,nu] |u_nu|^{p+1} |u_mu|^{p-1}; the p < 1 case
     (decoupled mode only) sets g_mu = 0 wherever |u_mu| vanishes, where the
-    product g_mu u_mu is zero anyway."""
+    product g_mu u_mu is zero anyway.  A non-finite exponent raises
+    NanAbortError at t, the time of the step being taken."""
     p = coupling.p
     mods = [np.abs(a) for a in arrays]
     pow_p1 = [m ** (p + 1.0) for m in mods]
@@ -83,7 +85,7 @@ def _nonlinear_exponents(arrays: list[np.ndarray], coupling: CouplingSpec) -> li
         g = s * fac
         if not np.isfinite(g).all():
             idx = tuple(int(i[0]) for i in np.nonzero(~np.isfinite(g)))
-            raise NanAbortError(float("nan")) from ValueError(
+            raise NanAbortError(t) from ValueError(
                 f"non-finite nonlinear exponent at grid index {idx}")
         out.append(g)
     return out
@@ -116,7 +118,7 @@ def nonlinear_substep(state: SystemState, tau: float) -> SystemState:
     whose time bookkeeping is owned by the linear parts.
     """
     arrays = [f.values for f in state.fields]
-    gs = _nonlinear_exponents(arrays, state.coupling)
+    gs = _nonlinear_exponents(arrays, state.coupling, state.t)
     new = [a * np.exp(-1j * tau * g) for a, g in zip(arrays, gs)]
     return state_from_arrays(state.t, new, state.coupling, state.grid)
 
@@ -128,7 +130,7 @@ def strang_step(state: SystemState, dt: float) -> SystemState:
     arrays = [f.values for f in state.fields]
     spectra = _apply_linear(_to_spectra(g, arrays), half)
     arrays = _to_arrays(g, spectra)
-    gs = _nonlinear_exponents(arrays, state.coupling)
+    gs = _nonlinear_exponents(arrays, state.coupling, state.t)
     arrays = [a * np.exp(-1j * dt * gg) for a, gg in zip(arrays, gs)]
     spectra = _apply_linear(_to_spectra(g, arrays), half)
     arrays = _to_arrays(g, spectra)
@@ -171,7 +173,7 @@ def evolve(state: SystemState, params: StepParams,
         spectra = _apply_linear(_to_spectra(g, arrays), half)
         for inner in range(block):
             arrays = _to_arrays(g, spectra)
-            gs = _nonlinear_exponents(arrays, c)
+            gs = _nonlinear_exponents(arrays, c, state.t + (step + inner) * dt)
             arrays = [a * np.exp(-1j * dt * gg) for a, gg in zip(arrays, gs)]
             spectra = _to_spectra(g, arrays)
             if mask is not None:
@@ -187,9 +189,10 @@ def evolve(state: SystemState, params: StepParams,
     return state_from_arrays(t, arrays, c, g)
 
 
-def _rhs(grid: GridSpec, arrays: list[np.ndarray], coupling: CouplingSpec) -> list[np.ndarray]:
+def _rhs(grid: GridSpec, arrays: list[np.ndarray], coupling: CouplingSpec,
+         t: float) -> list[np.ndarray]:
     """du/dt = i Lap u - i g(u) u with the spectral Laplacian."""
-    gs = _nonlinear_exponents(arrays, coupling)
+    gs = _nonlinear_exponents(arrays, coupling, t)
     out = []
     for a, gg in zip(arrays, gs):
         lap = np.fft.ifftn(-grid.k_squared * np.fft.fftn(a))
@@ -206,10 +209,11 @@ def rk4_reference_step(state: SystemState, dt: float) -> SystemState:
     g = state.grid
     c = state.coupling
     y = [f.values for f in state.fields]
-    k1 = _rhs(g, y, c)
-    k2 = _rhs(g, [a + 0.5 * dt * b for a, b in zip(y, k1)], c)
-    k3 = _rhs(g, [a + 0.5 * dt * b for a, b in zip(y, k2)], c)
-    k4 = _rhs(g, [a + dt * b for a, b in zip(y, k3)], c)
+    t = state.t
+    k1 = _rhs(g, y, c, t)
+    k2 = _rhs(g, [a + 0.5 * dt * b for a, b in zip(y, k1)], c, t)
+    k3 = _rhs(g, [a + 0.5 * dt * b for a, b in zip(y, k2)], c, t)
+    k4 = _rhs(g, [a + dt * b for a, b in zip(y, k3)], c, t)
     new = [a + (dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
     old_norm = math.sqrt(sum(float(np.sum(np.abs(a) ** 2)) for a in y))

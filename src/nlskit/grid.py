@@ -20,19 +20,31 @@ kernel restricted to the doubled box, so periodic images cannot contaminate
 results for data supported well inside the original box.  Singular kernels
 are truncated: the value assigned to the ``r = 0`` cell is the exact average
 of the kernel over one grid cell (closed form per dimension).
+
+Scalar pairings ``int f (K * g) dx`` of real data never go back to physical
+space: by Parseval on the doubled box they are weighted sums of
+``conj(f_hat) K_hat g_hat`` over real-to-complex half-spectra
+(``kernel_inner_product``).  Padded transforms are ``scipy.fft`` real
+transforms threaded over every CPU available to the process; kernel
+transforms are cached as real half-spectra.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
+import scipy.fft
 
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
+
+# threads per padded transform: every CPU this process may run on
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Cell averages over the unit cell [-1/2, 1/2)^d (scaled by h at use site):
 #   int 1/r over the centered unit square  = 4 ln(1 + sqrt 2)
@@ -342,26 +354,62 @@ class RadialKernel:
         raise ValueError(f"unknown kernel kind {self.kind!r}")
 
 
-@lru_cache(maxsize=16)
-def _padded_radius(grid: GridSpec) -> np.ndarray:
-    """Displacement radii on the doubled box, FFT ordering per axis."""
-    m2 = 2 * grid.m
-    j = np.rint(np.fft.fftfreq(m2) * m2)  # 0..M-1, -M..-1
-    delta = grid.h * j
-    mesh = np.meshgrid(*([delta] * grid.d), indexing="ij")
-    r = np.sqrt(sum(a * a for a in mesh))
-    r.setflags(write=False)
-    return r
+class PaddedGeometry:
+    """The box zero-padded to n = factor M points per axis (period 2 factor L).
+
+    Half-spectrum arrays have the shape of ``rfftn`` output,
+    ``(n,) * (d - 1) + (n // 2 + 1,)``; the per-axis arrays are shaped to
+    broadcast against it.
+    """
+
+    def __init__(self, grid: GridSpec, factor: int):
+        n = factor * grid.m
+        self.grid = grid
+        self.shape = (n,) * grid.d
+        self.npoints = n ** grid.d
+        self.dk = math.pi / (factor * grid.l)
+        self._full = np.rint(np.fft.fftfreq(n) * n)  # 0..n/2-1, -n/2..-1
+        # mode numbers per axis on the half spectrum: the last axis is halved
+        j_axes = [self._along(a, self._full) for a in range(grid.d - 1)]
+        j_axes.append(np.arange(n // 2 + 1, dtype=float))
+        self._j_axes = j_axes
+        # the odd multiplier i k_a has no partner at the Nyquist index
+        self.odd_k_axes = tuple(np.where(np.abs(j) == n // 2, 0.0, self.dk * j)
+                                for j in j_axes)
+        # Hermitian symmetry: every half-spectrum mode stands for itself and
+        # its conjugate, except on the last-axis 0 and Nyquist planes
+        w = np.full(n // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        self.weights = w
+        for a in (*self.odd_k_axes, w):
+            a.setflags(write=False)
+
+    def _along(self, axis: int, v: np.ndarray) -> np.ndarray:
+        return v.reshape((-1,) + (1,) * (self.grid.d - 1 - axis))
+
+    @cached_property
+    def k_modulus(self) -> np.ndarray:
+        """|k| on the half spectrum."""
+        km = self.dk * np.sqrt(sum(j * j for j in self._j_axes))
+        km.setflags(write=False)
+        return km
+
+    def radius(self) -> np.ndarray:
+        """Displacement radii on the whole padded mesh, FFT ordering per axis
+        (built on each call: only kernel transforms, which are cached, need it)."""
+        delta2 = (self.grid.h * self._full) ** 2
+        return np.sqrt(sum(self._along(a, delta2) for a in range(self.grid.d)))
 
 
 @lru_cache(maxsize=16)
-def _padded_k_modulus(grid: GridSpec) -> np.ndarray:
-    m2 = 2 * grid.m
-    k = (math.pi / (2.0 * grid.l)) * np.rint(np.fft.fftfreq(m2) * m2)
-    mesh = np.meshgrid(*([k] * grid.d), indexing="ij")
-    km = np.sqrt(sum(a * a for a in mesh))
-    km.setflags(write=False)
-    return km
+def padded_geometry(grid: GridSpec, factor: int = 2) -> PaddedGeometry:
+    return PaddedGeometry(grid, factor)
+
+
+def padded_rfft(grid: GridSpec, values: np.ndarray, factor: int = 2) -> np.ndarray:
+    """Half-spectrum (unnormalized ``rfftn``) of a real array zero-padded to
+    factor M points per axis."""
+    return scipy.fft.rfftn(values, s=(factor * grid.m,) * grid.d, workers=_WORKERS)
 
 
 def _analytic_reciprocal_hat(grid: GridSpec) -> np.ndarray:
@@ -377,7 +425,7 @@ def _analytic_reciprocal_hat(grid: GridSpec) -> np.ndarray:
     """
     from scipy.special import j0, j1, struve
 
-    km = _padded_k_modulus(grid)
+    km = padded_geometry(grid).k_modulus
     R = 2.0 * grid.l
     if grid.d == 2:
         # Lambda(x) = x J0 + (pi x/2)(J1 H0 - J0 H1), stable at every x
@@ -397,13 +445,15 @@ def _analytic_reciprocal_hat(grid: GridSpec) -> np.ndarray:
     raise ValueError("analytic reciprocal transform available for d = 2, 3 only")
 
 
-_KERNEL_HAT_CACHE: dict[tuple, np.ndarray] = {}
+# Keyed on the kernel itself: the key holds its profile callable, so the
+# callable stays alive (and its identity unique) while the entry exists.
+_KERNEL_HAT_CACHE: dict[tuple[GridSpec, RadialKernel], np.ndarray] = {}
 
 
 def _kernel_hat(grid: GridSpec, kernel: RadialKernel) -> np.ndarray:
-    key = (grid, kernel.kind, kernel.param, kernel.transform,
-           id(kernel.profile) if kernel.profile is not None else None,
-           kernel.origin_value)
+    """Real half-spectrum of the kernel on the doubled box.  The sampled
+    kernel is even, so its transform is real up to rounding."""
+    key = (grid, kernel)
     hat = _KERNEL_HAT_CACHE.get(key)
     if hat is None:
         if kernel.transform == "analytic":
@@ -412,8 +462,8 @@ def _kernel_hat(grid: GridSpec, kernel: RadialKernel) -> np.ndarray:
             # continuum transform vs index-space DFT: hat_DFT = hat_cont / h^d
             hat = _analytic_reciprocal_hat(grid) / grid.cell_volume
         else:
-            vals = kernel.evaluate(_padded_radius(grid).copy(), grid.h, grid.d)
-            hat = np.fft.fftn(vals)
+            vals = kernel.evaluate(padded_geometry(grid).radius(), grid.h, grid.d)
+            hat = scipy.fft.rfftn(vals, workers=_WORKERS).real.copy()
         hat.setflags(write=False)
         if len(_KERNEL_HAT_CACHE) > 32:
             _KERNEL_HAT_CACHE.clear()
@@ -421,43 +471,45 @@ def _kernel_hat(grid: GridSpec, kernel: RadialKernel) -> np.ndarray:
     return hat
 
 
-def _padded_displacements(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    m2 = 2 * grid.m
-    j = np.rint(np.fft.fftfreq(m2) * m2)
-    delta = grid.h * j
-    return tuple(np.meshgrid(*([delta] * grid.d), indexing="ij"))
+def kernel_inner_product(grid: GridSpec, f_hat: np.ndarray, g_hat: np.ndarray,
+                         kernel: RadialKernel, axis: int | None = None) -> float:
+    """int f (K * g) dx, or int f (d_axis K * g) dx when an axis is given, for
+    real f and g supported in the box, from their padded_rfft half-spectra.
+
+    By Parseval on the doubled box this is h^(2d)/N sum_k conj(f_k) K_k g_k
+    over the N padded modes, evaluated as the weighted real part of the
+    half-spectrum sum with no inverse transform.  It equals
+    h^d sum_x f (convolve_radial_kernel(g) or convolve_kernel_gradient(g)[axis]).
+    """
+    geo = padded_geometry(grid)
+    hat = _kernel_hat(grid, kernel)
+    if axis is None:
+        cross = f_hat.real * g_hat.real          # Re conj(f) g
+        cross += f_hat.imag * g_hat.imag
+    else:
+        cross = f_hat.imag * g_hat.real          # -Im conj(f) g, as Re(i k z) = -k Im z
+        cross -= f_hat.real * g_hat.imag
+        cross *= geo.odd_k_axes[axis]
+    cross *= hat
+    cross *= geo.weights
+    return grid.cell_volume ** 2 / geo.npoints * float(np.sum(cross))
 
 
-@lru_cache(maxsize=16)
-def _padded_k_axes(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    m2 = 2 * grid.m
-    k = (math.pi / (2.0 * grid.l)) * np.rint(np.fft.fftfreq(m2) * m2)
-    mesh = np.meshgrid(*([k] * grid.d), indexing="ij")
-    for a in mesh:
-        a.setflags(write=False)
-    return tuple(mesh)
-
-
-def _pad_forward(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    padded = np.zeros((2 * grid.m,) * grid.d, dtype=complex)
-    padded[(slice(0, grid.m),) * grid.d] = values
-    return np.fft.fftn(padded)
-
-
-def _convolve_hat(grid: GridSpec, fhat_padded: np.ndarray, kernel_hat: np.ndarray) -> np.ndarray:
-    """Finish a padded convolution and restrict to the original box."""
-    conv = np.fft.ifftn(fhat_padded * kernel_hat)
-    block = conv[(slice(0, grid.m),) * grid.d]
-    return block.real * grid.cell_volume
-
-
-def _require_real(f: ScalarField) -> np.ndarray:
+def _pad_forward(f: ScalarField) -> np.ndarray:
+    """Padded half-spectrum of a real field: the input side of a convolution."""
     vals = f.to_physical().values
     if np.iscomplexobj(vals):
         if np.abs(vals.imag).max(initial=0.0) > 1e-12 * max(1.0, np.abs(vals.real).max(initial=0.0)):
             raise ValueError("convolution input must be real-valued")
         vals = vals.real
-    return vals
+    return padded_rfft(f.grid, vals)
+
+
+def _convolve_hat(grid: GridSpec, spectrum: np.ndarray) -> np.ndarray:
+    """Finish a padded convolution from its half-spectrum and restrict to
+    the original box."""
+    conv = scipy.fft.irfftn(spectrum, s=padded_geometry(grid).shape, workers=_WORKERS)
+    return conv[(slice(0, grid.m),) * grid.d] * grid.cell_volume
 
 
 def convolve_radial_kernel(f: ScalarField, kernel: RadialKernel) -> ScalarField:
@@ -468,10 +520,8 @@ def convolve_radial_kernel(f: ScalarField, kernel: RadialKernel) -> ScalarField:
     original box (no periodic images).
     """
     g = f.grid
-    vals = _require_real(f)
-    hat = _kernel_hat(g, kernel)
-    out = _convolve_hat(g, _pad_forward(g, vals), hat)
-    return ScalarField(out, g, PHYSICAL)
+    spec = _pad_forward(f) * _kernel_hat(g, kernel)
+    return ScalarField(_convolve_hat(g, spec), g, PHYSICAL)
 
 
 def convolve_kernel_gradient(f: ScalarField, kernel: RadialKernel) -> list[ScalarField]:
@@ -483,11 +533,9 @@ def convolve_kernel_gradient(f: ScalarField, kernel: RadialKernel) -> list[Scala
     inheriting an O(h^2) mismatch between independently sampled K and grad K).
     """
     g = f.grid
-    vals = _require_real(f)
-    hat = _kernel_hat(g, kernel)
-    fhat = _pad_forward(g, vals)
-    kax = _padded_k_axes(g)
-    return [ScalarField(_convolve_hat(g, fhat, (1j * kax[a]) * hat), g, PHYSICAL)
+    spec = _pad_forward(f) * _kernel_hat(g, kernel)
+    odd = padded_geometry(g).odd_k_axes
+    return [ScalarField(_convolve_hat(g, (1j * odd[a]) * spec), g, PHYSICAL)
             for a in range(g.d)]
 
 

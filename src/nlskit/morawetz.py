@@ -36,8 +36,13 @@ whose second derivative is exactly twice the Gaussian mollifier
 delta_eps(z) = exp(-(z/eps)^2) / (eps sqrt(pi)), recovering the delta
 collapse as eps -> 0.
 
-Everything is evaluated as convolutions plus inner products: no M^d x M^d
-object is ever formed.
+Every double integral is a pairing int f (K * g) dx on the zero-padded box,
+evaluated by Parseval on the padded half-spectra (grid.kernel_inner_product):
+no M^d x M^d object is ever formed and no convolution is taken back to
+physical space.  The per-state pieces (densities, currents, gradients, padded
+transforms) come from one system.Snapshot, so a caller that evaluates several
+diagnostics of one state can build the Snapshot once and pass it in place of
+the state.
 """
 
 from __future__ import annotations
@@ -50,11 +55,8 @@ import numpy as np
 from scipy.special import erf as _erf
 
 from .grid import (GridSpec, ScalarField, PHYSICAL, RadialKernel,
-                   convolve_radial_kernel, convolve_kernel_gradient,
-                   spectral_gradient, _convolve_hat, _kernel_hat,
-                   _pad_forward, _padded_k_axes)
-from .system import (SystemState, coupling_density, total_current,
-                     total_density)
+                   kernel_inner_product, padded_geometry, padded_rfft)
+from .system import Snapshot, SystemState
 
 ABS_DISTANCE = "absdistance"
 SMOOTH_RADIAL = "smoothradial"
@@ -168,10 +170,11 @@ def _unit_directions(grid: GridSpec, center) -> list[np.ndarray]:
     return [np.where(r > 0, (x - c) / safe, 0.0) for x, c in zip(grid.x_mesh, center)]
 
 
-def virial_V(state: SystemState, weight: MorawetzWeight, center=None) -> float:
+def virial_V(state: SystemState | Snapshot, weight: MorawetzWeight, center=None) -> float:
     """V = sum_mu int phi m_mu."""
-    g = state.grid
-    rho = total_density(state)
+    snap = Snapshot.of(state)
+    g = snap.state.grid
+    rho = snap.rho
     if weight.kind == CONSTANT:
         return weight.value * g.cell_volume * float(rho.sum())
     r = _radius(g, center)
@@ -179,15 +182,16 @@ def virial_V(state: SystemState, weight: MorawetzWeight, center=None) -> float:
     return g.cell_volume * float(np.sum(phi * rho))
 
 
-def virial_Vdot(state: SystemState, weight: MorawetzWeight, center=None) -> float:
+def virial_Vdot(state: SystemState | Snapshot, weight: MorawetzWeight, center=None) -> float:
     """dV/dt = 2 sum_mu int j_mu . grad phi."""
-    g = state.grid
+    snap = Snapshot.of(state)
+    g = snap.state.grid
     if weight.kind == CONSTANT:
         return 0.0
     r = _radius(g, center)
     dphi = np.ones_like(r) if weight.kind == ABS_DISTANCE else np.asarray(weight.d1(r))
     dirs = _unit_directions(g, center)
-    j = total_current(state)
+    j = snap.current
     total = sum(np.sum(j[a] * dphi * dirs[a]) for a in range(g.d))
     return 2.0 * g.cell_volume * float(total)
 
@@ -224,7 +228,8 @@ def _bilaplacian_profile(weight: MorawetzWeight, r: np.ndarray, d: int) -> np.nd
     return np.where(r > 0, vals, lim)
 
 
-def virial_Vddot(state: SystemState, weight: MorawetzWeight, center=None) -> VirialSecond:
+def virial_Vddot(state: SystemState | Snapshot, weight: MorawetzWeight,
+                 center=None) -> VirialSecond:
     """d2V/dt2 split into bilaplacian, hessian and nonlinear terms.
 
     Requires a smooth weight; the abs-distance weight carries delta terms in
@@ -236,8 +241,9 @@ def virial_Vddot(state: SystemState, weight: MorawetzWeight, center=None) -> Vir
             "the |x| weight has distributional derivatives; second-derivative "
             "identities for it are evaluated through interaction_report's "
             "analytic delta collapse")
-    g = state.grid
-    c = state.coupling
+    snap = Snapshot.of(state)
+    g = snap.state.grid
+    c = snap.state.coupling
     if weight.kind == CONSTANT:
         return VirialSecond(0.0, 0.0, 0.0, 0.0)
     if weight.d3 is None or weight.d4 is None:
@@ -250,12 +256,10 @@ def virial_Vddot(state: SystemState, weight: MorawetzWeight, center=None) -> Vir
     safe = np.where(r > 0, r, 1.0)
     ratio = np.where(r > 0, d1 / safe, float(np.asarray(weight.d2(np.asarray(0.0)))))
 
-    rho = total_density(state)
-    bilap = -g.cell_volume * float(np.sum(rho * _bilaplacian_profile(weight, r, g.d)))
+    bilap = -g.cell_volume * float(np.sum(snap.rho * _bilaplacian_profile(weight, r, g.d)))
 
     hess = 0.0
-    for f in state.fields:
-        grads = [gc.values for gc in spectral_gradient(f)]
+    for grads in snap.grads:
         radial = sum(dirs[a] * grads[a] for a in range(g.d))
         sq_all = sum(np.abs(gr) ** 2 for gr in grads)
         sq_rad = np.abs(radial) ** 2
@@ -264,7 +268,7 @@ def virial_Vddot(state: SystemState, weight: MorawetzWeight, center=None) -> Vir
 
     lap_phi = _laplacian_profile(weight, r, g.d)
     nonlin = (2.0 * c.p / (c.p + 1.0)) * g.cell_volume * float(
-        np.sum(coupling_density(state) * lap_phi))
+        np.sum(snap.P * lap_phi))
     return VirialSecond(bilap, hess, nonlin, bilap + hess + nonlin)
 
 
@@ -293,7 +297,7 @@ _SUPPORTED = ("supported weights for interaction_report: constant (any d), "
               "|x| (d = 1, 2, 3), erf-smoothed (d = 1)")
 
 
-def gradient_pairing(state: SystemState, route: str = "kernel") -> float:
+def gradient_pairing(state: SystemState | Snapshot, route: str = "kernel") -> float:
     """sum_{mu,kappa} intint Lap_x psi grad_x m_mu . grad_y m_kappa for the
     |x-y| weight.
 
@@ -303,59 +307,52 @@ def gradient_pairing(state: SystemState, route: str = "kernel") -> float:
                           d = 1: 2 ||dx rho||^2,  d = 2: 2 pi ||(-Lap)^{1/4} rho||^2.
                           Unverified in d = 3 (not provided).
     """
-    g = state.grid
-    rho = ScalarField(total_density(state), g, PHYSICAL)
+    snap = Snapshot.of(state)
+    g = snap.state.grid
     if route == "fractional":
         if g.d == 1:
-            c = rho.to_spectral().values
+            c = ScalarField(snap.rho, g, PHYSICAL).to_spectral().values
             return 2.0 * g.box_volume * float(np.sum(g.k_squared * np.abs(c) ** 2))
         if g.d == 2:
             # |k| has a conical point at k = 0; refine the k-lattice 8x by
             # zero padding and average |k| over the origin cell so the
             # quadrature reaches the identity-check tolerance.
             pad = 8
-            mp = pad * g.m
-            padded = np.zeros((mp,) * g.d)
-            padded[(slice(0, g.m),) * g.d] = rho.values.real
-            chat = np.fft.fftn(padded) / mp ** g.d
-            kax = (math.pi / (pad * g.l)) * np.rint(np.fft.fftfreq(mp) * mp)
-            mesh = np.meshgrid(*([kax] * g.d), indexing="ij")
-            km = np.sqrt(sum(a * a for a in mesh))
-            dk = math.pi / (pad * g.l)
-            km[(0,) * g.d] = 0.3825979 * dk  # cell average of |k| over the origin cell
+            geo = padded_geometry(g, pad)
+            chat = padded_rfft(g, snap.rho, pad) / geo.npoints
+            sq = chat.real ** 2 + chat.imag ** 2
+            total = float(np.sum(geo.weights * geo.k_modulus * sq))
+            total += 0.3825979 * geo.dk * float(sq[0, 0])  # cell average of |k| over the origin cell
             vol_k = (pad * 2.0 * g.l) ** g.d
-            return 2.0 * math.pi * vol_k * float(np.sum(km * np.abs(chat) ** 2))
+            return 2.0 * math.pi * vol_k * total
         raise NotImplementedError("fractional pairing form is only asserted in d = 1, 2")
     if route != "kernel":
         raise ValueError(f"unknown route {route!r}")
-    grads = spectral_gradient(rho)
+    grads = snap.rho_grads
     if g.d == 1:
-        return 2.0 * g.cell_volume * float(np.sum(grads[0].values.real ** 2))
+        return 2.0 * g.cell_volume * float(np.sum(grads[0] ** 2))
     kernel = RadialKernel.reciprocal(transform="analytic" if g.d == 2 else "grid")
     coeff = 1.0 if g.d == 2 else 2.0
     total = 0.0
-    for a in range(g.d):
-        ga = ScalarField(grads[a].values.real, g, PHYSICAL)
-        conv = convolve_radial_kernel(ga, kernel)
-        total += g.cell_volume * float(np.sum(ga.values * conv.values))
+    for ga in grads:
+        ga_hat = padded_rfft(g, ga)
+        total += kernel_inner_product(g, ga_hat, ga_hat, kernel)
     return coeff * total
 
 
-def interaction_report(state: SystemState, weight: MorawetzWeight) -> InteractionReport:
+def interaction_report(state: SystemState | Snapshot, weight: MorawetzWeight) -> InteractionReport:
     """I, dI/dt, the nonlinear term and the convexity lower bound for d2I/dt2.
 
-    All double integrals are convolutions plus inner products.  Delta parts
-    of the |x-y| weight (Lap psi in d = 1, Lap^2 psi in d = 3) are collapsed
-    to single integrals analytically.
+    All double integrals are kernel pairings on the padded half-spectra.
+    Delta parts of the |x-y| weight (Lap psi in d = 1, Lap^2 psi in d = 3)
+    are collapsed to single integrals analytically.
     """
-    g = state.grid
-    c = state.coupling
+    snap = Snapshot.of(state)
+    g = snap.state.grid
+    c = snap.state.coupling
     vol = g.cell_volume
-    rho = total_density(state)
-    rho_f = ScalarField(rho, g, PHYSICAL)
-    P = coupling_density(state)
-    j = total_current(state)
-    t = state.t
+    rho = snap.rho
+    t = snap.state.t
 
     if weight.kind == CONSTANT:
         m = vol * float(rho.sum())
@@ -363,31 +360,29 @@ def interaction_report(state: SystemState, weight: MorawetzWeight) -> Interactio
                                  Idot=0.0, N_term=0.0, gradient_term=0.0,
                                  rhs_lower=0.0, rhs_lower_alt=0.0)
 
+    P = snap.P
+    p = c.p
     if weight.kind == ABS_DISTANCE:
         abs_kernel = RadialKernel.abs_distance()
-        rho_hat = _pad_forward(g, rho)  # shared by every rho convolution below
-        abs_hat = _kernel_hat(g, abs_kernel)
-        conv_abs = _convolve_hat(g, rho_hat, abs_hat)
-        I = vol * float(np.sum(rho * conv_abs))
-        kax = _padded_k_axes(g)
-        Idot = 4.0 * vol * float(sum(
-            np.sum(j[a] * _convolve_hat(g, rho_hat, (1j * kax[a]) * abs_hat))
-            for a in range(g.d)))
-        p = c.p
+        rho_hat = snap.rho_hat  # shared by every rho pairing below
+        I = kernel_inner_product(g, rho_hat, rho_hat, abs_kernel)
+        Idot = 4.0 * sum(kernel_inner_product(g, padded_rfft(g, snap.current[a]), rho_hat,
+                                              abs_kernel, axis=a)
+                         for a in range(g.d))
         if g.d == 1:
             N = (8.0 * p / (p + 1.0)) * vol * float(np.sum(P * rho))
-            grad_term = 2.0 * gradient_pairing(state, "kernel")
+            grad_term = 2.0 * gradient_pairing(snap, "kernel")
             return InteractionReport(t=t, weight=weight.label, I=I, Idot=Idot,
                                      N_term=N, gradient_term=grad_term,
                                      rhs_lower=grad_term + N)
-        recip = _convolve_hat(g, rho_hat, _kernel_hat(g, RadialKernel.reciprocal()))
         lap_coeff = float(g.d - 1)  # Lap |z| = (d-1)/|z|
-        N = (4.0 * p / (p + 1.0)) * lap_coeff * vol * float(np.sum(P * recip))
-        pair_kernel = gradient_pairing(state, "kernel")
+        N = (4.0 * p / (p + 1.0)) * lap_coeff * kernel_inner_product(
+            g, padded_rfft(g, P), rho_hat, RadialKernel.reciprocal())
+        pair_kernel = gradient_pairing(snap, "kernel")
         grad_term = 2.0 * pair_kernel
         gap = None
         if g.d == 2:
-            pair_frac = gradient_pairing(state, "fractional")
+            pair_frac = gradient_pairing(snap, "fractional")
             scale = max(abs(pair_kernel), abs(pair_frac), 1e-300)
             gap = abs(pair_kernel - pair_frac) / scale
         alt = None
@@ -405,21 +400,17 @@ def interaction_report(state: SystemState, weight: MorawetzWeight) -> Interactio
         if g.d != 1:
             raise ValueError("the erf-smoothed weight is provided for d = 1 only; "
                              + _SUPPORTED)
-        eps = weight.eps
         prof_kernel = RadialKernel.from_profile(weight.profile,
                                                 origin_value=float(weight.profile(np.asarray(0.0))))
-        conv_psi = convolve_radial_kernel(rho_f, prof_kernel)
-        I = vol * float(np.sum(rho * conv_psi.values))
-        conv_grad = convolve_kernel_gradient(rho_f, prof_kernel)[0]
-        Idot = 4.0 * vol * float(np.sum(j[0] * conv_grad.values))
-        delta_eps = RadialKernel.gaussian_delta(eps)
-        moll_rho = convolve_radial_kernel(rho_f, delta_eps)
-        p = c.p
-        N = (8.0 * p / (p + 1.0)) * vol * float(np.sum(P * moll_rho.values))
-        drho = spectral_gradient(rho_f)[0]
-        drho_real = ScalarField(drho.values.real, g, PHYSICAL)
-        moll_drho = convolve_radial_kernel(drho_real, delta_eps)
-        grad_term = 4.0 * vol * float(np.sum(drho_real.values * moll_drho.values))
+        delta_eps = RadialKernel.gaussian_delta(weight.eps)
+        rho_hat = snap.rho_hat
+        I = kernel_inner_product(g, rho_hat, rho_hat, prof_kernel)
+        Idot = 4.0 * kernel_inner_product(g, padded_rfft(g, snap.current[0]), rho_hat,
+                                          prof_kernel, axis=0)
+        N = (8.0 * p / (p + 1.0)) * kernel_inner_product(g, padded_rfft(g, P), rho_hat,
+                                                         delta_eps)
+        drho_hat = padded_rfft(g, snap.rho_grads[0])
+        grad_term = 4.0 * kernel_inner_product(g, drho_hat, drho_hat, delta_eps)
         return InteractionReport(t=t, weight=weight.label, I=I, Idot=Idot,
                                  N_term=N, gradient_term=grad_term,
                                  rhs_lower=grad_term + N)
@@ -533,7 +524,8 @@ class SpacetimeAccumulators:
         self.totals = {name: 0.0 for name in self.names}
         self.history: list[tuple[float, dict[str, float]]] = []
 
-    def _integrands(self, state: SystemState) -> dict[str, float]:
+    def _integrands(self, snap: Snapshot) -> dict[str, float]:
+        state = snap.state
         g = state.grid
         c = state.coupling
         vol = g.cell_volume
@@ -545,43 +537,42 @@ class SpacetimeAccumulators:
                 if b != 0.0:
                     p24 += b * vol * float(np.sum(np.abs(f.values) ** (2 * c.p + 4)))
             out["power_2p4"] = p24
-            rho_f = ScalarField(total_density(state), g, PHYSICAL)
-            drho = spectral_gradient(rho_f)[0].values.real
-            out["grad_density_sq"] = vol * float(np.sum(drho ** 2))
+            out["grad_density_sq"] = vol * float(np.sum(snap.rho_grads[0] ** 2))
             return out
         if g.d == 2:
-            out["recip_self"] = self._recip_self(state)
-            chat = ScalarField(total_density(state), g, PHYSICAL).to_spectral().values
+            out["recip_self"] = self._recip_self(snap)
+            chat = ScalarField(snap.rho, g, PHYSICAL).to_spectral().values
             out["half_deriv_sq"] = g.box_volume * float(
                 np.sum(g.k_modulus * np.abs(chat) ** 2))
             return out
         out["l4"] = sum(vol * float(np.sum(np.abs(f.values) ** 4)) for f in state.fields)
-        out["recip_self"] = self._recip_self(state)
+        out["recip_self"] = self._recip_self(snap)
         return out
 
-    def _recip_self(self, state: SystemState) -> float:
+    def _recip_self(self, snap: Snapshot) -> float:
+        state = snap.state
         g = state.grid
         c = state.coupling
-        vol = g.cell_volume
+        kernel = RadialKernel.reciprocal()
         total = 0.0
         for mu, f in enumerate(state.fields):
             b = c.beta[mu, mu]
             if b == 0.0:
                 continue
-            m = np.abs(f.values) ** 2
-            conv = convolve_radial_kernel(ScalarField(m, g, PHYSICAL),
-                                          RadialKernel.reciprocal())
-            total += b * vol * float(np.sum(np.abs(f.values) ** (2 * c.p + 2) * conv.values))
+            q_hat = padded_rfft(g, np.abs(f.values) ** (2 * c.p + 2))
+            total += b * kernel_inner_product(g, q_hat, snap.m_hats[mu], kernel)
         return total
 
-    def update(self, state: SystemState):
-        vals = self._integrands(state)
+    def update(self, state: SystemState | Snapshot):
+        snap = Snapshot.of(state)
+        t = snap.state.t
+        vals = self._integrands(snap)
         if self.history:
             t_prev, prev = self.history[-1]
-            w = 0.5 * (state.t - t_prev)
+            w = 0.5 * (t - t_prev)
             for name in self.names:
                 self.totals[name] += w * (prev[name] + vals[name])
-        self.history.append((state.t, vals))
+        self.history.append((t, vals))
 
     def increment_over(self, t0: float, t1: float) -> dict[str, float]:
         """Trapezoid contribution of the window [t0, t1] from the history."""

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import GridSpec, ScalarField, PHYSICAL, spectral_gradient
-from .system import CouplingSpec, SystemState, mass, state_from_arrays
+from .system import CouplingSpec, Snapshot, SystemState, mass, state_from_arrays
 from .evolve import _nonlinear_exponents
 
 
@@ -80,10 +80,12 @@ def admissible_pair(p: float, d: int) -> StrichartzPair:
     return pair
 
 
-def w1r_norm(f: ScalarField, r: float) -> float:
-    """W^{1,r} norm, (||f||_r^r + || |grad f| ||_r^r)^{1/r}; max-based at r = inf."""
-    grads = spectral_gradient(f)
-    gmag = np.sqrt(sum(np.abs(g.values) ** 2 for g in grads))
+def w1r_norm(f: ScalarField, r: float, grads: list[np.ndarray] | None = None) -> float:
+    """W^{1,r} norm, (||f||_r^r + || |grad f| ||_r^r)^{1/r}; max-based at r = inf.
+    ``grads`` are the spectral gradient components of f when the caller has them."""
+    if grads is None:
+        grads = [g.values for g in spectral_gradient(f)]
+    gmag = np.sqrt(sum(np.abs(g) ** 2 for g in grads))
     a = np.abs(f.to_physical().values)
     if math.isinf(r):
         return float(max(a.max(initial=0.0), gmag.max(initial=0.0)))
@@ -101,13 +103,16 @@ class StrichartzAccumulator:
         self.total = 0.0
         self.history: list[tuple[float, float]] = []
 
-    def update(self, state: SystemState):
-        s = sum(w1r_norm(f, self.pair.rf) for f in state.fields)
+    def update(self, state: SystemState | Snapshot):
+        snap = Snapshot.of(state)
+        t = snap.state.t
+        s = sum(w1r_norm(f, self.pair.rf, grads)
+                for f, grads in zip(snap.state.fields, snap.grads))
         integrand = s ** self.pair.qf
         if self.history:
             t_prev, prev = self.history[-1]
-            self.total += 0.5 * (state.t - t_prev) * (prev + integrand)
-        self.history.append((state.t, integrand))
+            self.total += 0.5 * (t - t_prev) * (prev + integrand)
+        self.history.append((t, integrand))
 
     def value(self) -> float:
         """q-th root of the accumulated integral."""
@@ -242,9 +247,9 @@ def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
             free[i, mu] = np.fft.ifftn(spectra[mu])
             spectra[mu] = spectra[mu] * mult
 
-    def nonlinearity(node):
+    def nonlinearity(node, t):
         arrs = [node[mu] for mu in range(coupling.n)]
-        gs = _nonlinear_exponents(arrs, coupling)
+        gs = _nonlinear_exponents(arrs, coupling, t)
         return [g * a for g, a in zip(gs, arrs)]
 
     back = np.conj(mult)  # exp(+i dt |k|^2): propagator exp(-i dt Lap) ... inverse step
@@ -257,12 +262,12 @@ def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
     tail = 0.0
     for it in range(1, max_iter + 1):
         new = np.empty_like(w)
-        h_next = nonlinearity(w[-1])
+        h_next = nonlinearity(w[-1], (n_nodes - 1) * dt)
         new[-1] = free[-1]
         # S(t_i) = exp(-i dt Lap) S(t_{i+1}) + (dt/2)(h(t_i) + exp(-i dt Lap) h(t_{i+1}))
         S = [np.zeros(grid.shape, dtype=complex) for _ in range(coupling.n)]
         for i in range(n_nodes - 2, -1, -1):
-            h_here = nonlinearity(w[i])
+            h_here = nonlinearity(w[i], i * dt)
             for mu in range(coupling.n):
                 carried = np.fft.ifftn(np.fft.fftn(S[mu] + 0.5 * dt * h_next[mu]) * back)
                 S[mu] = carried + 0.5 * dt * h_here[mu]
@@ -286,7 +291,7 @@ def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
         message = (f"fixed point did not reach tol = {tol} within {max_iter} "
                    "iterations; residual history attached")
 
-    tail = dt * _h1_of_arrays(grid, nonlinearity(w[-1]))
+    tail = dt * _h1_of_arrays(grid, nonlinearity(w[-1], (n_nodes - 1) * dt))
     state0 = state_from_arrays(0.0, [w[0, mu] for mu in range(coupling.n)],
                                coupling, grid)
     return WaveOperatorResult(state0=state0, converged=converged,

@@ -17,10 +17,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, PHYSICAL, cube_sup_l2, spectral_gradient
+from .grid import (GridSpec, ScalarField, PHYSICAL, cube_sup_l2, padded_rfft,
+                   spectral_gradient)
 
 
 def critical_exponent(d: int) -> float:
@@ -168,13 +170,19 @@ def current(state: SystemState, mu: int) -> list[ScalarField]:
     return [ScalarField(np.imag(conj * g.values), state.grid, PHYSICAL) for g in grads]
 
 
-def total_current(state: SystemState) -> list[np.ndarray]:
-    """sum_mu j_mu per axis, as plain arrays."""
+def total_current(state: SystemState,
+                  gradients: list[list[np.ndarray]] | None = None) -> list[np.ndarray]:
+    """sum_mu j_mu per axis, as plain arrays.  ``gradients`` are the
+    components' spectral gradients when the caller already has them
+    (``Snapshot.grads``)."""
     g = state.grid
+    if gradients is None:
+        gradients = [[gc.values for gc in spectral_gradient(f)] for f in state.fields]
     out = [np.zeros(g.shape) for _ in range(g.d)]
-    for mu in range(state.coupling.n):
-        for a, j in enumerate(current(state, mu)):
-            out[a] += j.values
+    for f, grads in zip(state.fields, gradients):
+        conj = np.conj(f.values)
+        for a in range(g.d):
+            out[a] += np.imag(conj * grads[a])
     return out
 
 
@@ -200,6 +208,64 @@ def coupling_density(state: SystemState) -> np.ndarray:
             if b != 0.0:
                 out += b * powers[mu] * powers[nu]
     return out
+
+
+class Snapshot:
+    """The per-state pieces that several diagnostics of one snapshot share.
+
+    Each piece is computed on first use and kept for the life of the
+    Snapshot, which is built for one state and dropped with it:
+
+      m        per-component densities |u_mu|^2
+      rho      total density sum_mu m_mu
+      P        coupling density (see coupling_density)
+      grads    spectral gradients of each component, grads[mu][a]
+      current  total current sum_mu Im(conj(u_mu) grad u_mu), per axis
+      rho_grads  real spectral gradient of rho, per axis
+      m_hats   padded half-spectra of the m_mu (grid.padded_rfft)
+      rho_hat  padded half-spectrum of rho, sum_mu m_hats[mu]
+    """
+
+    def __init__(self, state: SystemState):
+        self.state = state
+
+    @staticmethod
+    def of(state: "SystemState | Snapshot") -> "Snapshot":
+        """The Snapshot given, or a new one for a bare state."""
+        return state if isinstance(state, Snapshot) else Snapshot(state)
+
+    @cached_property
+    def m(self) -> list[np.ndarray]:
+        return [np.abs(f.values) ** 2 for f in self.state.fields]
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return sum(self.m)
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        return coupling_density(self.state)
+
+    @cached_property
+    def grads(self) -> list[list[np.ndarray]]:
+        return [[gc.values for gc in spectral_gradient(f)] for f in self.state.fields]
+
+    @cached_property
+    def current(self) -> list[np.ndarray]:
+        return total_current(self.state, self.grads)
+
+    @cached_property
+    def rho_grads(self) -> list[np.ndarray]:
+        rho = ScalarField(self.rho, self.state.grid, PHYSICAL)
+        return [gc.values.real for gc in spectral_gradient(rho)]
+
+    @cached_property
+    def m_hats(self) -> list[np.ndarray]:
+        return [padded_rfft(self.state.grid, m) for m in self.m]
+
+    @cached_property
+    def rho_hat(self) -> np.ndarray:
+        return sum(self.m_hats)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from .evolve import StepParams, evolve
 from .morawetz import (InteractionReport, MorawetzWeight,
                        interaction_inequality_check, interaction_report,
                        virial_V, virial_Vddot, virial_Vdot)
-from .system import SystemState
+from .system import Snapshot, SystemState
 
 
 @dataclass
@@ -42,12 +42,13 @@ def collect_series(state0: SystemState, params: StepParams,
     times, V, Vd, Vdd, reports = [], [], [], [], []
 
     def sink(state):
+        snap = Snapshot(state)
         times.append(state.t)
-        V.append(virial_V(state, smooth_weight, center))
-        Vd.append(virial_Vdot(state, smooth_weight, center))
-        Vdd.append(virial_Vddot(state, smooth_weight, center).total)
+        V.append(virial_V(snap, smooth_weight, center))
+        Vd.append(virial_Vdot(snap, smooth_weight, center))
+        Vdd.append(virial_Vddot(snap, smooth_weight, center).total)
         if interaction_weight is not None:
-            reports.append(interaction_report(state, interaction_weight))
+            reports.append(interaction_report(snap, interaction_weight))
 
     final = evolve(state0, params, sink)
     return TrajectorySeries(times=np.array(times), V=np.array(V),

@@ -126,6 +126,19 @@ def test_cli_simulate_artifacts_and_determinism(tmp_path):
     assert all(c["pass"] for c in s1["checks"].values())
 
 
+def test_cli_simulate_d3_reruns_byte_identical(tmp_path):
+    # the d = 3 interaction and accumulator columns use threaded padded transforms
+    args = ["simulate", "--d", "3", "--n-components", "2", "--beta", "1,0.5,0.5,1",
+            "--grid-m", "16", "--box-l", "6", "--p", "1", "--dt", "0.01",
+            "--t-final", "0.04", "--snapshot-stride", "2", "--amplitude", "0.5,0.4"]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["--out-dir", str(out1)]) == 0
+    assert main(args + ["--out-dir", str(out2)]) == 0
+    csv1 = (out1 / "diagnostics.csv").read_bytes()
+    assert b"acc_recip_self" in csv1 and b",I," in csv1
+    assert csv1 == (out2 / "diagnostics.csv").read_bytes()
+
+
 def test_cli_flag_override_echoed_in_summary(tmp_path):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"dt": 0.002, "grid_m": 128, "t_final": 0.1,

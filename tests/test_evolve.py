@@ -181,8 +181,18 @@ def test_evolve_dealias_keeps_conservation(grid1d):
 def test_evolve_nan_abort(grid1d):
     bad = np.full(grid1d.shape, np.inf + 0j)
     st = single_state(ScalarField(bad, grid1d, "physical"))
-    with pytest.raises(NanAbortError):
+    with pytest.raises(NanAbortError) as err:
         evolve(st, StepParams(dt=1e-3, t_final=0.1))
+    assert err.value.t == st.t
+
+    # finite data whose nonlinear exponent |u|^{p+1} |u|^{p-1} overflows in
+    # the first step taken from t = 0.25
+    huge = single_state(gaussian(grid1d, amp=1e80), p=2.0)
+    huge = SystemState(0.25, huge.fields, huge.coupling)
+    with pytest.raises(NanAbortError) as err:
+        evolve(huge, StepParams(dt=1e-3, t_final=0.1, snapshot_stride=5))
+    assert math.isfinite(err.value.t) and err.value.t == 0.25
+    assert "grid index" in str(err.value.__cause__)
 
 
 def test_rk4_zero_state(grid1d):

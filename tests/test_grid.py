@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from nlskit import (GridSpec, GridUsageError, RadialKernel, ScalarField,
-                    apply_multiplier, convolve_radial_kernel,
-                    field_from_function, forward_transform, inverse_transform,
-                    spectral_gradient)
+                    apply_multiplier, convolve_kernel_gradient,
+                    convolve_radial_kernel, field_from_function,
+                    forward_transform, inverse_transform, spectral_gradient)
+from nlskit.grid import kernel_inner_product, padded_rfft
 
 from conftest import gaussian, random_field
 
@@ -202,3 +203,90 @@ def test_convolve_requires_real(grid1d):
     f = gaussian(grid1d, velocity=[1.0])
     with pytest.raises(ValueError, match="real"):
         convolve_radial_kernel(f, RadialKernel.abs_distance())
+
+
+def test_profile_kernels_created_and_freed_in_turn_get_their_own_transform(grid1d):
+    # A new profile callable can take the memory of a freed one; a kernel
+    # transform cached on the callable's id would then be served stale.
+    x = grid1d.x_mesh[0]
+    f = ScalarField(np.exp(-x ** 2 / 2.0), grid1d, "physical")
+    stale = 0
+    for i in range(200):
+        width = 0.5 + 0.01 * i
+        kernel = RadialKernel.from_profile(lambda r, w=width: np.exp(-(r / w) ** 2),
+                                           origin_value=1.0)
+        got = convolve_radial_kernel(f, kernel).values
+        # the exact convolution of two Gaussians, sampled at the origin
+        expected = math.sqrt(math.pi) * width / math.sqrt(1.0 + width ** 2 / 2.0)
+        if abs(got[grid1d.m // 2] - expected) > 1e-6 * expected:
+            stale += 1
+        del kernel
+    assert stale == 0
+
+
+_PAIRING_KERNELS = {
+    "abs_distance": lambda: RadialKernel.abs_distance(),
+    "reciprocal_grid": lambda: RadialKernel.reciprocal(),
+    "reciprocal_analytic": lambda: RadialKernel.reciprocal(transform="analytic"),
+    "gaussian_delta": lambda: RadialKernel.gaussian_delta(0.4),
+    "from_profile": lambda: RadialKernel.from_profile(lambda r: np.exp(-r) / (1.0 + r),
+                                                      origin_value=1.0),
+}
+_PAIRING_GRIDS = {1: GridSpec(1, 128, 8.0), 2: GridSpec(2, 32, 8.0), 3: GridSpec(3, 16, 8.0)}
+
+
+def _supported_pair(grid, seed):
+    """Two seeded real fields, nonzero only inside the ball of radius L/2."""
+    rng = np.random.default_rng(seed)
+    r = np.sqrt(sum(a ** 2 for a in grid.x_mesh))
+    inside = r < grid.l / 2
+    f = np.where(inside, rng.uniform(0.5, 1.5, grid.shape), 0.0)
+    g = np.where(inside, rng.uniform(0.5, 1.5, grid.shape), 0.0)
+    return f, g
+
+
+@pytest.mark.parametrize("name", sorted(_PAIRING_KERNELS))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_inner_product_matches_convolution(d, name):
+    if d == 1 and name.startswith("reciprocal"):
+        pytest.skip("the reciprocal kernel is not defined in d = 1")
+    grid = _PAIRING_GRIDS[d]
+    kernel = _PAIRING_KERNELS[name]()
+    f, g = _supported_pair(grid, seed=10 * d + len(name))
+    f_hat, g_hat = padded_rfft(grid, f), padded_rfft(grid, g)
+    vol = grid.cell_volume
+    gf = ScalarField(g, grid, "physical")
+
+    conv = convolve_radial_kernel(gf, kernel).values
+    expected = vol * float(np.sum(f * conv))
+    got = kernel_inner_product(grid, f_hat, g_hat, kernel)
+    assert abs(got - expected) <= 1e-12 * abs(expected)
+
+    for a, conv_a in enumerate(convolve_kernel_gradient(gf, kernel)):
+        expected = vol * float(np.sum(f * conv_a.values))
+        scale = vol * float(np.sum(np.abs(f * conv_a.values)))
+        got = kernel_inner_product(grid, f_hat, g_hat, kernel, axis=a)
+        assert abs(got - expected) <= 1e-12 * abs(expected) + 1e-14 * scale
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_convolve_kernel_gradient_matches_complex_transform_route(d):
+    # The real part of the complex-transform route drops the unpaired
+    # Nyquist entries of i k_a; the half-spectrum route zeroes them.
+    grid = _PAIRING_GRIDS[d]
+    kernel = RadialKernel.abs_distance()
+    f, _ = _supported_pair(grid, seed=d)
+    n = 2 * grid.m
+    j = np.rint(np.fft.fftfreq(n) * n)
+    r = grid.h * np.sqrt(sum(np.meshgrid(*([j * j] * d), indexing="ij")))
+    hat = np.fft.fftn(kernel.evaluate(r, grid.h, d))
+    padded = np.zeros((n,) * d)
+    padded[(slice(0, grid.m),) * d] = f
+    fhat = np.fft.fftn(padded)
+    k = (math.pi / (2.0 * grid.l)) * j
+    got = convolve_kernel_gradient(ScalarField(f, grid, "physical"), kernel)
+    for a in range(d):
+        ka = k.reshape((-1,) + (1,) * (d - 1 - a))
+        ref = np.fft.ifftn(fhat * (1j * ka) * hat)[(slice(0, grid.m),) * d].real
+        ref *= grid.cell_volume
+        assert np.abs(got[a].values - ref).max() <= 1e-12 * np.abs(ref).max()

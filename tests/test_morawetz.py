@@ -10,6 +10,7 @@ from nlskit import (CouplingSpec, GridSpec, MorawetzWeight, ScalarField,
                     strang_step, total_mass, virial_V, virial_Vddot,
                     virial_Vdot)
 from nlskit.morawetz import SpacetimeAccumulators
+from nlskit.system import Snapshot
 
 from conftest import gaussian, single_state
 
@@ -239,6 +240,23 @@ def test_interaction_d3_delta_collapse_consistency(grid3d):
     rep = interaction_report(st, MorawetzWeight.abs_distance())
     assert rep.rhs_lower_alt is not None
     assert abs(rep.rhs_lower - rep.rhs_lower_alt) < 0.05 * abs(rep.rhs_lower_alt)
+
+
+@pytest.mark.parametrize("d, m", [(1, 256), (2, 32), (3, 16)])
+def test_shared_snapshot_gives_the_same_diagnostics(d, m):
+    # one Snapshot passed to every diagnostic of a state changes no value
+    st = two_component_state(GridSpec(d, m, 8.0), p=1.0)
+    weight = MorawetzWeight.quadratic()
+    inter = MorawetzWeight.abs_distance()
+    snap = Snapshot(st)
+    assert interaction_report(snap, inter) == interaction_report(st, inter)
+    assert virial_V(snap, weight) == virial_V(st, weight)
+    assert virial_Vdot(snap, weight) == virial_Vdot(st, weight)
+    assert virial_Vddot(snap, weight) == virial_Vddot(st, weight)
+    shared, alone = SpacetimeAccumulators(st.coupling), SpacetimeAccumulators(st.coupling)
+    shared.update(snap)
+    alone.update(st)
+    assert shared.history == alone.history
 
 
 # ---------------------------------------------------------------------------

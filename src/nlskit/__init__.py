@@ -12,7 +12,7 @@ on seeded corpora.
 
 from .grid import (GridSpec, ScalarField, RadialKernel, GridUsageError,
                    field_from_function, forward_transform, inverse_transform,
-                   spectral_gradient, spectral_laplacian, apply_multiplier,
+                   spectral_gradient, apply_multiplier,
                    convolve_radial_kernel, convolve_kernel_gradient, cube_sup_l2)
 from .system import (CouplingSpec, SystemState, EnergyReport, LqReport,
                      state_from_arrays, density, current, mass, total_mass,
@@ -29,7 +29,7 @@ from .morawetz import (MorawetzWeight, InteractionReport, InequalityCheck,
 from .scattering import (StrichartzPair, StrichartzAccumulator,
                          ScatteringResult, WaveOperatorResult,
                          WaveOperatorDivergence, admissible_pair, w1r_norm,
-                         asymptotic_profile, wave_operator, free_flow_arrays)
+                         asymptotic_profile, wave_operator)
 from .gn import GNReport, gn_ratio, unlocalized_gn_ratio, corpus_sup_ratio, generate_sample
 from .initial_data import InitialDataSpec, build_initial_state
 from .config import RunConfig, ConfigError, parse_config

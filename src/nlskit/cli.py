@@ -2,10 +2,11 @@
 
 Subcommands: simulate, verify-identities, scatter, wave-op, gn-check.
 Flags mirror config-file keys and override them.  Exit codes: 0 when every
-enabled invariant check passes, 1 on a named check/configuration failure,
-2 on a NaN abort.  Artifacts per run: diagnostics.csv (17-significant-digit
-text), summary.json (config echo, check outcomes, accumulator totals, wall
-time), and binary field files for scatter/wave-op profiles.
+enabled invariant check passes, 1 on a named check/configuration failure
+(wave-operator divergence included), 2 on a NaN abort.  Artifacts per run:
+diagnostics.csv (17-significant-digit text), summary.json (config echo,
+check outcomes, accumulator totals, wall time; written by every subcommand,
+on a NaN abort too), and binary field files for scatter/wave-op profiles.
 """
 
 from __future__ import annotations
@@ -84,18 +85,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _coupling(cfg: RunConfig) -> CouplingSpec:
+    return CouplingSpec(cfg.n_components, cfg.beta_matrix(), cfg.p, cfg.d)
+
+
 def _setup(cfg: RunConfig):
-    grid = GridSpec(cfg.d, cfg.grid_m, cfg.box_l)
-    coupling = CouplingSpec(cfg.n_components, cfg.beta_matrix(), cfg.p, cfg.d)
-    spec = InitialDataSpec(family=cfg.family, amplitude=cfg.amplitude,
-                           width=cfg.width, center=cfg.center,
-                           velocity=cfg.velocity, chirp=cfg.chirp,
-                           bump_amplitudes=tuple(cfg.bump_amplitudes),
-                           bump_centers=tuple(cfg.bump_centers),
-                           bump_widths=tuple(cfg.bump_widths),
-                           bump_velocities=tuple(cfg.bump_velocities),
-                           seed=cfg.seed)
-    state0 = build_initial_state(grid, coupling, spec)
+    """Grid, coupling and initial state; a value the config accepted but
+    these reject (say a center of the wrong length) is a ConfigError."""
+    try:
+        grid = GridSpec(cfg.d, cfg.grid_m, cfg.box_l)
+        coupling = _coupling(cfg)
+        spec = InitialDataSpec(family=cfg.family, amplitude=cfg.amplitude,
+                               width=cfg.width, center=cfg.center,
+                               velocity=cfg.velocity, chirp=cfg.chirp,
+                               bump_amplitudes=tuple(cfg.bump_amplitudes),
+                               bump_centers=tuple(cfg.bump_centers),
+                               bump_widths=tuple(cfg.bump_widths),
+                               bump_velocities=tuple(cfg.bump_velocities),
+                               seed=cfg.seed)
+        state0 = build_initial_state(grid, coupling, spec)
+    except ValueError as err:
+        raise ConfigError([str(err)]) from err
     return grid, coupling, state0
 
 
@@ -110,9 +120,10 @@ def _virial_weight(cfg: RunConfig) -> MorawetzWeight | None:
 
 
 def _interaction_weight(cfg: RunConfig) -> MorawetzWeight | None:
+    """The bilinear weight; erf exists in d = 1 only and falls back to |x|."""
     if cfg.interaction_weight == "none":
         return None
-    if cfg.interaction_weight == "erf":
+    if cfg.interaction_weight == "erf" and cfg.d == 1:
         return MorawetzWeight.erf_smoothed(cfg.weight_eps)
     if cfg.interaction_weight == "constant":
         return MorawetzWeight.constant()
@@ -127,39 +138,23 @@ def _collector(cfg: RunConfig, coupling, grid, keep_states: int = 0) -> Diagnost
         cand = admissible_pair(cfg.p, cfg.d)
         pair = cand if cand.admissible else None
     lq = tuple(dict.fromkeys((4.0, 2.0 * cfg.p + 2.0)))
-    inter = _interaction_weight(cfg)
-    if inter is not None and inter.kind == "erf" and grid.d != 1:
-        inter = MorawetzWeight.abs_distance()
     return DiagnosticsCollector(coupling, grid, CollectorOptions(
-        weight=_virial_weight(cfg), interaction=inter, lq_values=lq,
+        weight=_virial_weight(cfg), interaction=_interaction_weight(cfg), lq_values=lq,
         accumulators=True, strichartz_pair=pair, cube_mass=cube_ok,
         keep_states=keep_states))
 
 
-def _base_summary(cfg: RunConfig, coupling, started: float) -> dict:
-    return {
-        "config": cfg.to_dict(),
-        "admissibility": coupling.classification(),
-        "wall_time_s": time.time() - started,  # excluded from determinism comparisons
-    }
+# Each runner writes its artifacts to the output directory and returns its
+# summary fields and a failure message, empty when every check passed.
+# main() adds the config echo and the wall time, writes summary.json and maps
+# the outcome to the exit code.
 
-
-def run_simulate(cfg: RunConfig) -> int:
-    started = time.time()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def run_simulate(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     grid, coupling, state0 = _setup(cfg)
     collector = _collector(cfg, coupling, grid)
     params = StepParams(dt=cfg.dt, t_final=cfg.t_final,
                         snapshot_stride=cfg.snapshot_stride, dealias=cfg.dealias)
-    try:
-        final = evolve(state0, params, collector)
-    except NanAbortError as err:
-        write_summary({**_base_summary(cfg, coupling, started),
-                       "aborted": f"non-finite values at t = {err.t}"},
-                      out / "summary.json")
-        print(f"nlskit: NaN abort at t = {err.t}", file=sys.stderr)
-        return EXIT_NAN
+    final = evolve(state0, params, collector)
 
     write_csv(collector.records, collector.columns, out / "diagnostics.csv")
     h1sq_T = sum(h1_norms_squared(final))
@@ -177,7 +172,7 @@ def run_simulate(cfg: RunConfig) -> int:
         "h1_bound": {"value": h1sq_T, "tol": bound * (1.0 + 1e-6) + 1e-12,
                      "pass": h1sq_T <= bound * (1.0 + 1e-6) + 1e-12},
     }
-    summary = {**_base_summary(cfg, coupling, started),
+    summary = {"admissibility": coupling.classification(),
                "t_final": final.t,
                "rows": len(collector.records),
                "checks": checks,
@@ -185,39 +180,28 @@ def run_simulate(cfg: RunConfig) -> int:
                                       if collector.accumulators else {}),
                "strichartz": (collector.strichartz.value()
                               if collector.strichartz else None)}
-    write_summary(summary, out / "summary.json")
     for name, c in checks.items():
         if not c["pass"]:
-            print(f"nlskit: invariant check failed: {name} "
-                  f"(value {c['value']:.3e}, tol {c['tol']:.3e})", file=sys.stderr)
-            return EXIT_FAIL
-    return EXIT_OK
+            return summary, (f"invariant check failed: {name} "
+                             f"(value {c['value']:.3e}, tol {c['tol']:.3e})")
+    return summary, ""
 
 
-def run_verify_identities(cfg: RunConfig) -> int:
-    started = time.time()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def run_verify_identities(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     grid, coupling, state0 = _setup(cfg)
     smooth = _virial_weight(cfg) or MorawetzWeight.quadratic()
     if smooth.kind == "absdistance":
         smooth = MorawetzWeight.quadratic()
     inter = _interaction_weight(cfg)
-    if inter is not None and inter.kind == "erf" and grid.d != 1:
-        inter = MorawetzWeight.abs_distance()
 
     # calibrate over the full horizon: finite-difference constants can grow
     # along the trajectory, so short-window calibration underestimates them
     window = cfg.fd_calibration_t or cfg.t_final
-    try:
-        constants = calibrate_fd_constants(state0, cfg.dt, cfg.snapshot_stride,
-                                           window, smooth, inter)
-        params = StepParams(dt=cfg.dt, t_final=cfg.t_final,
-                            snapshot_stride=cfg.snapshot_stride)
-        series = collect_series(state0, params, smooth, inter)
-    except NanAbortError as err:
-        print(f"nlskit: NaN abort at t = {err.t}", file=sys.stderr)
-        return EXIT_NAN
+    constants = calibrate_fd_constants(state0, cfg.dt, cfg.snapshot_stride,
+                                       window, smooth, inter)
+    params = StepParams(dt=cfg.dt, t_final=cfg.t_final,
+                        snapshot_stride=cfg.snapshot_stride)
+    series = collect_series(state0, params, smooth, inter)
     result = check_identities(series, constants)
 
     cols = ["t", "V", "Vdot", "Vddot"]
@@ -230,96 +214,76 @@ def run_verify_identities(cfg: RunConfig) -> int:
                        rhs_lower=rep.rhs_lower)
     write_csv(recs, cols, out / "diagnostics.csv")
 
-    summary = {**_base_summary(cfg, coupling, started),
+    checks = {
+        "virial_first_identity": {"gap": result.vdot_gap,
+                                  "tol": result.vdot_tol,
+                                  "pass": result.vdot_ok},
+        "virial_second_identity": {"gap": result.vddot_gap,
+                                   "tol": result.vddot_tol,
+                                   "pass": result.vddot_ok},
+        "interaction_first_identity": {"gap": result.idot_gap,
+                                       "tol": result.idot_tol,
+                                       "pass": result.idot_ok},
+        "interaction_inequality": {"pass": result.inequality_ok},
+        "interaction_integrated": {"pass": result.integrated_ok},
+    }
+    summary = {"admissibility": coupling.classification(),
                "fd_constants": vars(constants),
-               "checks": {
-                   "virial_first_identity": {"gap": result.vdot_gap,
-                                             "tol": result.vdot_tol,
-                                             "pass": result.vdot_ok},
-                   "virial_second_identity": {"gap": result.vddot_gap,
-                                              "tol": result.vddot_tol,
-                                              "pass": result.vddot_ok},
-                   "interaction_first_identity": {"gap": result.idot_gap,
-                                                  "tol": result.idot_tol,
-                                                  "pass": result.idot_ok},
-                   "interaction_inequality": {"pass": result.inequality_ok},
-                   "interaction_integrated": {"pass": result.integrated_ok},
-               }}
-    write_summary(summary, out / "summary.json")
-    for name, c in summary["checks"].items():
+               "checks": checks}
+    for name, c in checks.items():
         if c["pass"] is False:
-            print(f"nlskit: identity check failed: {name}", file=sys.stderr)
-            return EXIT_FAIL
-    return EXIT_OK
+            return summary, f"identity check failed: {name}"
+    return summary, ""
 
 
-def run_scatter(cfg: RunConfig) -> int:
-    started = time.time()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def run_scatter(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     grid, coupling, state0 = _setup(cfg)
     collector = _collector(cfg, coupling, grid, keep_states=cfg.scatter_window)
     params = StepParams(dt=cfg.dt, t_final=cfg.t_final,
                         snapshot_stride=cfg.snapshot_stride)
-    try:
-        evolve(state0, params, collector)
-    except NanAbortError as err:
-        print(f"nlskit: NaN abort at t = {err.t}", file=sys.stderr)
-        return EXIT_NAN
+    evolve(state0, params, collector)
     write_csv(collector.records, collector.columns, out / "diagnostics.csv")
     result = asymptotic_profile(collector.states, direction=+1, tol=cfg.tol)
     write_fields(out / "profile.nlsf", grid, result.profile)
-    summary = {**_base_summary(cfg, coupling, started),
+    summary = {"admissibility": coupling.classification(),
                "residuals": [list(r) for r in result.residuals],
                "converged": result.converged,
                "mass_mismatch": result.mass_mismatch,
                "boundary_valid": collector.boundary_valid,
                "message": result.message}
-    write_summary(summary, out / "summary.json")
     if not result.converged:
-        print("nlskit: asymptotic profile did not converge: "
-              f"{result.message or 'residual above tol'}", file=sys.stderr)
-        return EXIT_FAIL
-    return EXIT_OK
+        return summary, ("asymptotic profile did not converge: "
+                         f"{result.message or 'residual above tol'}")
+    return summary, ""
 
 
-def run_wave_op(cfg: RunConfig) -> int:
-    started = time.time()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def run_wave_op(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     grid, coupling, profile_state = _setup(cfg)
+    admissibility = coupling.classification()
     try:
         result = wave_operator(profile_state.fields, coupling, cfg.wave_t,
                                cfg.wave_dt, tol=cfg.tol,
                                max_iter=cfg.wave_max_iter)
     except WaveOperatorDivergence as err:
-        write_summary({**_base_summary(cfg, coupling, started),
-                       "converged": False,
-                       "residuals": err.residuals,
-                       "message": str(err)}, out / "summary.json")
-        print(f"nlskit: {err}", file=sys.stderr)
-        return EXIT_FAIL
+        return {"admissibility": admissibility,
+                "converged": False,
+                "residuals": err.residuals,
+                "message": str(err)}, str(err)
     write_fields(out / "initial_data.nlsf", grid, result.state0.fields)
     masses = [mass(result.state0, mu) for mu in range(coupling.n)]
-    summary = {**_base_summary(cfg, coupling, started),
+    summary = {"admissibility": admissibility,
                "converged": result.converged,
                "iterations": result.iterations,
                "residuals": list(result.residuals),
                "tail_estimate": result.tail_estimate,
                "initial_masses": masses,
                "message": result.message}
-    write_summary(summary, out / "summary.json")
     if not result.converged:
-        print(f"nlskit: wave operator did not converge: {result.message}",
-              file=sys.stderr)
-        return EXIT_FAIL
-    return EXIT_OK
+        return summary, f"wave operator did not converge: {result.message}"
+    return summary, ""
 
 
-def run_gn_check(cfg: RunConfig) -> int:
-    started = time.time()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def run_gn_check(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     grid = GridSpec(cfg.d, cfg.grid_m, cfg.box_l)
     try:
         report = corpus_sup_ratio(grid, cfg.gn_alpha, cfg.gn_generator,
@@ -327,8 +291,7 @@ def run_gn_check(cfg: RunConfig) -> int:
     except RuntimeError as err:
         write_summary({"config": cfg.to_dict(), "error": str(err)},
                       out / "gn_report.json")
-        print(f"nlskit: gn-check failed: {err}", file=sys.stderr)
-        return EXIT_FAIL
+        return {"error": str(err)}, f"gn-check failed: {err}"
     # out_dir is path-dependent and excluded so same-seed reports are
     # byte-identical
     cfg_echo = {k: v for k, v in cfg.to_dict().items() if k != "out_dir"}
@@ -341,11 +304,7 @@ def run_gn_check(cfg: RunConfig) -> int:
            "median_ratio": fmt17(report.median_ratio),
            "ratios": [fmt17(v) for v in report.ratios]}
     (out / "gn_report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    write_summary({**{"config": cfg.to_dict()},
-                   "sup_ratio": report.sup_ratio,
-                   "median_ratio": report.median_ratio,
-                   "wall_time_s": time.time() - started}, out / "summary.json")
-    return EXIT_OK
+    return {"sup_ratio": report.sup_ratio, "median_ratio": report.median_ratio}, ""
 
 
 _RUNNERS = {
@@ -362,12 +321,26 @@ def main(argv=None) -> int:
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("config", "experiment") and v is not None}
     overrides["experiment"] = args.experiment
+    started = time.time()
     try:
         cfg = parse_config(args.config, overrides)
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        summary, failure = _RUNNERS[cfg.experiment](cfg, out)
+        code = EXIT_FAIL if failure else EXIT_OK
     except ConfigError as err:
         print(f"nlskit: {err}", file=sys.stderr)
         return EXIT_FAIL
-    return _RUNNERS[cfg.experiment](cfg)
+    except NanAbortError as err:
+        summary = {"admissibility": _coupling(cfg).classification(),
+                   "aborted": f"non-finite values at t = {err.t}"}
+        failure, code = f"NaN abort at t = {err.t}", EXIT_NAN
+    write_summary({"config": cfg.to_dict(), **summary,
+                   # excluded from determinism comparisons
+                   "wall_time_s": time.time() - started}, out / "summary.json")
+    if failure:
+        print(f"nlskit: {failure}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

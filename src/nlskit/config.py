@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .initial_data import FAMILIES
+
 EXPERIMENTS = ("simulate", "verify-identities", "scatter", "wave-op", "gn-check")
 WEIGHTS = ("none", "quadratic", "absdistance", "erf")
 _SCALAR_OR_LIST = (int, float, list)
@@ -204,6 +206,8 @@ def _validate(c: dict, problems: list[str]):
         problems.append(f"t_final must be >= 0, got {c['t_final']}")
     if isinstance(c["snapshot_stride"], int) and c["snapshot_stride"] < 1:
         problems.append(f"snapshot_stride must be >= 1, got {c['snapshot_stride']}")
+    if c["family"] not in FAMILIES:
+        problems.append(f"family must be one of {FAMILIES}, got {c['family']!r}")
     if c["weight"] not in WEIGHTS:
         problems.append(f"weight must be one of {WEIGHTS}, got {c['weight']!r}")
     if c["interaction_weight"] not in ("none", "absdistance", "erf", "constant"):

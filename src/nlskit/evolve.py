@@ -91,18 +91,6 @@ def _nonlinear_exponents(arrays: list[np.ndarray], coupling: CouplingSpec,
     return out
 
 
-def _apply_linear(spectra: list[np.ndarray], mult: np.ndarray) -> list[np.ndarray]:
-    return [s * mult for s in spectra]
-
-
-def _to_spectra(grid: GridSpec, arrays: list[np.ndarray]) -> list[np.ndarray]:
-    return [np.fft.fftn(a) for a in arrays]
-
-
-def _to_arrays(grid: GridSpec, spectra: list[np.ndarray]) -> list[np.ndarray]:
-    return [np.fft.ifftn(s) for s in spectra]
-
-
 def linear_substep(state: SystemState, tau: float) -> SystemState:
     """Free flow over time tau: multiplier exp(-i |k|^2 tau) per component."""
     g = state.grid
@@ -124,17 +112,12 @@ def nonlinear_substep(state: SystemState, tau: float) -> SystemState:
 
 
 def strang_step(state: SystemState, dt: float) -> SystemState:
-    """linear(dt/2) o nonlinear(dt) o linear(dt/2)."""
-    g = state.grid
-    half = np.exp(-1j * g.k_squared * (dt / 2.0))
-    arrays = [f.values for f in state.fields]
-    spectra = _apply_linear(_to_spectra(g, arrays), half)
-    arrays = _to_arrays(g, spectra)
-    gs = _nonlinear_exponents(arrays, state.coupling, state.t)
-    arrays = [a * np.exp(-1j * dt * gg) for a, gg in zip(arrays, gs)]
-    spectra = _apply_linear(_to_spectra(g, arrays), half)
-    arrays = _to_arrays(g, spectra)
-    return state_from_arrays(state.t + dt, arrays, state.coupling, g)
+    """linear(dt/2) o nonlinear(dt) o linear(dt/2).
+
+    A non-finite nonlinear exponent raises NanAbortError at t + dt/2, the
+    time of the nonlinear substep.
+    """
+    return linear_substep(nonlinear_substep(linear_substep(state, dt / 2.0), dt), dt / 2.0)
 
 
 def evolve(state: SystemState, params: StepParams,
@@ -170,16 +153,17 @@ def evolve(state: SystemState, params: StepParams,
     step = 0
     while step < n_steps:
         block = min(params.snapshot_stride, n_steps - step)
-        spectra = _apply_linear(_to_spectra(g, arrays), half)
+        spectra = [np.fft.fftn(a) * half for a in arrays]
         for inner in range(block):
-            arrays = _to_arrays(g, spectra)
+            arrays = [np.fft.ifftn(s) for s in spectra]
             gs = _nonlinear_exponents(arrays, c, state.t + (step + inner) * dt)
             arrays = [a * np.exp(-1j * dt * gg) for a, gg in zip(arrays, gs)]
-            spectra = _to_spectra(g, arrays)
+            spectra = [np.fft.fftn(a) for a in arrays]
             if mask is not None:
                 spectra = [s * mask for s in spectra]
-            spectra = _apply_linear(spectra, full if inner < block - 1 else half)
-        arrays = _to_arrays(g, spectra)
+            mult = full if inner < block - 1 else half
+            spectra = [s * mult for s in spectra]
+        arrays = [np.fft.ifftn(s) for s in spectra]
         step += block
         t = state.t + step * dt
         if any(not np.isfinite(a).all() for a in arrays):

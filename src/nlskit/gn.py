@@ -51,35 +51,29 @@ def gn_ratio(fields: tuple[ScalarField, ...] | list[ScalarField], variant: str) 
     fields = tuple(fields)
     if not fields:
         raise ValueError("need at least one component")
-    grid = fields[0].grid
     density = sum(np.abs(f.to_physical().values) ** 2 for f in fields)
     if not density.any():
         raise ValueError("the ratio is undefined for identically zero input")
-    sup_cube = cube_sup_l2(grid, density)
-    h1sq = sum(f.h1_norm() ** 2 for f in fields)
-    d = grid.d
-    if variant == MAIN:
-        e = (2.0 * d + 4.0) / d
-        lhs = sum(f.lq_norm(e) ** e for f in fields)
-        return lhs / (sup_cube ** (4.0 / d) * h1sq)
-    lhs = sum(f.lq_norm(3.0) ** 3 for f in fields)
-    return lhs / (sup_cube * h1sq)
+    return _ratio(fields, variant, cube_sup_l2(fields[0].grid, density))
 
 
 def unlocalized_gn_ratio(fields, variant: str) -> float:
     """Same ratio with the cube sup replaced by the full L2 norm (the limit
     for data concentrated inside a single unit cube)."""
     fields = tuple(fields)
-    grid = fields[0].grid
-    l2 = math.sqrt(sum(f.l2_norm() ** 2 for f in fields))
+    return _ratio(fields, variant, math.sqrt(sum(f.l2_norm() ** 2 for f in fields)))
+
+
+def _ratio(fields: tuple[ScalarField, ...], variant: str, l2_scale: float) -> float:
+    """The variant's ratio with ``l2_scale`` standing for the L2 size of the sample."""
     h1sq = sum(f.h1_norm() ** 2 for f in fields)
-    d = grid.d
+    d = fields[0].grid.d
     if variant == MAIN:
         e = (2.0 * d + 4.0) / d
         lhs = sum(f.lq_norm(e) ** e for f in fields)
-        return lhs / (l2 ** (4.0 / d) * h1sq)
+        return lhs / (l2_scale ** (4.0 / d) * h1sq)
     lhs = sum(f.lq_norm(3.0) ** 3 for f in fields)
-    return lhs / (l2 * h1sq)
+    return lhs / (l2_scale * h1sq)
 
 
 # ---------------------------------------------------------------------------

@@ -249,14 +249,6 @@ def spectral_gradient(f: ScalarField) -> list[ScalarField]:
     return out
 
 
-def spectral_laplacian(f: ScalarField) -> ScalarField:
-    """Laplacian as a physical-space field (multiplier -|k|^2)."""
-    g = f.grid
-    c = f.to_spectral().values
-    vals = np.fft.ifftn((-g.k_squared) * c * g._phase) * g.npoints
-    return ScalarField(vals, g, PHYSICAL)
-
-
 def apply_multiplier(f: ScalarField, multiplier: Callable[[np.ndarray], np.ndarray],
                      name: str = "multiplier") -> ScalarField:
     """Apply a radial spectral multiplier m(|k|) and return a field in the

@@ -56,7 +56,7 @@ from scipy.special import erf as _erf
 
 from .grid import (GridSpec, ScalarField, PHYSICAL, RadialKernel,
                    kernel_inner_product, padded_geometry, padded_rfft)
-from .system import Snapshot, SystemState
+from .system import RunningIntegral, Snapshot, SystemState
 
 ABS_DISTANCE = "absdistance"
 SMOOTH_RADIAL = "smoothradial"
@@ -521,8 +521,18 @@ class SpacetimeAccumulators:
         self.names = {1: ("power_2p4", "grad_density_sq"),
                       2: ("recip_self", "half_deriv_sq"),
                       3: ("l4", "recip_self")}[coupling.d]
-        self.totals = {name: 0.0 for name in self.names}
-        self.history: list[tuple[float, dict[str, float]]] = []
+        self.integrals = {name: RunningIntegral() for name in self.names}
+
+    @property
+    def totals(self) -> dict[str, float]:
+        return {name: acc.total for name, acc in self.integrals.items()}
+
+    @property
+    def history(self) -> list[tuple[float, dict[str, float]]]:
+        """(t, {name: integrand value}) for every update."""
+        samples = zip(*(acc.history for acc in self.integrals.values()))
+        return [(row[0][0], {name: v for name, (_, v) in zip(self.names, row)})
+                for row in samples]
 
     def _integrands(self, snap: Snapshot) -> dict[str, float]:
         state = snap.state
@@ -565,33 +575,14 @@ class SpacetimeAccumulators:
 
     def update(self, state: SystemState | Snapshot):
         snap = Snapshot.of(state)
-        t = snap.state.t
         vals = self._integrands(snap)
-        if self.history:
-            t_prev, prev = self.history[-1]
-            w = 0.5 * (t - t_prev)
-            for name in self.names:
-                self.totals[name] += w * (prev[name] + vals[name])
-        self.history.append((t, vals))
+        for name in self.names:
+            self.integrals[name].add(snap.state.t, vals[name])
 
     def increment_over(self, t0: float, t1: float) -> dict[str, float]:
         """Trapezoid contribution of the window [t0, t1] from the history."""
-        out = {name: 0.0 for name in self.names}
-        for (ta, va), (tb, vb) in zip(self.history, self.history[1:]):
-            lo, hi = max(ta, t0), min(tb, t1)
-            if hi <= lo:
-                continue
-            for name in self.names:
-                # linear interpolant of the integrand on [ta, tb]
-                fa = va[name] + (vb[name] - va[name]) * (lo - ta) / (tb - ta)
-                fb = va[name] + (vb[name] - va[name]) * (hi - ta) / (tb - ta)
-                out[name] += 0.5 * (hi - lo) * (fa + fb)
-        return out
+        return {name: acc.increment_over(t0, t1) for name, acc in self.integrals.items()}
 
     def tail_fraction(self, name: str, window: float) -> float:
         """Fraction of the total accumulated over the final time window."""
-        if not self.history or self.totals[name] == 0.0:
-            return 0.0
-        t_end = self.history[-1][0]
-        inc = self.increment_over(t_end - window, t_end)[name]
-        return inc / self.totals[name]
+        return self.integrals[name].tail_fraction(window)

@@ -32,9 +32,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, PHYSICAL, spectral_gradient
-from .system import CouplingSpec, Snapshot, SystemState, mass, state_from_arrays
-from .evolve import _nonlinear_exponents
+from .grid import ScalarField, PHYSICAL, spectral_gradient
+from .system import (CouplingSpec, RunningIntegral, Snapshot, SystemState, mass,
+                     state_from_arrays)
+from .evolve import NanAbortError, _nonlinear_exponents, linear_substep
 
 
 @dataclass(frozen=True)
@@ -93,58 +94,25 @@ def w1r_norm(f: ScalarField, r: float, grads: list[np.ndarray] | None = None) ->
     return float((vol * np.sum(a ** r) + vol * np.sum(gmag ** r)) ** (1.0 / r))
 
 
-class StrichartzAccumulator:
-    """Running L^q_t W^{1,r}_x norm of the component sum along a trajectory."""
+class StrichartzAccumulator(RunningIntegral):
+    """Running L^q_t W^{1,r}_x norm of the component sum along a trajectory:
+    the running integral of its q-th power."""
 
     def __init__(self, pair: StrichartzPair):
         if not pair.admissible:
             raise ValueError(f"pair not admissible: {pair.violations}")
+        super().__init__()
         self.pair = pair
-        self.total = 0.0
-        self.history: list[tuple[float, float]] = []
 
     def update(self, state: SystemState | Snapshot):
         snap = Snapshot.of(state)
-        t = snap.state.t
         s = sum(w1r_norm(f, self.pair.rf, grads)
                 for f, grads in zip(snap.state.fields, snap.grads))
-        integrand = s ** self.pair.qf
-        if self.history:
-            t_prev, prev = self.history[-1]
-            self.total += 0.5 * (t - t_prev) * (prev + integrand)
-        self.history.append((t, integrand))
+        self.add(snap.state.t, s ** self.pair.qf)
 
     def value(self) -> float:
         """q-th root of the accumulated integral."""
         return self.total ** (1.0 / self.pair.qf)
-
-    def tail_fraction(self, window: float) -> float:
-        if not self.history or self.total == 0.0:
-            return 0.0
-        t_end = self.history[-1][0]
-        inc = 0.0
-        for (ta, va), (tb, vb) in zip(self.history, self.history[1:]):
-            lo = max(ta, t_end - window)
-            if tb <= lo:
-                continue
-            fa = va + (vb - va) * (lo - ta) / (tb - ta)
-            inc += 0.5 * (tb - lo) * (fa + vb)
-        return inc / self.total
-
-
-def free_flow_arrays(grid: GridSpec, arrays: Sequence[np.ndarray], t: float) -> list[np.ndarray]:
-    """exp(i t Lap) applied to each array (spectral multiplier exp(-i |k|^2 t))."""
-    mult = np.exp(-1j * grid.k_squared * t)
-    return [np.fft.ifftn(np.fft.fftn(a) * mult) for a in arrays]
-
-
-def _h1_of_arrays(grid: GridSpec, arrays: Sequence[np.ndarray]) -> float:
-    total = 0.0
-    for a in arrays:
-        c = np.fft.fftn(a) / grid.npoints
-        total += math.sqrt(grid.box_volume * float(
-            np.sum((1.0 + grid.k_squared) * np.abs(c) ** 2)))
-    return total
 
 
 @dataclass
@@ -172,12 +140,11 @@ def asymptotic_profile(states: Sequence[SystemState], direction: int = +1,
         raise ValueError("direction must be +1 or -1")
     order = sorted(states, key=lambda s: direction * s.t)
     grid = order[0].grid
-    vs = []
-    for s in order:
-        vs.append(free_flow_arrays(grid, [f.values for f in s.fields], -s.t))
+    vs = [linear_substep(s, -s.t) for s in order]
     residuals = []
     for (sa, va), (sb, vb) in zip(zip(order, vs), zip(order[1:], vs[1:])):
-        gap = _h1_of_arrays(grid, [b - a for a, b in zip(va, vb)])
+        gap = sum(ScalarField(b.values - a.values, grid, PHYSICAL).h1_norm()
+                  for a, b in zip(va.fields, vb.fields))
         residuals.append((sa.t, sb.t, gap))
     last = residuals[-1][2]
     tail = [r[2] for r in residuals[-3:]]
@@ -188,23 +155,23 @@ def asymptotic_profile(states: Sequence[SystemState], direction: int = +1,
     msg = "" if monotone_tail else "residual tail is increasing: window not yet asymptotic"
 
     final = order[-1]
-    profile = tuple(ScalarField(v, grid, PHYSICAL) for v in vs[-1])
     mism = 0.0
     for mu in range(final.coupling.n):
         m_traj = mass(final, mu)
-        m_prof = grid.cell_volume * float(np.sum(np.abs(vs[-1][mu]) ** 2))
-        mism = max(mism, abs(m_prof - m_traj) / max(m_traj, 1e-300))
-    return ScatteringResult(direction=direction, profile=profile,
+        mism = max(mism, abs(mass(vs[-1], mu) - m_traj) / max(m_traj, 1e-300))
+    return ScatteringResult(direction=direction, profile=vs[-1].fields,
                             residuals=tuple(residuals), converged=converged,
                             tol=tol, mass_mismatch=mism, message=msg)
 
 
 class WaveOperatorDivergence(RuntimeError):
-    """Fixed-point residuals grew over three consecutive iterations."""
+    """The fixed-point iteration diverged: its residuals grew over three
+    consecutive iterations, or an iterate, its nonlinearity or its residual
+    was not finite.  ``residuals`` holds the finite residuals so far."""
 
-    def __init__(self, residuals):
+    def __init__(self, residuals, reason: str = "residuals grew 3 times in a row"):
         super().__init__(
-            "wave-operator iteration diverged (residuals grew 3 times in a row: "
+            f"wave-operator iteration diverged ({reason}: "
             f"{[f'{r:.3e}' for r in residuals[-4:]]}); increase the truncation "
             "time T or shrink the profile amplitude")
         self.residuals = list(residuals)
@@ -228,9 +195,10 @@ def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
     Iterates the truncated Duhamel fixed point on the uniform grid
     t_i = i dt over [0, T]; stops when the sup-in-time H^1 increment of the
     iterate drops below tol.  Reaching max_iter returns a non-convergence
-    report; residuals growing three consecutive times raise
-    WaveOperatorDivergence.  The neglected tail int_T^inf is estimated by the
-    final node's Duhamel contribution and reported.
+    report; residuals growing three consecutive times, or a non-finite
+    nonlinearity, iterate or residual, raise WaveOperatorDivergence.  The
+    neglected tail int_T^inf is estimated by the final node's Duhamel
+    contribution and reported.
     """
     grid = profile[0].grid
     n_nodes = int(round(t_max / dt)) + 1
@@ -249,7 +217,11 @@ def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
 
     def nonlinearity(node, t):
         arrs = [node[mu] for mu in range(coupling.n)]
-        gs = _nonlinear_exponents(arrs, coupling, t)
+        try:
+            gs = _nonlinear_exponents(arrs, coupling, t)
+        except NanAbortError as err:
+            raise WaveOperatorDivergence(
+                residuals, f"non-finite nonlinearity at t = {err.t}") from err
         return [g * a for g, a in zip(gs, arrs)]
 
     back = np.conj(mult)  # exp(+i dt |k|^2): propagator exp(-i dt Lap) ... inverse step
@@ -259,39 +231,48 @@ def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
     grow = 0
     converged = False
     message = ""
-    tail = 0.0
-    for it in range(1, max_iter + 1):
-        new = np.empty_like(w)
-        h_next = nonlinearity(w[-1], (n_nodes - 1) * dt)
-        new[-1] = free[-1]
-        # S(t_i) = exp(-i dt Lap) S(t_{i+1}) + (dt/2)(h(t_i) + exp(-i dt Lap) h(t_{i+1}))
-        S = [np.zeros(grid.shape, dtype=complex) for _ in range(coupling.n)]
-        for i in range(n_nodes - 2, -1, -1):
-            h_here = nonlinearity(w[i], i * dt)
-            for mu in range(coupling.n):
-                carried = np.fft.ifftn(np.fft.fftn(S[mu] + 0.5 * dt * h_next[mu]) * back)
-                S[mu] = carried + 0.5 * dt * h_here[mu]
-                new[i, mu] = free[i, mu] + 1j * S[mu]
-            h_next = h_here
-        res = max(_h1_of_arrays(grid, [new[i, mu] - w[i, mu]
-                                       for mu in range(coupling.n)])
-                  for i in range(0, n_nodes, max(1, n_nodes // 64)))
-        residuals.append(res)
-        w = new
-        if res < tol:
-            converged = True
-            break
-        if len(residuals) >= 2 and res > residuals[-2]:
-            grow += 1
-            if grow >= 3:
-                raise WaveOperatorDivergence(residuals)
+    # overflow shows up as a non-finite nonlinearity, iterate or residual,
+    # each of which raises WaveOperatorDivergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            new = np.empty_like(w)
+            h_next = nonlinearity(w[-1], (n_nodes - 1) * dt)
+            new[-1] = free[-1]
+            # S(t_i) = exp(-i dt Lap) S(t_{i+1}) + (dt/2)(h(t_i) + exp(-i dt Lap) h(t_{i+1}))
+            S = [np.zeros(grid.shape, dtype=complex) for _ in range(coupling.n)]
+            for i in range(n_nodes - 2, -1, -1):
+                h_here = nonlinearity(w[i], i * dt)
+                for mu in range(coupling.n):
+                    carried = np.fft.ifftn(np.fft.fftn(S[mu] + 0.5 * dt * h_next[mu]) * back)
+                    S[mu] = carried + 0.5 * dt * h_here[mu]
+                    new[i, mu] = free[i, mu] + 1j * S[mu]
+                h_next = h_here
+            # node 0 is sampled and the recursion carries every later node into
+            # it, so a non-finite value anywhere makes a sampled gap non-finite
+            gaps = [sum(ScalarField(new[i, mu] - w[i, mu], grid, PHYSICAL).h1_norm()
+                        for mu in range(coupling.n))
+                    for i in range(0, n_nodes, max(1, n_nodes // 64))]
+            if not all(math.isfinite(g) for g in gaps):
+                raise WaveOperatorDivergence(
+                    residuals, f"non-finite iterate or residual in iteration {it}")
+            res = max(gaps)
+            residuals.append(res)
+            w = new
+            if res < tol:
+                converged = True
+                break
+            if len(residuals) >= 2 and res > residuals[-2]:
+                grow += 1
+                if grow >= 3:
+                    raise WaveOperatorDivergence(residuals)
+            else:
+                grow = 0
         else:
-            grow = 0
-    else:
-        message = (f"fixed point did not reach tol = {tol} within {max_iter} "
-                   "iterations; residual history attached")
+            message = (f"fixed point did not reach tol = {tol} within {max_iter} "
+                       "iterations; residual history attached")
 
-    tail = dt * _h1_of_arrays(grid, nonlinearity(w[-1], (n_nodes - 1) * dt))
+    tail = dt * sum(ScalarField(h, grid, PHYSICAL).h1_norm()
+                    for h in nonlinearity(w[-1], (n_nodes - 1) * dt))
     state0 = state_from_arrays(0.0, [w[0, mu] for mu in range(coupling.n)],
                                coupling, grid)
     return WaveOperatorResult(state0=state0, converged=converged,

@@ -334,3 +334,39 @@ def boundary_mass_fraction(state: SystemState) -> float:
 
 
 BOUNDARY_MASS_LIMIT = 1e-6
+
+
+class RunningIntegral:
+    """Trapezoid-in-time integral of a scalar integrand sampled along a
+    trajectory, with the (t, value) samples kept for window queries."""
+
+    def __init__(self):
+        self.total = 0.0
+        self.history: list[tuple[float, float]] = []
+
+    def add(self, t: float, value: float):
+        """Record the integrand at t, after the last sample, and integrate up to it."""
+        if self.history:
+            t_prev, prev = self.history[-1]
+            self.total += 0.5 * (t - t_prev) * (prev + value)
+        self.history.append((t, value))
+
+    def increment_over(self, t0: float, t1: float) -> float:
+        """Trapezoid contribution of the window [t0, t1] from the history."""
+        out = 0.0
+        for (ta, va), (tb, vb) in zip(self.history, self.history[1:]):
+            lo, hi = max(ta, t0), min(tb, t1)
+            if hi <= lo:
+                continue
+            # linear interpolant of the integrand on [ta, tb]
+            fa = va + (vb - va) * (lo - ta) / (tb - ta)
+            fb = va + (vb - va) * (hi - ta) / (tb - ta)
+            out += 0.5 * (hi - lo) * (fa + fb)
+        return out
+
+    def tail_fraction(self, window: float) -> float:
+        """Fraction of the total accumulated over the final time window."""
+        if not self.history or self.total == 0.0:
+            return 0.0
+        t_end = self.history[-1][0]
+        return self.increment_over(t_end - window, t_end) / self.total

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,12 +159,32 @@ def test_cli_bad_config_exit_one(tmp_path, capsys):
     assert "dt must be > 0" in capsys.readouterr().err
 
 
-def test_cli_nan_abort_exit_two(tmp_path, capsys):
-    code = main(["simulate", "--d", "1", "--grid-m", "64", "--box-l", "8",
+@pytest.mark.parametrize("experiment", ["simulate", "verify-identities", "scatter"])
+def test_cli_nan_abort_exit_two(tmp_path, capsys, experiment):
+    code = main([experiment, "--d", "1", "--grid-m", "64", "--box-l", "8",
                  "--p", "2", "--amplitude", "1e200", "--dt", "0.01",
                  "--t-final", "0.1", "--out-dir", str(tmp_path)])
     assert code == 2
     assert "NaN" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["aborted"].startswith("non-finite values at t = ")
+
+
+def test_config_rejects_unknown_family():
+    with pytest.raises(ConfigError, match="family must be one of"):
+        parse_config(None, {"experiment": "simulate", "family": "foo"})
+
+
+def test_cli_reports_config_errors_without_traceback(tmp_path, capsys):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"family": "foo"}))
+    assert main(["simulate", "--config", str(cfgfile), "--out-dir", str(tmp_path)]) == 1
+    assert "nlskit: invalid configuration" in capsys.readouterr().err
+    # accepted by the config schema, rejected while building the initial state
+    assert main(["simulate", "--d", "1", "--center", "1,2",
+                 "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "nlskit: invalid configuration" in err and "center" in err
 
 
 def test_cli_verify_identities_passes(tmp_path):
@@ -194,6 +216,20 @@ def test_cli_wave_op_writes_profile_and_diverges_for_large_data(tmp_path):
     assert code == 1
     summary = json.loads((baddir / "summary.json").read_text())
     assert summary["converged"] is False
+
+
+def test_cli_wave_op_overflow_is_a_named_divergence(tmp_path, capsys):
+    # the iterate overflows before the residuals have grown three times
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["wave-op", "--d", "1", "--grid-m", "256", "--box-l", "16",
+                     "--p", "3", "--amplitude", "3", "--wave-t", "5",
+                     "--wave-dt", "0.05", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "wave-operator iteration diverged (non-finite" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["converged"] is False
+    assert all(math.isfinite(r) for r in summary["residuals"])
 
 
 def test_cli_scatter_free_run(tmp_path):

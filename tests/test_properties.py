@@ -1,0 +1,95 @@
+"""Property tests of the free flow, the nonlinear substep, the Strang step and
+the running time integral over random dimensions, grids, times and data."""
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from nlskit import (CouplingSpec, GridSpec, StepParams, evolve, linear_substep,
+                    nonlinear_substep, state_from_arrays, strang_step, total_mass)
+from nlskit.system import RunningIntegral
+
+# points per axis by dimension: small enough for many examples per test
+M_BY_D = {1: 64, 2: 16, 3: 8}
+
+PROPERTY = settings(max_examples=30, deadline=None)
+
+
+@st.composite
+def states(draw, max_amplitude=1.0):
+    """A random N-component state with a valid coupling at a random time."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    n = draw(st.integers(1, 3))
+    p = draw(st.sampled_from((0.5, 1.0, 2.0, 3.0)))
+    grid = GridSpec(d, M_BY_D[d], draw(st.floats(4.0, 16.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    beta = rng.uniform(0.0, 2.0, (n, n))
+    beta = np.diag(np.diag(beta)) if p < 1.0 else 0.5 * (beta + beta.T)
+    amp = draw(st.floats(0.0, max_amplitude))
+    arrays = [amp * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+              for _ in range(n)]
+    t = draw(st.floats(-10.0, 10.0))
+    return state_from_arrays(t, arrays, CouplingSpec(n, beta, p, d), grid)
+
+
+def _max_abs(state):
+    return max(np.abs(f.values).max() for f in state.fields)
+
+
+@PROPERTY
+@given(states(), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+def test_linear_substep_group_law_and_unitarity(state, tau1, tau2):
+    # the phases k^2 tau reach ~6e3 rad here, each rounded to ~1e-12
+    tol = 1e-10 * max(_max_abs(state), 1e-300)
+    two = linear_substep(linear_substep(state, tau1), tau2)
+    one = linear_substep(state, tau1 + tau2)
+    for a, b in zip(two.fields, one.fields):
+        assert np.abs(a.values - b.values).max() <= tol
+    back = linear_substep(linear_substep(state, tau1), -tau1)
+    for a, b in zip(back.fields, state.fields):
+        assert np.abs(a.values - b.values).max() <= tol
+    assert math.isclose(total_mass(linear_substep(state, tau1)), total_mass(state),
+                        rel_tol=1e-12, abs_tol=1e-300)
+
+
+@PROPERTY
+@given(states(max_amplitude=2.0), st.floats(-2.0, 2.0))
+def test_nonlinear_substep_preserves_every_pointwise_modulus(state, tau):
+    out = nonlinear_substep(state, tau)
+    assert out.t == state.t
+    for a, b in zip(out.fields, state.fields):
+        assert np.allclose(np.abs(a.values), np.abs(b.values), rtol=1e-13, atol=0.0)
+
+
+@PROPERTY
+@given(states(), st.floats(1e-4, 0.1))
+def test_strang_step_is_the_composition_and_one_evolve_step(state, dt):
+    step = strang_step(state, dt)
+    comp = linear_substep(nonlinear_substep(linear_substep(state, dt / 2.0), dt), dt / 2.0)
+    fused = evolve(state, StepParams(dt=dt, t_final=dt))
+    for a, b, c in zip(step.fields, comp.fields, fused.fields):
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.values, c.values)
+    assert step.t == comp.t
+    # evolve adds dt in one rounding, the composition in two half steps
+    assert math.isclose(step.t, fused.t, rel_tol=1e-15, abs_tol=1e-15)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.floats(-100.0, 100.0), st.floats(0.0, 1e3)),
+                min_size=1, max_size=40, unique_by=lambda s: s[0]),
+       st.floats(0.0, 1.0))
+def test_running_integral_windows_add_up_to_the_total(samples, frac):
+    acc = RunningIntegral()
+    for t, v in sorted(samples):
+        acc.add(t, v)
+    t0, t1 = acc.history[0][0], acc.history[-1][0]
+    tol = 1e-12 * acc.total  # a sum of nonnegative terms
+    assert math.isclose(acc.increment_over(t0, t1), acc.total, rel_tol=0.0, abs_tol=tol)
+    tm = t0 + frac * (t1 - t0)
+    split = acc.increment_over(t0, tm) + acc.increment_over(tm, t1)
+    assert math.isclose(split, acc.total, rel_tol=0.0, abs_tol=tol)

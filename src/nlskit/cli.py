@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 
@@ -195,13 +196,17 @@ def run_verify_identities(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     inter = _interaction_weight(cfg)
 
     # calibrate over the full horizon: finite-difference constants can grow
-    # along the trajectory, so short-window calibration underestimates them
+    # along the trajectory, so short-window calibration underestimates them.
+    # One dt run covers both the checked horizon and the calibration window;
+    # each reads its own prefix of it.
     window = cfg.fd_calibration_t or cfg.t_final
-    constants = calibrate_fd_constants(state0, cfg.dt, cfg.snapshot_stride,
-                                       window, smooth, inter)
-    params = StepParams(dt=cfg.dt, t_final=cfg.t_final,
-                        snapshot_stride=cfg.snapshot_stride)
-    series = collect_series(state0, params, smooth, inter)
+    params = StepParams(dt=cfg.dt, t_final=max(window, cfg.t_final),
+                        snapshot_stride=cfg.snapshot_stride, dealias=cfg.dealias)
+    trajectory = collect_series(state0, params, smooth, inter)
+    calibration = replace(params, t_final=window)
+    constants = calibrate_fd_constants(trajectory.prefix(calibration.n_snapshots),
+                                       state0, calibration, smooth, inter)
+    series = trajectory.prefix(replace(params, t_final=cfg.t_final).n_snapshots)
     result = check_identities(series, constants)
 
     cols = ["t", "V", "Vdot", "Vddot"]
@@ -240,7 +245,7 @@ def run_scatter(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     grid, coupling, state0 = _setup(cfg)
     collector = _collector(cfg, coupling, grid, keep_states=cfg.scatter_window)
     params = StepParams(dt=cfg.dt, t_final=cfg.t_final,
-                        snapshot_stride=cfg.snapshot_stride)
+                        snapshot_stride=cfg.snapshot_stride, dealias=cfg.dealias)
     evolve(state0, params, collector)
     write_csv(collector.records, collector.columns, out / "diagnostics.csv")
     result = asymptotic_profile(collector.states, direction=+1, tol=cfg.tol)

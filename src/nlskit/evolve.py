@@ -55,6 +55,11 @@ class StepParams:
     def n_steps(self) -> int:
         return int(math.floor(self.t_final / self.dt + 1e-9))
 
+    @property
+    def n_snapshots(self) -> int:
+        """Sink calls of a finite evolve: step 0 and every whole stride block."""
+        return self.n_steps // self.snapshot_stride + 1
+
 
 MIN_MODULUS = 1e-300  # below this, |u|^{p-1} for p < 1 is defined as zero
 
@@ -64,30 +69,32 @@ def _nonlinear_exponents(arrays: list[np.ndarray], coupling: CouplingSpec,
     """g_mu = sum_nu beta[mu,nu] |u_nu|^{p+1} |u_mu|^{p-1}; the p < 1 case
     (decoupled mode only) sets g_mu = 0 wherever |u_mu| vanishes, where the
     product g_mu u_mu is zero anyway.  A non-finite exponent raises
-    NanAbortError at t, the time of the step being taken."""
+    NanAbortError at t, the time of the step being taken; the overflow that
+    produced it is that error, not a RuntimeWarning."""
     p = coupling.p
-    mods = [np.abs(a) for a in arrays]
-    pow_p1 = [m ** (p + 1.0) for m in mods]
-    out = []
-    for mu in range(coupling.n):
-        s = np.zeros(arrays[mu].shape)
-        for nu in range(coupling.n):
-            b = coupling.beta[mu, nu]
-            if b != 0.0:
-                s += b * pow_p1[nu]
-        if p == 1.0:
-            fac = 1.0
-        elif p > 1.0:
-            fac = mods[mu] ** (p - 1.0)
-        else:
-            safe = np.where(mods[mu] > MIN_MODULUS, mods[mu], 1.0)
-            fac = np.where(mods[mu] > MIN_MODULUS, safe ** (p - 1.0), 0.0)
-        g = s * fac
-        if not np.isfinite(g).all():
-            idx = tuple(int(i[0]) for i in np.nonzero(~np.isfinite(g)))
-            raise NanAbortError(t) from ValueError(
-                f"non-finite nonlinear exponent at grid index {idx}")
-        out.append(g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mods = [np.abs(a) for a in arrays]
+        pow_p1 = [m ** (p + 1.0) for m in mods]
+        out = []
+        for mu in range(coupling.n):
+            s = np.zeros(arrays[mu].shape)
+            for nu in range(coupling.n):
+                b = coupling.beta[mu, nu]
+                if b != 0.0:
+                    s += b * pow_p1[nu]
+            if p == 1.0:
+                fac = 1.0
+            elif p > 1.0:
+                fac = mods[mu] ** (p - 1.0)
+            else:
+                safe = np.where(mods[mu] > MIN_MODULUS, mods[mu], 1.0)
+                fac = np.where(mods[mu] > MIN_MODULUS, safe ** (p - 1.0), 0.0)
+            g = s * fac
+            if not np.isfinite(g).all():
+                idx = tuple(int(i[0]) for i in np.nonzero(~np.isfinite(g)))
+                raise NanAbortError(t) from ValueError(
+                    f"non-finite nonlinear exponent at grid index {idx}")
+            out.append(g)
     return out
 
 
@@ -127,8 +134,10 @@ def evolve(state: SystemState, params: StepParams,
     The sink (if any) is called with the state at step 0 and after every
     snapshot_stride-th step; it must be safe to call from the evolution
     thread.  Non-finite values abort with NanAbortError (checked at snapshot
-    cadence).  Boundary-mass accounting is an observable and is left to the
-    sink, which can flag the run invalid without interrupting it.
+    cadence, and on the initial state and its nonlinear exponents before the
+    sink sees it, so finite but overflowing data aborts at t0 before any
+    observable overflows).  Boundary-mass accounting is an observable and is
+    left to the sink, which can flag the run invalid without interrupting it.
 
     Consecutive half linear steps inside a snapshot block are fused into
     whole steps; the composition is mathematically identical to repeated
@@ -140,6 +149,7 @@ def evolve(state: SystemState, params: StepParams,
     n_steps = params.n_steps
     if not state.is_finite():
         raise NanAbortError(state.t)
+    _nonlinear_exponents([f.values for f in state.fields], c, state.t)
     if sink is not None:
         sink(state)
     if n_steps == 0:

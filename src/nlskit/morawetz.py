@@ -289,7 +289,6 @@ class InteractionReport:
     gradient_term: float
     rhs_lower: float
     rhs_lower_alt: float | None = None
-    gradient_gap: float | None = None
     Iddot_fd: float | None = None
 
 
@@ -345,7 +344,10 @@ def interaction_report(state: SystemState | Snapshot, weight: MorawetzWeight) ->
 
     All double integrals are kernel pairings on the padded half-spectra.
     Delta parts of the |x-y| weight (Lap psi in d = 1, Lap^2 psi in d = 3)
-    are collapsed to single integrals analytically.
+    are collapsed to single integrals analytically.  The gradient term uses
+    the kernel route only; the d = 2 fractional cross-check (an 8x-padded
+    transform) is not run here -- call gradient_pairing(snap, "fractional")
+    for it.
     """
     snap = Snapshot.of(state)
     g = snap.state.grid
@@ -378,13 +380,7 @@ def interaction_report(state: SystemState | Snapshot, weight: MorawetzWeight) ->
         lap_coeff = float(g.d - 1)  # Lap |z| = (d-1)/|z|
         N = (4.0 * p / (p + 1.0)) * lap_coeff * kernel_inner_product(
             g, padded_rfft(g, P), rho_hat, RadialKernel.reciprocal())
-        pair_kernel = gradient_pairing(snap, "kernel")
-        grad_term = 2.0 * pair_kernel
-        gap = None
-        if g.d == 2:
-            pair_frac = gradient_pairing(snap, "fractional")
-            scale = max(abs(pair_kernel), abs(pair_frac), 1e-300)
-            gap = abs(pair_kernel - pair_frac) / scale
+        grad_term = 2.0 * gradient_pairing(snap, "kernel")
         alt = None
         if g.d == 3:
             # Lap^2 |z| = Lap (2/|z|) = -8 pi delta, so the delta collapse of
@@ -393,8 +389,7 @@ def interaction_report(state: SystemState | Snapshot, weight: MorawetzWeight) ->
             alt = 16.0 * math.pi * vol * float(np.sum(rho * rho)) + N
         return InteractionReport(t=t, weight=weight.label, I=I, Idot=Idot,
                                  N_term=N, gradient_term=grad_term,
-                                 rhs_lower=grad_term + N, rhs_lower_alt=alt,
-                                 gradient_gap=gap)
+                                 rhs_lower=grad_term + N, rhs_lower_alt=alt)
 
     if weight.kind == ERF_SMOOTHED:
         if g.d != 1:

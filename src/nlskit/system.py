@@ -67,7 +67,7 @@ class CouplingSpec:
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
         for msg in self.admissibility_warnings():
-            warnings.warn(msg, UserWarning, stacklevel=2)
+            warnings.warn(msg, UserWarning, stacklevel=3)
 
     @staticmethod
     def coupled_off_diagonal(beta: np.ndarray) -> bool:

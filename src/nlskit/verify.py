@@ -3,14 +3,23 @@
 Along a numerical trajectory the virial and interaction identities hold up
 to a finite-difference error C dt_s^2 (dt_s = snapshot spacing) plus the
 splitting defect.  The constant C is calibrated once per configuration from
-a dt-halving pair over a short window, which separates time-discretization
-error from genuine identity violations: a wrong identity leaves a residual
-that does not scale like dt^2 and fails the calibrated tolerance.
+a dt-halving pair over a window, which separates time-discretization error
+from genuine identity violations: a wrong identity leaves a residual that
+does not scale like dt^2 and fails the calibrated tolerance.
+
+The dt half of the pair is not a run of its own: the checked series and the
+calibration window are both prefixes of one dt trajectory over the longer
+of the two horizons (TrajectorySeries.prefix).  evolve emits snapshots only
+at whole stride blocks counted from step 0, so the first
+StepParams.n_snapshots snapshots of a longer run are bitwise those of a run
+that stops at the shorter t_final.  Only the dt/2 trajectory is run by the
+calibration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,11 +37,15 @@ class TrajectorySeries:
     Vdot: np.ndarray
     Vddot: np.ndarray
     reports: list[InteractionReport]
-    final_state: SystemState
 
     @property
     def dt_snapshot(self) -> float:
         return float(self.times[1] - self.times[0])
+
+    def prefix(self, n: int) -> TrajectorySeries:
+        """The first n snapshots."""
+        return TrajectorySeries(times=self.times[:n], V=self.V[:n], Vdot=self.Vdot[:n],
+                                Vddot=self.Vddot[:n], reports=self.reports[:n])
 
 
 def collect_series(state0: SystemState, params: StepParams,
@@ -50,10 +63,9 @@ def collect_series(state0: SystemState, params: StepParams,
         if interaction_weight is not None:
             reports.append(interaction_report(snap, interaction_weight))
 
-    final = evolve(state0, params, sink)
+    evolve(state0, params, sink)
     return TrajectorySeries(times=np.array(times), V=np.array(V),
-                            Vdot=np.array(Vd), Vddot=np.array(Vdd),
-                            reports=reports, final_state=final)
+                            Vdot=np.array(Vd), Vddot=np.array(Vdd), reports=reports)
 
 
 def fd_gap_first(times: np.ndarray, series: np.ndarray, formula: np.ndarray) -> np.ndarray:
@@ -79,21 +91,33 @@ class FdConstants:
     c_iddot: float
 
 
-def calibrate_fd_constants(state0: SystemState, dt: float, stride: int,
-                           window: float, smooth_weight: MorawetzWeight,
+def calibrate_fd_constants(coarse: TrajectorySeries, state0: SystemState,
+                           params: StepParams, smooth_weight: MorawetzWeight,
                            interaction_weight: MorawetzWeight | None,
                            center=None, safety: float = 2.0) -> FdConstants:
-    """Run a short window at (dt, dt/2) and fit gap = C dt_s^2.
+    """Fit gap = C dt_s^2 on the window params.t_final at (dt, dt/2).
 
-    Returns the larger of the two extrapolations per identity, times a
-    safety factor, so the calibrated tolerance is an upper envelope of the
-    pure finite-difference error of this configuration.
+    coarse is the dt trajectory of params from state0 (the caller's, often a
+    prefix of a longer run); the dt/2 trajectory is run here with params'
+    other fields (dealias included) and twice its stride, so both sample the
+    same snapshot times.  Returns the larger of the two extrapolations per
+    identity, times a safety factor, so the calibrated tolerance is an upper
+    envelope of the pure finite-difference error of this configuration.
+    Raises ValueError if coarse does not sample params' snapshot times.
     """
+    n = len(coarse.times)
+    if (n != params.n_snapshots or coarse.times[0] != state0.t
+            or (n > 1 and not math.isclose(coarse.dt_snapshot,
+                                           params.dt * params.snapshot_stride,
+                                           rel_tol=1e-9))):
+        raise ValueError(
+            f"calibration series of {n} snapshots does not sample the times of "
+            f"params ({params.n_snapshots} snapshots from t = {state0.t} every "
+            f"{params.dt * params.snapshot_stride})")
+    fine = replace(params, dt=params.dt / 2, snapshot_stride=2 * params.snapshot_stride)
     gaps = []
-    for factor in (1, 2):
-        params = StepParams(dt=dt / factor, t_final=window,
-                            snapshot_stride=stride * factor)
-        tr = collect_series(state0, params, smooth_weight, interaction_weight, center)
+    for tr in (coarse, collect_series(state0, fine, smooth_weight, interaction_weight,
+                                      center)):
         dts = tr.dt_snapshot
         g1 = fd_gap_first(tr.times, tr.V, tr.Vdot).max() / dts ** 2
         g2 = fd_gap_second(tr.times, tr.V, tr.Vddot).max() / dts ** 2

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import warnings
@@ -5,10 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from nlskit import ConfigError, parse_config, read_fields, write_fields
+import nlskit.cli
+import nlskit.verify
+from nlskit import (ConfigError, MorawetzWeight, parse_config, read_fields,
+                    write_fields)
 from nlskit.cli import main
 from nlskit.config import ENV_OUT_DIR
 from nlskit.diagnostics import expected_row_count
+from nlskit.evolve import StepParams, evolve
+from nlskit.verify import calibrate_fd_constants, check_identities, collect_series
 
 from conftest import gaussian
 
@@ -161,9 +167,12 @@ def test_cli_bad_config_exit_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("experiment", ["simulate", "verify-identities", "scatter"])
 def test_cli_nan_abort_exit_two(tmp_path, capsys, experiment):
-    code = main([experiment, "--d", "1", "--grid-m", "64", "--box-l", "8",
-                 "--p", "2", "--amplitude", "1e200", "--dt", "0.01",
-                 "--t-final", "0.1", "--out-dir", str(tmp_path)])
+    # the overflowing initial state is the named abort, not a warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([experiment, "--d", "1", "--grid-m", "64", "--box-l", "8",
+                     "--p", "2", "--amplitude", "1e200", "--dt", "0.01",
+                     "--t-final", "0.1", "--out-dir", str(tmp_path)])
     assert code == 2
     assert "NaN" in capsys.readouterr().err
     summary = json.loads((tmp_path / "summary.json").read_text())
@@ -198,6 +207,102 @@ def test_cli_verify_identities_passes(tmp_path):
     checks = summary["checks"]
     assert checks["virial_first_identity"]["pass"]
     assert checks["interaction_inequality"]["pass"]
+
+
+_VERIFY_D1 = ["--d", "1", "--grid-m", "128", "--box-l", "16", "--p", "1",
+              "--amplitude", "0.6", "--dt", "0.01", "--t-final", "0.2",
+              "--snapshot-stride", "5"]
+
+
+def _recording_evolve(monkeypatch):
+    """Route the evolve calls of the CLI and the verify layer through a
+    recorder; returns the list of StepParams they were given."""
+    calls = []
+
+    def recorder(state, params, sink=None):
+        calls.append(params)
+        return evolve(state, params, sink)
+
+    monkeypatch.setattr(nlskit.cli, "evolve", recorder)
+    monkeypatch.setattr(nlskit.verify, "evolve", recorder)
+    return calls
+
+
+@pytest.mark.parametrize("window", [0.1, 0.2, 0.3])
+def test_cli_verify_identities_runs_two_trajectories(tmp_path, monkeypatch, window):
+    """One dt run over max(window, t_final) and one dt/2 run over the window
+    give the outputs of the three separate runs (dt and dt/2 over the
+    window, dt over t_final) bit for bit."""
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"fd_calibration_t": window}))
+    calls = _recording_evolve(monkeypatch)
+    out = tmp_path / "vi"
+    assert main(["verify-identities", "--config", str(cfgfile), *_VERIFY_D1,
+                 "--out-dir", str(out)]) in (0, 1)
+    assert len(calls) == 2
+    assert max(c.t_final for c in calls) == max(window, 0.2)
+    monkeypatch.undo()
+
+    cfg = parse_config(cfgfile, {"experiment": "verify-identities", "d": 1,
+                                 "grid_m": 128, "box_l": 16.0, "p": 1.0,
+                                 "amplitude": 0.6, "dt": 0.01, "t_final": 0.2,
+                                 "snapshot_stride": 5})
+    _, _, state0 = nlskit.cli._setup(cfg)
+    smooth, inter = MorawetzWeight.quadratic(), MorawetzWeight.abs_distance()
+    win = StepParams(dt=0.01, t_final=window, snapshot_stride=5)
+    coarse = collect_series(state0, win, smooth, inter)
+    constants = calibrate_fd_constants(coarse, state0, win, smooth, inter)  # runs dt/2
+    series = collect_series(state0, StepParams(dt=0.01, t_final=0.2, snapshot_stride=5),
+                            smooth, inter)
+    result = check_identities(series, constants)
+
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["fd_constants"] == vars(constants)
+    checks = summary["checks"]
+    for name, gap, tol, ok in (
+            ("virial_first_identity", result.vdot_gap, result.vdot_tol, result.vdot_ok),
+            ("virial_second_identity", result.vddot_gap, result.vddot_tol, result.vddot_ok),
+            ("interaction_first_identity", result.idot_gap, result.idot_tol, result.idot_ok)):
+        assert checks[name] == {"gap": gap, "tol": tol, "pass": ok}
+    assert checks["interaction_inequality"]["pass"] == result.inequality_ok
+    assert checks["interaction_integrated"]["pass"] == result.integrated_ok
+
+    with open(out / "diagnostics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    expected = {"t": series.times, "V": series.V, "Vdot": series.Vdot,
+                "Vddot": series.Vddot,
+                "I": [r.I for r in series.reports], "Idot": [r.Idot for r in series.reports],
+                "N_term": [r.N_term for r in series.reports],
+                "rhs_lower": [r.rhs_lower for r in series.reports]}
+    assert len(rows) == len(series.times) == 5
+    for col, values in expected.items():
+        assert [float(r[col]) for r in rows] == [float(v) for v in values], col
+
+
+def test_calibration_rejects_a_series_of_other_snapshot_times():
+    cfg = parse_config(None, {"experiment": "verify-identities", "d": 1, "grid_m": 64,
+                              "box_l": 16.0, "p": 1.0, "amplitude": 0.6})
+    _, _, state0 = nlskit.cli._setup(cfg)
+    smooth = MorawetzWeight.quadratic()
+    params = StepParams(dt=0.01, t_final=0.2, snapshot_stride=5)
+    coarse = collect_series(state0, params, smooth, None)
+    for wrong in (coarse.prefix(4), coarse.prefix(3)):
+        with pytest.raises(ValueError, match="does not sample"):
+            calibrate_fd_constants(wrong, state0, params, smooth, None)
+    other_dt = StepParams(dt=0.02, t_final=0.4, snapshot_stride=5)  # also 5 snapshots
+    with pytest.raises(ValueError, match="does not sample"):
+        calibrate_fd_constants(coarse, state0, other_dt, smooth, None)
+
+
+@pytest.mark.parametrize("experiment", ["verify-identities", "scatter"])
+def test_cli_passes_dealias_to_every_evolve_call(tmp_path, monkeypatch, experiment):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"dealias": True, "fd_calibration_t": 0.1}))
+    calls = _recording_evolve(monkeypatch)
+    main([experiment, "--config", str(cfgfile), *_VERIFY_D1,
+          "--out-dir", str(tmp_path / "out")])
+    assert len(calls) == (2 if experiment == "verify-identities" else 1)
+    assert all(c.dealias for c in calls)
 
 
 def test_cli_wave_op_writes_profile_and_diverges_for_large_data(tmp_path):

@@ -28,8 +28,9 @@ def test_coupling_validation():
 
 
 def test_admissibility_classification_and_warnings():
-    with pytest.warns(UserWarning, match="2/d"):
+    with pytest.warns(UserWarning, match="2/d") as rec:
         c = CouplingSpec(1, np.array([[1.0]]), 1.0, 1)  # p = 1 <= 2/d = 2
+    assert rec[0].filename == __file__  # the caller, not the generated __init__
     assert c.subcritical and not c.scattering_admissible
     c3 = CouplingSpec(1, np.array([[1.0]]), 1.5, 3)
     assert c3.subcritical and c3.scattering_admissible

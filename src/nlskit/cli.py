@@ -15,14 +15,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
-
-from .config import ConfigError, RunConfig, parse_config
+from .config import CHOICES, SCHEMA, ConfigError, RunConfig, parse_config
 from .diagnostics import (CollectorOptions, DiagnosticsCollector, write_csv,
                           write_summary, fmt17)
-from .evolve import NanAbortError, StepParams, evolve
+from .evolve import NanAbortError, evolve
 from .fieldio import write_fields
 from .gn import corpus_sup_ratio
 from .grid import GridSpec
@@ -47,42 +46,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral simulator and diagnostics for weakly coupled "
                     "defocusing Schrodinger systems")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in ("simulate", "verify-identities", "scatter", "wave-op", "gn-check"):
+    for name in CHOICES["experiment"]:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="flat JSON config file")
-        sp.add_argument("--d", type=int)
-        sp.add_argument("--n-components", type=int, dest="n_components")
-        sp.add_argument("--p", type=float)
-        sp.add_argument("--beta", type=_comma_floats,
-                        help="scalar, N diagonal entries, or N*N row-major")
-        sp.add_argument("--grid-m", type=int, dest="grid_m")
-        sp.add_argument("--box-l", type=float, dest="box_l")
-        sp.add_argument("--dt", type=float)
-        sp.add_argument("--t-final", type=float, dest="t_final")
-        sp.add_argument("--snapshot-stride", type=int, dest="snapshot_stride")
-        sp.add_argument("--weight", choices=("none", "quadratic", "absdistance", "erf"))
-        sp.add_argument("--weight-eps", type=float, dest="weight_eps")
-        sp.add_argument("--interaction-weight", dest="interaction_weight",
-                        choices=("none", "absdistance", "erf", "constant"))
-        sp.add_argument("--family", choices=("gaussian", "multi-bump",
-                                             "plane-modulated", "random-band-limited"))
-        sp.add_argument("--amplitude", type=_comma_floats)
-        sp.add_argument("--width", type=_comma_floats)
-        sp.add_argument("--center", type=_comma_floats)
-        sp.add_argument("--velocity", type=_comma_floats)
-        sp.add_argument("--chirp", type=_comma_floats)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out-dir", dest="out_dir")
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--wave-t", type=float, dest="wave_t")
-        sp.add_argument("--wave-dt", type=float, dest="wave_dt")
-        sp.add_argument("--wave-max-iter", type=int, dest="wave_max_iter")
-        sp.add_argument("--scatter-window", type=int, dest="scatter_window")
-        sp.add_argument("--gn-variant", dest="gn_variant", choices=("main", "cubic"))
-        sp.add_argument("--gn-count", type=int, dest="gn_count")
-        sp.add_argument("--gn-generator", dest="gn_generator",
-                        choices=("band-limited", "bumps", "bump-trains"))
-        sp.add_argument("--gn-alpha", type=int, dest="gn_alpha")
+        # one flag per config key; the list-only keys come from a config file
+        for f in fields(RunConfig):
+            types = SCHEMA[f.name][0]
+            if f.name == "experiment" or types == (list,):
+                continue
+            flag, doc = "--" + f.name.replace("_", "-"), f.metadata.get("help")
+            if types == (bool,):
+                sp.add_argument(flag, dest=f.name, help=doc,
+                                action=argparse.BooleanOptionalAction)
+            else:
+                sp.add_argument(flag, dest=f.name, help=doc, choices=CHOICES.get(f.name),
+                                type=_comma_floats if list in types else types[-1])
     return parser
 
 
@@ -132,8 +110,6 @@ def _interaction_weight(cfg: RunConfig) -> MorawetzWeight | None:
 
 
 def _collector(cfg: RunConfig, coupling, grid, keep_states: int = 0) -> DiagnosticsCollector:
-    h = grid.h
-    cube_ok = 2.0 * grid.l >= 1.0 and abs(round(1.0 / h) * h - 1.0) <= 1e-9
     pair = None
     if coupling.scattering_admissible:
         cand = admissible_pair(cfg.p, cfg.d)
@@ -141,7 +117,7 @@ def _collector(cfg: RunConfig, coupling, grid, keep_states: int = 0) -> Diagnost
     lq = tuple(dict.fromkeys((4.0, 2.0 * cfg.p + 2.0)))
     return DiagnosticsCollector(coupling, grid, CollectorOptions(
         weight=_virial_weight(cfg), interaction=_interaction_weight(cfg), lq_values=lq,
-        accumulators=True, strichartz_pair=pair, cube_mass=cube_ok,
+        accumulators=True, strichartz_pair=pair, cube_mass=not grid.unit_cube_problem(),
         keep_states=keep_states))
 
 
@@ -153,9 +129,7 @@ def _collector(cfg: RunConfig, coupling, grid, keep_states: int = 0) -> Diagnost
 def run_simulate(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     grid, coupling, state0 = _setup(cfg)
     collector = _collector(cfg, coupling, grid)
-    params = StepParams(dt=cfg.dt, t_final=cfg.t_final,
-                        snapshot_stride=cfg.snapshot_stride, dealias=cfg.dealias)
-    final = evolve(state0, params, collector)
+    final = evolve(state0, cfg.step_params(), collector)
 
     write_csv(collector.records, collector.columns, out / "diagnostics.csv")
     h1sq_T = sum(h1_norms_squared(final))
@@ -200,13 +174,12 @@ def run_verify_identities(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     # One dt run covers both the checked horizon and the calibration window;
     # each reads its own prefix of it.
     window = cfg.fd_calibration_t or cfg.t_final
-    params = StepParams(dt=cfg.dt, t_final=max(window, cfg.t_final),
-                        snapshot_stride=cfg.snapshot_stride, dealias=cfg.dealias)
-    trajectory = collect_series(state0, params, smooth, inter)
-    calibration = replace(params, t_final=window)
+    trajectory = collect_series(state0, cfg.step_params(max(window, cfg.t_final)),
+                                smooth, inter)
+    calibration = cfg.step_params(window)
     constants = calibrate_fd_constants(trajectory.prefix(calibration.n_snapshots),
                                        state0, calibration, smooth, inter)
-    series = trajectory.prefix(replace(params, t_final=cfg.t_final).n_snapshots)
+    series = trajectory.prefix(cfg.step_params().n_snapshots)
     result = check_identities(series, constants)
 
     cols = ["t", "V", "Vdot", "Vddot"]
@@ -244,9 +217,7 @@ def run_verify_identities(cfg: RunConfig, out: Path) -> tuple[dict, str]:
 def run_scatter(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     grid, coupling, state0 = _setup(cfg)
     collector = _collector(cfg, coupling, grid, keep_states=cfg.scatter_window)
-    params = StepParams(dt=cfg.dt, t_final=cfg.t_final,
-                        snapshot_stride=cfg.snapshot_stride, dealias=cfg.dealias)
-    evolve(state0, params, collector)
+    evolve(state0, cfg.step_params(), collector)
     write_csv(collector.records, collector.columns, out / "diagnostics.csv")
     result = asymptotic_profile(collector.states, direction=+1, tol=cfg.tol)
     write_fields(out / "profile.nlsf", grid, result.profile)

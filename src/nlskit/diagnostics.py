@@ -10,7 +10,6 @@ identical configurations reproduce byte-identical CSV files.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -150,7 +149,3 @@ def _json_default(obj):
 def write_summary(summary: dict, path) -> None:
     Path(path).write_text(json.dumps(summary, indent=2, sort_keys=True,
                                      default=_json_default) + "\n")
-
-
-def expected_row_count(t_final: float, dt: float, stride: int) -> int:
-    return int(math.floor(t_final / (dt * stride) + 1e-9)) + 1

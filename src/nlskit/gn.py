@@ -25,6 +25,7 @@ from .grid import GridSpec, ScalarField, PHYSICAL, cube_sup_l2
 
 MAIN = "main"
 CUBIC = "cubic"
+VARIANTS = (MAIN, CUBIC)
 GENERATORS = ("band-limited", "bumps", "bump-trains")
 
 
@@ -46,8 +47,8 @@ class GNReport:
 
 def gn_ratio(fields: tuple[ScalarField, ...] | list[ScalarField], variant: str) -> float:
     """LHS/RHS ratio of the chosen inequality variant for one vector sample."""
-    if variant not in (MAIN, CUBIC):
-        raise ValueError(f"variant must be 'main' or 'cubic', got {variant!r}")
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     fields = tuple(fields)
     if not fields:
         raise ValueError("need at least one component")

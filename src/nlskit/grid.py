@@ -105,6 +105,15 @@ class GridSpec:
     def box_volume(self) -> float:
         return (2.0 * self.l) ** self.d
 
+    def unit_cube_problem(self) -> str:
+        """Why grid-aligned unit cubes do not fit ("" when they do): the box
+        must contain one (2L >= 1) and h must divide 1 within 1e-9."""
+        if 2.0 * self.l < 1.0:
+            return "box is smaller than the unit cube"
+        if abs(round(1.0 / self.h) * self.h - 1.0) > 1e-9:
+            return f"grid spacing h = {self.h} does not divide the unit cube edge"
+        return ""
+
     @cached_property
     def axis_coordinates(self) -> np.ndarray:
         """Physical coordinates along one axis, x_m = -L + m h."""
@@ -535,14 +544,12 @@ def cube_sup_l2(grid: GridSpec, density: np.ndarray) -> float:
     """sup over grid-aligned unit cubes (stride one cell, wrap-around) of
     (int_Q density)^(1/2), for a nonnegative density array.
 
-    The unit cube must span a whole number of cells: h must divide 1.
+    The unit cube must span a whole number of cells (GridSpec.unit_cube_problem).
     """
-    if 2.0 * grid.l < 1.0:
-        raise ValueError("box is smaller than the unit cube")
-    ncells = int(round(1.0 / grid.h))
-    if ncells < 1 or abs(ncells * grid.h - 1.0) > 1e-9:
-        raise ValueError(
-            f"grid spacing h = {grid.h} does not divide the unit cube edge")
+    misfit = grid.unit_cube_problem()
+    if misfit:
+        raise ValueError(misfit)
+    ncells = round(1.0 / grid.h)
     window = density
     for axis in range(grid.d):
         window = sum(np.roll(window, -s, axis=axis) for s in range(ncells))

@@ -139,10 +139,6 @@ class MorawetzWeight:
         return MorawetzWeight(ERF_SMOOTHED, eps=eps, profile=profile,
                               d1=d1, d2=d2, d3=d3, d4=d4, label=f"erf({eps})")
 
-    @property
-    def is_smooth(self) -> bool:
-        return self.kind in (SMOOTH_RADIAL, ERF_SMOOTHED, CONSTANT)
-
     def convexity_ok(self, r_max: float = 100.0, samples: int = 2048) -> bool:
         """Sampled check that d2 >= 0 and d1/r >= 0 (radial convexity)."""
         if self.kind in (CONSTANT, ABS_DISTANCE):
@@ -278,8 +274,7 @@ def virial_Vddot(state: SystemState | Snapshot, weight: MorawetzWeight,
 
 @dataclass
 class InteractionReport:
-    """Single-snapshot interaction quantities; Iddot_fd is filled by the
-    trajectory-level inequality check."""
+    """Single-snapshot interaction quantities."""
 
     t: float
     weight: str
@@ -289,7 +284,6 @@ class InteractionReport:
     gradient_term: float
     rhs_lower: float
     rhs_lower_alt: float | None = None
-    Iddot_fd: float | None = None
 
 
 _SUPPORTED = ("supported weights for interaction_report: constant (any d), "
@@ -457,8 +451,6 @@ def interaction_inequality_check(reports: Sequence[InteractionReport],
     rhs = np.array([r.rhs_lower for r in reports])
 
     iddot_fd = (I[2:] - 2.0 * I[1:-1] + I[:-2]) / dt ** 2
-    for r, v in zip(reports[1:-1], iddot_fd):
-        r.Iddot_fd = float(v)
 
     fd_budget = np.zeros_like(iddot_fd)
     if fd_constant is not None:

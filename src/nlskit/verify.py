@@ -19,7 +19,7 @@ calibration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -135,7 +135,6 @@ def calibrate_fd_constants(coarse: TrajectorySeries, state0: SystemState,
 
 @dataclass
 class IdentityCheckResult:
-    dt_snapshot: float
     vdot_gap: float
     vdot_tol: float
     vdot_ok: bool
@@ -147,14 +146,6 @@ class IdentityCheckResult:
     idot_ok: bool | None
     inequality_ok: bool | None
     integrated_ok: bool | None
-    details: dict = field(default_factory=dict)
-
-    @property
-    def all_ok(self) -> bool:
-        checks = [self.vdot_ok, self.vddot_ok]
-        checks += [c for c in (self.idot_ok, self.inequality_ok, self.integrated_ok)
-                   if c is not None]
-        return all(checks)
 
 
 def check_identities(series: TrajectorySeries, constants: FdConstants,
@@ -169,7 +160,6 @@ def check_identities(series: TrajectorySeries, constants: FdConstants,
     vddot_tol = constants.c_vddot * dts ** 2 + abs_floor_second
 
     idot_gap = idot_tol = idot_ok = ineq_ok = int_ok = None
-    details = {}
     if series.reports:
         check = interaction_inequality_check(series.reports,
                                              fd_constant=constants.c_iddot)
@@ -178,10 +168,8 @@ def check_identities(series: TrajectorySeries, constants: FdConstants,
         idot_ok = idot_gap <= idot_tol
         ineq_ok = check.second_difference_ok
         int_ok = check.integrated_ok
-        details["inequality"] = check
     return IdentityCheckResult(
-        dt_snapshot=dts,
         vdot_gap=vdot_gap, vdot_tol=vdot_tol, vdot_ok=vdot_gap <= vdot_tol,
         vddot_gap=vddot_gap, vddot_tol=vddot_tol, vddot_ok=vddot_gap <= vddot_tol,
         idot_gap=idot_gap, idot_tol=idot_tol, idot_ok=idot_ok,
-        inequality_ok=ineq_ok, integrated_ok=int_ok, details=details)
+        inequality_ok=ineq_ok, integrated_ok=int_ok)

@@ -11,8 +11,7 @@ import nlskit.verify
 from nlskit import (ConfigError, MorawetzWeight, parse_config, read_fields,
                     write_fields)
 from nlskit.cli import main
-from nlskit.config import ENV_OUT_DIR
-from nlskit.diagnostics import expected_row_count
+from nlskit.config import CHOICES, ENV_OUT_DIR, SCHEMA
 from nlskit.evolve import StepParams, evolve
 from nlskit.verify import calibrate_fd_constants, check_identities, collect_series
 
@@ -73,6 +72,46 @@ def test_config_unit_cube_required_for_gn():
                             "grid_m": 10, "box_l": 3.5})
 
 
+def test_every_config_key_has_one_flag_through_the_override_path(tmp_path, monkeypatch):
+    subcommands = next(a for a in nlskit.cli.build_parser()._actions
+                       if a.dest == "experiment").choices
+    assert tuple(subcommands) == CHOICES["experiment"]
+    flagged = [k for k, (types, _) in SCHEMA.items()
+               if k != "experiment" and types != (list,)]
+    assert len(flagged) == 33  # 38 keys less experiment and the four bump_* lists
+    for sp in subcommands.values():
+        assert sorted(a.dest for a in sp._actions) == sorted(["help", "config", *flagged])
+        for key in flagged:
+            (action,) = [a for a in sp._actions if a.dest == key]
+            assert action.choices == CHOICES.get(key), key
+
+    seen = []
+
+    def record(cfg, out):
+        seen.append(cfg)
+        return {}, ""
+    monkeypatch.setitem(nlskit.cli._RUNNERS, "simulate", record)
+    for key in flagged:
+        types, default = SCHEMA[key]
+        flag = "--" + key.replace("_", "-")
+        if types == (bool,):
+            argv, value = [flag], True
+        elif key in CHOICES:
+            value = next(v for v in CHOICES[key] if v != default)
+            argv = [flag, value]
+        elif types == (str,):
+            value = str(tmp_path / key)
+            argv = [flag, value]
+        else:
+            value = default + 2 if types == (int,) else 2.0 * default + 0.5
+            argv = [flag, repr(value)]
+        out = [] if key == "out_dir" else ["--out-dir", str(tmp_path)]
+        assert main(["simulate", *argv, *out]) == 0, key
+        assert getattr(seen[-1], key) == value, key
+    assert main(["simulate", "--no-dealias", "--out-dir", str(tmp_path)]) == 0
+    assert seen[-1].dealias is False
+
+
 def test_env_var_sets_default_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_OUT_DIR, str(tmp_path / "envout"))
     cfg = parse_config(None, {"experiment": "simulate"})
@@ -130,7 +169,7 @@ def test_cli_simulate_artifacts_and_determinism(tmp_path):
         s["config"].pop("out_dir")
     assert s1 == s2
     rows = csv1.decode().strip().split("\n")
-    assert len(rows) - 1 == expected_row_count(0.2, 0.002, 10)
+    assert len(rows) - 1 == StepParams(dt=0.002, t_final=0.2, snapshot_stride=10).n_snapshots
     assert all(c["pass"] for c in s1["checks"].values())
 
 
@@ -167,12 +206,14 @@ def test_cli_bad_config_exit_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("experiment", ["simulate", "verify-identities", "scatter"])
 def test_cli_nan_abort_exit_two(tmp_path, capsys, experiment):
-    # the overflowing initial state is the named abort, not a warning first
+    # the overflowing initial state is the named abort, not a warning first;
+    # stride 5 gives the 3 snapshots verify-identities needs to pass validation
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = main([experiment, "--d", "1", "--grid-m", "64", "--box-l", "8",
                      "--p", "2", "--amplitude", "1e200", "--dt", "0.01",
-                     "--t-final", "0.1", "--out-dir", str(tmp_path)])
+                     "--t-final", "0.1", "--snapshot-stride", "5",
+                     "--out-dir", str(tmp_path)])
     assert code == 2
     assert "NaN" in capsys.readouterr().err
     summary = json.loads((tmp_path / "summary.json").read_text())
@@ -292,6 +333,19 @@ def test_calibration_rejects_a_series_of_other_snapshot_times():
     other_dt = StepParams(dt=0.02, t_final=0.4, snapshot_stride=5)  # also 5 snapshots
     with pytest.raises(ValueError, match="does not sample"):
         calibrate_fd_constants(coarse, state0, other_dt, smooth, None)
+
+
+@pytest.mark.parametrize("t_final", ["0.2", "0.05"])
+def test_cli_verify_identities_rejects_fewer_than_three_snapshots(tmp_path, capsys, t_final):
+    # 0.05 is 5 steps of 0.01 at stride 5: two snapshots, no interior one
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"fd_calibration_t": 0.05}))
+    out = tmp_path / "out"
+    assert main(["verify-identities", "--config", str(cfgfile), *_VERIFY_D1,
+                 "--t-final", t_final, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "nlskit: invalid configuration" in err and "at least 3 snapshots" in err
+    assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("experiment", ["verify-identities", "scatter"])

@@ -1,5 +1,6 @@
-"""Property tests of the free flow, the nonlinear substep, the Strang step and
-the running time integral over random dimensions, grids, times and data."""
+"""Property tests of the free flow, the nonlinear substep, the Strang step,
+the symmetry under permuting components and the running time integral over
+random dimensions, grids, times and data."""
 
 import math
 
@@ -9,8 +10,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from nlskit import (CouplingSpec, GridSpec, StepParams, evolve, linear_substep,
-                    nonlinear_substep, state_from_arrays, strang_step, total_mass)
+from nlskit import (CouplingSpec, GridSpec, StepParams, energy, evolve, linear_substep,
+                    mass, nonlinear_substep, state_from_arrays, strang_step, total_mass)
 from nlskit.system import RunningIntegral
 
 # points per axis by dimension: small enough for many examples per test
@@ -77,6 +78,25 @@ def test_strang_step_is_the_composition_and_one_evolve_step(state, dt):
     assert step.t == comp.t
     # evolve adds dt in one rounding, the composition in two half steps
     assert math.isclose(step.t, fused.t, rel_tol=1e-15, abs_tol=1e-15)
+
+
+@PROPERTY
+@given(states(), st.floats(1e-3, 0.05), st.data())
+def test_permuting_beta_and_the_components_permutes_the_solution(state, dt, data):
+    c = state.coupling
+    perm = data.draw(st.permutations(range(c.n)))
+    swapped = state_from_arrays(
+        state.t, [state.fields[i].values for i in perm],
+        CouplingSpec(c.n, c.beta[np.ix_(perm, perm)], c.p, c.d), state.grid)
+    params = StepParams(dt=dt, t_final=3 * dt)
+    out, out_swapped = evolve(state, params), evolve(swapped, params)
+    # the exponent sums over nu in another order: equal up to rounding
+    tol = 1e-12 * max(_max_abs(out), 1e-300)
+    for i, mu in enumerate(perm):
+        assert np.abs(out_swapped.fields[i].values - out.fields[mu].values).max() <= tol
+        assert math.isclose(mass(out_swapped, i), mass(out, mu), rel_tol=1e-12, abs_tol=1e-300)
+    assert math.isclose(energy(out_swapped).total, energy(out).total,
+                        rel_tol=1e-12, abs_tol=1e-300)
 
 
 @PROPERTY

@@ -15,13 +15,11 @@ from .grid import (GridSpec, ScalarField, RadialKernel, GridUsageError,
                    spectral_gradient, apply_multiplier,
                    convolve_radial_kernel, convolve_kernel_gradient, cube_sup_l2)
 from .system import (CouplingSpec, SystemState, EnergyReport, LqReport,
-                     state_from_arrays, density, current, mass, total_mass,
-                     energy, lq_norm, h1_norm, h1_norms_squared, sup_cube_mass,
-                     boundary_mass_fraction, coupling_density, total_density,
-                     BOUNDARY_MASS_LIMIT)
+                     Snapshot, state_from_arrays, current, mass, total_mass,
+                     energy, lq_norm, h1_norm, sup_cube_mass,
+                     boundary_mass_fraction, BOUNDARY_MASS_LIMIT)
 from .evolve import (StepParams, NanAbortError, linear_substep,
-                     nonlinear_substep, strang_step, evolve,
-                     rk4_reference_step)
+                     nonlinear_substep, strang_step, evolve)
 from .morawetz import (MorawetzWeight, InteractionReport, InequalityCheck,
                        VirialSecond, SpacetimeAccumulators, virial_V,
                        virial_Vdot, virial_Vddot, interaction_report,

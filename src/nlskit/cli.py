@@ -29,7 +29,7 @@ from .initial_data import InitialDataSpec, build_initial_state
 from .morawetz import MorawetzWeight
 from .scattering import (WaveOperatorDivergence, admissible_pair,
                          asymptotic_profile, wave_operator)
-from .system import CouplingSpec, h1_norms_squared, mass
+from .system import CouplingSpec, mass
 from .verify import (calibrate_fd_constants, check_identities, collect_series)
 
 EXIT_OK, EXIT_FAIL, EXIT_NAN = 0, 1, 2
@@ -117,8 +117,7 @@ def _collector(cfg: RunConfig, coupling, grid, keep_states: int = 0) -> Diagnost
     lq = tuple(dict.fromkeys((4.0, 2.0 * cfg.p + 2.0)))
     return DiagnosticsCollector(coupling, grid, CollectorOptions(
         weight=_virial_weight(cfg), interaction=_interaction_weight(cfg), lq_values=lq,
-        accumulators=True, strichartz_pair=pair, cube_mass=not grid.unit_cube_problem(),
-        keep_states=keep_states))
+        accumulators=True, strichartz_pair=pair, keep_states=keep_states))
 
 
 # Each runner writes its artifacts to the output directory and returns its
@@ -132,7 +131,7 @@ def run_simulate(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     final = evolve(state0, cfg.step_params(), collector)
 
     write_csv(collector.records, collector.columns, out / "diagnostics.csv")
-    h1sq_T = sum(h1_norms_squared(final))
+    h1sq_T = sum(f.h1_norm() ** 2 for f in final.fields)
     first = collector.records[0]
     mass0 = sum(first[f"mass_{mu + 1}"] for mu in range(coupling.n))
     bound = mass0 + first["energy_total"]
@@ -182,15 +181,7 @@ def run_verify_identities(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     series = trajectory.prefix(cfg.step_params().n_snapshots)
     result = check_identities(series, constants)
 
-    cols = ["t", "V", "Vdot", "Vddot"]
-    recs = [{"t": t, "V": v, "Vdot": vd, "Vddot": vdd}
-            for t, v, vd, vdd in zip(series.times, series.V, series.Vdot, series.Vddot)]
-    if series.reports:
-        cols += ["I", "Idot", "N_term", "rhs_lower"]
-        for rec, rep in zip(recs, series.reports):
-            rec.update(I=rep.I, Idot=rep.Idot, N_term=rep.N_term,
-                       rhs_lower=rep.rhs_lower)
-    write_csv(recs, cols, out / "diagnostics.csv")
+    write_csv(series.records, series.collector.columns, out / "diagnostics.csv")
 
     checks = {
         "virial_first_identity": {"gap": result.vdot_gap,

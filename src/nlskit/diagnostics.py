@@ -1,15 +1,17 @@
 """Diagnostics records, the evolution sink, and serialized outputs.
 
-One DiagnosticsRecord per snapshot: time, per-component masses, energy split,
-selected L^q norms, cube-localized mass, virial and interaction quantities,
-running space-time accumulator totals, the Strichartz accumulator, and the
-boundary-mass monitor.  Numbers are serialized with 17 significant digits so
-identical configurations reproduce byte-identical CSV files.
+One record per snapshot: time, per-component masses, energy split, selected
+L^q norms, cube-localized mass (when unit cubes fit the grid), virial and
+interaction quantities, running space-time accumulator totals, the
+Strichartz accumulator, and the boundary-mass monitor; the columns share the
+pieces of one system.Snapshot.  Numbers are serialized with 17 significant
+digits so identical configurations reproduce byte-identical CSV files.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from .grid import GridSpec
 from .morawetz import (MorawetzWeight, SpacetimeAccumulators, interaction_report,
-                       virial_V, virial_Vdot)
+                       virial_V, virial_Vddot, virial_Vdot)
 from .scattering import StrichartzAccumulator
 from .system import (BOUNDARY_MASS_LIMIT, Snapshot, SystemState,
                      boundary_mass_fraction, energy, lq_norm, mass, sup_cube_mass)
@@ -29,14 +31,14 @@ def fmt17(x: float) -> str:
 
 @dataclass
 class CollectorOptions:
-    weight: MorawetzWeight | None = None            # smooth virial weight
+    weight: MorawetzWeight | None = None            # virial weight
+    vddot: bool = False                             # d2V/dt2 column (smooth weight only)
     interaction: MorawetzWeight | None = None       # bilinear weight
     center: object = None
     lq_values: tuple[float, ...] = (4.0,)
     accumulators: bool = True
     strichartz_pair: object = None                  # StrichartzPair or None
-    cube_mass: bool = True
-    keep_states: int = 0                            # ring buffer of trailing states
+    keep_states: int = 0                            # trailing states kept
 
 
 class DiagnosticsCollector:
@@ -49,7 +51,8 @@ class DiagnosticsCollector:
         self.opts = options or CollectorOptions()
         self.records: list[dict] = []
         self.reports = []            # InteractionReport per snapshot
-        self.states: list[SystemState] = []
+        self.states: deque[SystemState] = deque(maxlen=self.opts.keep_states)
+        self.cube_mass = not grid.unit_cube_problem()
         self.accumulators = SpacetimeAccumulators(coupling) if self.opts.accumulators else None
         self.strichartz = (StrichartzAccumulator(self.opts.strichartz_pair)
                            if self.opts.strichartz_pair is not None else None)
@@ -61,10 +64,10 @@ class DiagnosticsCollector:
         cols += [f"mass_{mu + 1}" for mu in range(self.coupling.n)]
         cols += ["kinetic", "potential", "energy_total"]
         cols += [f"l{q:g}_total" for q in self.opts.lq_values]
-        if self.opts.cube_mass:
+        if self.cube_mass:
             cols.append("sup_cube_mass")
         if self.opts.weight is not None:
-            cols += ["V", "Vdot"]
+            cols += ["V", "Vdot", "Vddot"] if self.opts.vddot else ["V", "Vdot"]
         if self.opts.interaction is not None:
             cols += ["I", "Idot", "N_term", "rhs_lower"]
         if self.accumulators is not None:
@@ -78,16 +81,18 @@ class DiagnosticsCollector:
         snap = Snapshot(state)  # pieces shared by this snapshot's observables
         rec: dict[str, float] = {"t": state.t}
         for mu in range(self.coupling.n):
-            rec[f"mass_{mu + 1}"] = mass(state, mu)
-        e = energy(state)
+            rec[f"mass_{mu + 1}"] = mass(snap, mu)
+        e = energy(snap)
         rec["kinetic"], rec["potential"], rec["energy_total"] = e.kinetic, e.potential, e.total
         for q in self.opts.lq_values:
             rec[f"l{q:g}_total"] = lq_norm(state, q).aggregate
-        if self.opts.cube_mass:
-            rec["sup_cube_mass"] = sup_cube_mass(state)
+        if self.cube_mass:
+            rec["sup_cube_mass"] = sup_cube_mass(snap)
         if self.opts.weight is not None:
             rec["V"] = virial_V(snap, self.opts.weight, self.opts.center)
             rec["Vdot"] = virial_Vdot(snap, self.opts.weight, self.opts.center)
+            if self.opts.vddot:
+                rec["Vddot"] = virial_Vddot(snap, self.opts.weight, self.opts.center).total
         if self.opts.interaction is not None:
             rep = interaction_report(snap, self.opts.interaction)
             self.reports.append(rep)
@@ -100,14 +105,11 @@ class DiagnosticsCollector:
         if self.strichartz is not None:
             self.strichartz.update(snap)
             rec["strichartz"] = self.strichartz.value()
-        b = boundary_mass_fraction(state)
+        b = boundary_mass_fraction(snap)
         self.max_boundary_fraction = max(self.max_boundary_fraction, b)
         rec["boundary_mass_fraction"] = b
         self.records.append(rec)
-        if self.opts.keep_states:
-            self.states.append(state)
-            if len(self.states) > self.opts.keep_states:
-                self.states.pop(0)
+        self.states.append(state)
 
     @property
     def boundary_valid(self) -> bool:

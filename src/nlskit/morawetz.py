@@ -39,10 +39,10 @@ collapse as eps -> 0.
 Every double integral is a pairing int f (K * g) dx on the zero-padded box,
 evaluated by Parseval on the padded half-spectra (grid.kernel_inner_product):
 no M^d x M^d object is ever formed and no convolution is taken back to
-physical space.  The per-state pieces (densities, currents, gradients, padded
-transforms) come from one system.Snapshot, so a caller that evaluates several
-diagnostics of one state can build the Snapshot once and pass it in place of
-the state.
+physical space.  The per-state pieces (spectra, densities, currents,
+gradients, padded transforms) come from one system.Snapshot, so a caller that
+evaluates several diagnostics of one state can build the Snapshot once and
+pass it in place of the state.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf as _erf
 
-from .grid import (GridSpec, ScalarField, PHYSICAL, RadialKernel,
-                   kernel_inner_product, padded_geometry, padded_rfft)
+from .grid import GridSpec, RadialKernel, kernel_inner_product, padded_geometry, padded_rfft
 from .system import RunningIntegral, Snapshot, SystemState
 
 ABS_DISTANCE = "absdistance"
@@ -304,7 +303,7 @@ def gradient_pairing(state: SystemState | Snapshot, route: str = "kernel") -> fl
     g = snap.state.grid
     if route == "fractional":
         if g.d == 1:
-            c = ScalarField(snap.rho, g, PHYSICAL).to_spectral().values
+            c = snap.rho_spectrum
             return 2.0 * g.box_volume * float(np.sum(g.k_squared * np.abs(c) ** 2))
         if g.d == 2:
             # |k| has a conical point at k = 0; refine the k-lattice 8x by
@@ -538,9 +537,8 @@ class SpacetimeAccumulators:
             return out
         if g.d == 2:
             out["recip_self"] = self._recip_self(snap)
-            chat = ScalarField(snap.rho, g, PHYSICAL).to_spectral().values
             out["half_deriv_sq"] = g.box_volume * float(
-                np.sum(g.k_modulus * np.abs(chat) ** 2))
+                np.sum(g.k_modulus * np.abs(snap.rho_spectrum) ** 2))
             return out
         out["l4"] = sum(vol * float(np.sum(np.abs(f.values) ** 4)) for f in state.fields)
         out["recip_self"] = self._recip_self(snap)

@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (GridSpec, ScalarField, PHYSICAL, cube_sup_l2, padded_rfft,
-                   spectral_gradient)
+from .grid import (GridSpec, ScalarField, PHYSICAL, SPECTRAL, cube_sup_l2,
+                   forward_transform, padded_rfft, spectral_gradient)
 
 
 def critical_exponent(d: int) -> float:
@@ -150,17 +150,6 @@ def _check_index(state: SystemState, mu: int):
         raise IndexError(f"component index {mu} out of range [0, {state.coupling.n})")
 
 
-def density(state: SystemState, mu: int) -> ScalarField:
-    """Pointwise density m = |u_mu|^2 (real, nonnegative)."""
-    _check_index(state, mu)
-    return ScalarField(np.abs(state.fields[mu].values) ** 2, state.grid, PHYSICAL)
-
-
-def total_density(state: SystemState) -> np.ndarray:
-    """sum_mu |u_mu|^2 as a plain array."""
-    return sum(np.abs(f.values) ** 2 for f in state.fields)
-
-
 def current(state: SystemState, mu: int) -> list[ScalarField]:
     """Current j = Im(conj(u) grad u), one real field per axis."""
     _check_index(state, mu)
@@ -186,44 +175,23 @@ def total_current(state: SystemState,
     return out
 
 
-def mass(state: SystemState, mu: int) -> float:
-    """Per-component mass, int |u_mu|^2 dx."""
-    _check_index(state, mu)
-    g = state.grid
-    return g.cell_volume * float(np.sum(np.abs(state.fields[mu].values) ** 2))
-
-
-def total_mass(state: SystemState) -> float:
-    return sum(mass(state, mu) for mu in range(state.coupling.n))
-
-
-def coupling_density(state: SystemState) -> np.ndarray:
-    """P(x) = sum_{mu,nu} beta[mu,nu] |u_mu|^{p+1} |u_nu|^{p+1} (pointwise)."""
-    c = state.coupling
-    powers = [np.abs(f.values) ** (c.p + 1.0) for f in state.fields]
-    out = np.zeros(state.grid.shape)
-    for mu in range(c.n):
-        for nu in range(c.n):
-            b = c.beta[mu, nu]
-            if b != 0.0:
-                out += b * powers[mu] * powers[nu]
-    return out
-
-
 class Snapshot:
-    """The per-state pieces that several diagnostics of one snapshot share.
+    """The per-state pieces that the diagnostics of one snapshot share.
 
     Each piece is computed on first use and kept for the life of the
-    Snapshot, which is built for one state and dropped with it:
+    Snapshot, which is built for one state and dropped with it.  Every
+    unpadded forward transform of a snapshot is one of the spectra below:
 
-      m        per-component densities |u_mu|^2
-      rho      total density sum_mu m_mu
-      P        coupling density (see coupling_density)
-      grads    spectral gradients of each component, grads[mu][a]
-      current  total current sum_mu Im(conj(u_mu) grad u_mu), per axis
-      rho_grads  real spectral gradient of rho, per axis
-      m_hats   padded half-spectra of the m_mu (grid.padded_rfft)
-      rho_hat  padded half-spectrum of rho, sum_mu m_hats[mu]
+      spectra    per-component spectra c_k (grid.forward_transform values)
+      m          per-component densities |u_mu|^2
+      rho        total density sum_mu m_mu
+      rho_spectrum  spectrum of rho
+      P          coupling density sum_{mu,nu} beta[mu,nu] |u_mu|^{p+1} |u_nu|^{p+1}
+      grads      spectral gradients of each component from its spectrum, grads[mu][a]
+      current    total current sum_mu Im(conj(u_mu) grad u_mu), per axis
+      rho_grads  real spectral gradient of rho from its spectrum, per axis
+      m_hats     padded half-spectra of the m_mu (grid.padded_rfft)
+      rho_hat    padded half-spectrum of rho, sum_mu m_hats[mu]
     """
 
     def __init__(self, state: SystemState):
@@ -235,6 +203,10 @@ class Snapshot:
         return state if isinstance(state, Snapshot) else Snapshot(state)
 
     @cached_property
+    def spectra(self) -> list[np.ndarray]:
+        return [forward_transform(f).values for f in self.state.fields]
+
+    @cached_property
     def m(self) -> list[np.ndarray]:
         return [np.abs(f.values) ** 2 for f in self.state.fields]
 
@@ -243,12 +215,28 @@ class Snapshot:
         return sum(self.m)
 
     @cached_property
+    def rho_spectrum(self) -> np.ndarray:
+        return forward_transform(ScalarField(self.rho, self.state.grid, PHYSICAL)).values
+
+    @cached_property
     def P(self) -> np.ndarray:
-        return coupling_density(self.state)
+        c = self.state.coupling
+        powers = [np.abs(f.values) ** (c.p + 1.0) for f in self.state.fields]
+        out = np.zeros(self.state.grid.shape)
+        for mu in range(c.n):
+            for nu in range(c.n):
+                b = c.beta[mu, nu]
+                if b != 0.0:
+                    out += b * powers[mu] * powers[nu]
+        return out
+
+    def _gradient(self, spectrum: np.ndarray) -> list[np.ndarray]:
+        return [gc.values for gc in
+                spectral_gradient(ScalarField(spectrum, self.state.grid, SPECTRAL))]
 
     @cached_property
     def grads(self) -> list[list[np.ndarray]]:
-        return [[gc.values for gc in spectral_gradient(f)] for f in self.state.fields]
+        return [self._gradient(c) for c in self.spectra]
 
     @cached_property
     def current(self) -> list[np.ndarray]:
@@ -256,8 +244,7 @@ class Snapshot:
 
     @cached_property
     def rho_grads(self) -> list[np.ndarray]:
-        rho = ScalarField(self.rho, self.state.grid, PHYSICAL)
-        return [gc.values.real for gc in spectral_gradient(rho)]
+        return [ga.real for ga in self._gradient(self.rho_spectrum)]
 
     @cached_property
     def m_hats(self) -> list[np.ndarray]:
@@ -268,6 +255,18 @@ class Snapshot:
         return sum(self.m_hats)
 
 
+def mass(state: SystemState | Snapshot, mu: int) -> float:
+    """Per-component mass, int |u_mu|^2 dx."""
+    snap = Snapshot.of(state)
+    _check_index(snap.state, mu)
+    return snap.state.grid.cell_volume * float(np.sum(snap.m[mu]))
+
+
+def total_mass(state: SystemState | Snapshot) -> float:
+    snap = Snapshot.of(state)
+    return sum(mass(snap, mu) for mu in range(snap.state.coupling.n))
+
+
 @dataclass(frozen=True)
 class EnergyReport:
     kinetic: float
@@ -275,15 +274,15 @@ class EnergyReport:
     total: float
 
 
-def energy(state: SystemState) -> EnergyReport:
+def energy(state: SystemState | Snapshot) -> EnergyReport:
     """Kinetic sum_mu int |grad u_mu|^2 (spectral, by Parseval) plus the
     coupled potential sum_{mu,nu} beta int |u_mu u_nu|^{p+1} / (p+1)."""
-    g = state.grid
+    snap = Snapshot.of(state)
+    g = snap.state.grid
     kinetic = 0.0
-    for f in state.fields:
-        c = f.to_spectral().values
+    for c in snap.spectra:
         kinetic += g.box_volume * float(np.sum(g.k_squared * np.abs(c) ** 2))
-    potential = g.cell_volume * float(np.sum(coupling_density(state))) / (state.coupling.p + 1.0)
+    potential = g.cell_volume * float(np.sum(snap.P)) / (snap.state.coupling.p + 1.0)
     return EnergyReport(kinetic=kinetic, potential=potential, total=kinetic + potential)
 
 
@@ -307,26 +306,24 @@ def h1_norm(state: SystemState) -> float:
     return float(sum(f.h1_norm() for f in state.fields))
 
 
-def h1_norms_squared(state: SystemState) -> tuple[float, ...]:
-    return tuple(f.h1_norm() ** 2 for f in state.fields)
-
-
-def sup_cube_mass(state: SystemState) -> float:
+def sup_cube_mass(state: SystemState | Snapshot) -> float:
     """Largest (sum_mu int_Q |u_mu|^2)^(1/2) over grid-aligned unit cubes."""
-    return cube_sup_l2(state.grid, total_density(state))
+    snap = Snapshot.of(state)
+    return cube_sup_l2(snap.state.grid, snap.rho)
 
 
-def boundary_mass_fraction(state: SystemState) -> float:
+def boundary_mass_fraction(state: SystemState | Snapshot) -> float:
     """Fraction of the total mass in the outer 10% shell of the box.
 
     Runs are declared invalid when this exceeds 1e-6: the periodic box then
     no longer emulates free space.
     """
-    g = state.grid
+    snap = Snapshot.of(state)
+    g = snap.state.grid
     shell = np.zeros(g.shape, dtype=bool)
     for a in range(g.d):
         shell |= np.abs(g.x_mesh[a]) >= 0.9 * g.l
-    rho = total_density(state)
+    rho = snap.rho
     total = float(rho.sum())
     if total == 0.0:
         return 0.0

@@ -23,20 +23,39 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .diagnostics import CollectorOptions, DiagnosticsCollector
 from .evolve import StepParams, evolve
-from .morawetz import (InteractionReport, MorawetzWeight,
-                       interaction_inequality_check, interaction_report,
-                       virial_V, virial_Vddot, virial_Vdot)
-from .system import Snapshot, SystemState
+# interaction_report is unused here; perfbench/tests checks that the tracer
+# rebinds this binding of it (ROADMAP item 1 retires that check)
+from .morawetz import (InteractionReport, MorawetzWeight,  # noqa: F401
+                       interaction_inequality_check, interaction_report)
+from .system import SystemState
+
+
+def _column(name: str) -> property:
+    return property(lambda self: self.collector.series(name)[:self.n])
 
 
 @dataclass
 class TrajectorySeries:
-    times: np.ndarray
-    V: np.ndarray
-    Vdot: np.ndarray
-    Vddot: np.ndarray
-    reports: list[InteractionReport]
+    """The first n snapshots of a collector run with the V, Vdot and Vddot
+    columns: a view of its records and interaction reports."""
+
+    collector: DiagnosticsCollector
+    n: int
+
+    times = _column("t")
+    V = _column("V")
+    Vdot = _column("Vdot")
+    Vddot = _column("Vddot")
+
+    @property
+    def records(self) -> list[dict]:
+        return self.collector.records[:self.n]
+
+    @property
+    def reports(self) -> list[InteractionReport]:
+        return self.collector.reports[:self.n]
 
     @property
     def dt_snapshot(self) -> float:
@@ -44,28 +63,21 @@ class TrajectorySeries:
 
     def prefix(self, n: int) -> TrajectorySeries:
         """The first n snapshots."""
-        return TrajectorySeries(times=self.times[:n], V=self.V[:n], Vdot=self.Vdot[:n],
-                                Vddot=self.Vddot[:n], reports=self.reports[:n])
+        return TrajectorySeries(self.collector, min(n, self.n))
 
 
 def collect_series(state0: SystemState, params: StepParams,
                    smooth_weight: MorawetzWeight,
                    interaction_weight: MorawetzWeight | None,
                    center=None) -> TrajectorySeries:
-    times, V, Vd, Vdd, reports = [], [], [], [], []
-
-    def sink(state):
-        snap = Snapshot(state)
-        times.append(state.t)
-        V.append(virial_V(snap, smooth_weight, center))
-        Vd.append(virial_Vdot(snap, smooth_weight, center))
-        Vdd.append(virial_Vddot(snap, smooth_weight, center).total)
-        if interaction_weight is not None:
-            reports.append(interaction_report(snap, interaction_weight))
-
-    evolve(state0, params, sink)
-    return TrajectorySeries(times=np.array(times), V=np.array(V),
-                            Vdot=np.array(Vd), Vddot=np.array(Vdd), reports=reports)
+    """Run params from state0 into a collector with the virial columns
+    (Vddot included), the interaction reports when a weight is given, and
+    no L^q, accumulator or Strichartz columns."""
+    collector = DiagnosticsCollector(state0.coupling, state0.grid, CollectorOptions(
+        weight=smooth_weight, vddot=True, interaction=interaction_weight,
+        center=center, lq_values=(), accumulators=False))
+    evolve(state0, params, collector)
+    return TrajectorySeries(collector, len(collector.records))
 
 
 def fd_gap_first(times: np.ndarray, series: np.ndarray, formula: np.ndarray) -> np.ndarray:

@@ -173,17 +173,40 @@ def test_cli_simulate_artifacts_and_determinism(tmp_path):
     assert all(c["pass"] for c in s1["checks"].values())
 
 
-def test_cli_simulate_d3_reruns_byte_identical(tmp_path):
-    # the d = 3 interaction and accumulator columns use threaded padded transforms
-    args = ["simulate", "--d", "3", "--n-components", "2", "--beta", "1,0.5,0.5,1",
-            "--grid-m", "16", "--box-l", "6", "--p", "1", "--dt", "0.01",
-            "--t-final", "0.04", "--snapshot-stride", "2", "--amplitude", "0.5,0.4"]
+_D3_RUN = ["--d", "3", "--n-components", "2", "--beta", "1,0.5,0.5,1",
+           "--grid-m", "16", "--box-l", "6", "--p", "1", "--dt", "0.01",
+           "--t-final", "0.04", "--snapshot-stride", "2", "--amplitude", "0.5,0.4"]
+
+
+# subcommand -> (arguments, artifacts compared across reruns)
+_RERUNS = {
+    "simulate": (_D3_RUN, ["diagnostics.csv"]),
+    "verify-identities": (_D3_RUN, ["diagnostics.csv"]),
+    "scatter": (_D3_RUN + ["--scatter-window", "3"], ["diagnostics.csv", "profile.nlsf"]),
+    "gn-check": (["--d", "3", "--grid-m", "16", "--box-l", "4", "--gn-count", "3",
+                  "--seed", "5"], ["gn_report.json"]),
+}
+
+
+@pytest.mark.parametrize("experiment", list(_RERUNS))
+def test_cli_d3_reruns_byte_identical(tmp_path, experiment):
+    # the d = 3 interaction and accumulator columns use threaded padded
+    # transforms, and every column reads one shared Snapshot per state
+    args, artifacts = _RERUNS[experiment]
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(args + ["--out-dir", str(out1)]) == 0
-    assert main(args + ["--out-dir", str(out2)]) == 0
-    csv1 = (out1 / "diagnostics.csv").read_bytes()
-    assert b"acc_recip_self" in csv1 and b",I," in csv1
-    assert csv1 == (out2 / "diagnostics.csv").read_bytes()
+    code = main([experiment, *args, "--out-dir", str(out1)])
+    assert main([experiment, *args, "--out-dir", str(out2)]) == code
+    for name in artifacts:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    if experiment == "simulate":
+        assert code == 0
+        csv1 = (out1 / "diagnostics.csv").read_bytes()
+        assert b"acc_recip_self" in csv1 and b",I," in csv1
+    if experiment == "verify-identities":
+        header = (out1 / "diagnostics.csv").read_text().splitlines()[0].split(",")
+        assert header == ["t", "mass_1", "mass_2", "kinetic", "potential", "energy_total",
+                          "V", "Vdot", "Vddot", "I", "Idot", "N_term", "rhs_lower",
+                          "boundary_mass_fraction"]
 
 
 def test_cli_flag_override_echoed_in_summary(tmp_path):

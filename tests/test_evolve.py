@@ -6,9 +6,10 @@ import pytest
 from nlskit import (CouplingSpec, GridSpec, NanAbortError, ScalarField,
                     StepParams, SystemState, energy, evolve,
                     field_from_function, h1_norm, linear_substep, mass,
-                    nonlinear_substep, rk4_reference_step, strang_step)
+                    nonlinear_substep, strang_step)
 
 from conftest import free_gaussian_exact, gaussian, single_state
+from reference import rk4_reference_step
 
 
 def test_step_params_validation():

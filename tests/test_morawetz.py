@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from nlskit import (CouplingSpec, GridSpec, MorawetzWeight, ScalarField,
-                    StepParams, SystemState, energy, evolve,
+                    StepParams, SystemState, admissible_pair,
+                    boundary_mass_fraction, energy, evolve,
                     field_from_function, gradient_pairing,
-                    interaction_inequality_check, interaction_report,
-                    strang_step, total_mass, virial_V, virial_Vddot,
-                    virial_Vdot)
+                    interaction_inequality_check, interaction_report, lq_norm,
+                    mass, strang_step, sup_cube_mass, total_mass, virial_V,
+                    virial_Vddot, virial_Vdot)
+from nlskit.diagnostics import CollectorOptions, DiagnosticsCollector
 from nlskit.morawetz import SpacetimeAccumulators
 from nlskit.system import Snapshot
 
@@ -255,6 +257,41 @@ def test_shared_snapshot_gives_the_same_diagnostics(d, m):
     shared.update(snap)
     alone.update(st)
     assert shared.history == alone.history
+
+
+def test_one_collector_call_transforms_each_piece_once(monkeypatch):
+    # a d = 3, N = 2 snapshot makes one unpadded forward transform per
+    # component and one of rho, and every column equals its observable on the
+    # bare state bit for bit
+    st = two_component_state(GridSpec(3, 16, 8.0), p=1.0)
+    weight, inter = MorawetzWeight.quadratic(), MorawetzWeight.abs_distance()
+    collector = DiagnosticsCollector(st.coupling, st.grid, CollectorOptions(
+        weight=weight, vddot=True, interaction=inter,
+        strichartz_pair=admissible_pair(1.0, 3)))
+    calls, fftn = [], np.fft.fftn
+
+    def counted_fftn(*args, **kwargs):
+        calls.append(args[0].shape)
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counted_fftn)
+    collector(st)
+    monkeypatch.undo()
+    assert calls == [st.grid.shape] * (st.coupling.n + 1)
+    rec = collector.records[0]
+    e, rep = energy(st), interaction_report(st, inter)
+    expected = {"mass_1": mass(st, 0), "mass_2": mass(st, 1), "kinetic": e.kinetic,
+                "potential": e.potential, "energy_total": e.total,
+                "l4_total": lq_norm(st, 4.0).aggregate, "sup_cube_mass": sup_cube_mass(st),
+                "V": virial_V(st, weight), "Vdot": virial_Vdot(st, weight),
+                "Vddot": virial_Vddot(st, weight).total, "I": rep.I, "Idot": rep.Idot,
+                "N_term": rep.N_term, "rhs_lower": rep.rhs_lower,
+                "boundary_mass_fraction": boundary_mass_fraction(st)}
+    assert {k: rec[k] for k in expected} == expected
+    assert collector.reports == [rep]
+    alone = SpacetimeAccumulators(st.coupling)
+    alone.update(st)
+    assert collector.accumulators.history == alone.history
 
 
 # ---------------------------------------------------------------------------

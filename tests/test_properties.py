@@ -1,6 +1,8 @@
-"""Property tests of the free flow, the nonlinear substep, the Strang step,
-the symmetry under permuting components and the running time integral over
-random dimensions, grids, times and data."""
+"""Property tests of the spectral transforms (round trip and Parseval,
+padded half-spectra included), the free flow, the nonlinear substep, the
+Strang step, the symmetry under permuting components, the running time
+integral and the GN ratio's invariances over random dimensions, grids, times
+and data."""
 
 import math
 
@@ -10,8 +12,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from nlskit import (CouplingSpec, GridSpec, StepParams, energy, evolve, linear_substep,
+from nlskit import (CouplingSpec, GridSpec, ScalarField, StepParams, energy, evolve,
+                    forward_transform, gn_ratio, inverse_transform, linear_substep,
                     mass, nonlinear_substep, state_from_arrays, strang_step, total_mass)
+from nlskit.grid import padded_geometry, padded_rfft
 from nlskit.system import RunningIntegral
 
 # points per axis by dimension: small enough for many examples per test
@@ -37,8 +41,69 @@ def states(draw, max_amplitude=1.0):
     return state_from_arrays(t, arrays, CouplingSpec(n, beta, p, d), grid)
 
 
+@st.composite
+def grids(draw):
+    """A random grid: d in 1..3, an even M of at most M_BY_D[d] points per
+    axis, any half-width."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    m = 2 * draw(st.integers(4, M_BY_D[d] // 2))
+    return GridSpec(d, m, draw(st.floats(0.5, 32.0)))
+
+
+def _random_array(grid, seed, real=False):
+    rng = np.random.default_rng(seed)
+    out = rng.standard_normal(grid.shape)
+    return out if real else out + 1j * rng.standard_normal(grid.shape)
+
+
 def _max_abs(state):
     return max(np.abs(f.values).max() for f in state.fields)
+
+
+@PROPERTY
+@given(grids(), st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1e3))
+def test_transform_round_trip_and_parseval(grid, seed, amp):
+    f = ScalarField(amp * _random_array(grid, seed), grid)
+    c = forward_transform(f)
+    back = inverse_transform(c)
+    scale = np.abs(f.values).max()
+    assert np.abs(back.values - f.values).max() <= 1e-13 * scale
+    assert abs(c.values.flat[0] - f.values.mean()) <= 1e-13 * scale   # c_0 is the mean
+    # h^d sum |f|^2 = (2L)^d sum |c_k|^2
+    physical = grid.cell_volume * float(np.sum(np.abs(f.values) ** 2))
+    spectral = grid.box_volume * float(np.sum(np.abs(c.values) ** 2))
+    assert math.isclose(physical, spectral, rel_tol=1e-12)
+
+
+@PROPERTY
+@given(grids(), st.integers(0, 2 ** 32 - 1), st.sampled_from((2, 3, 4)))
+def test_padded_half_spectrum_parseval(grid, seed, factor):
+    # every half-spectrum mode stands for itself and its conjugate except on
+    # the last-axis 0 and Nyquist planes: PaddedGeometry.weights
+    f = _random_array(grid, seed, real=True)
+    geo = padded_geometry(grid, factor)
+    f_hat = padded_rfft(grid, f, factor)
+    assert f_hat.shape == geo.shape[:-1] + (geo.shape[-1] // 2 + 1,)
+    physical = grid.cell_volume * float(np.sum(f * f))
+    spectral = grid.cell_volume / geo.npoints * float(np.sum(geo.weights * np.abs(f_hat) ** 2))
+    assert math.isclose(physical, spectral, rel_tol=1e-12)
+
+
+@PROPERTY
+@given(st.sampled_from(((1, 64, 4), (2, 32, 2), (3, 16, 2))), st.integers(1, 3),
+       st.sampled_from(("main", "cubic")), st.integers(0, 2 ** 32 - 1),
+       st.floats(1e-2, 1e2), st.data())
+def test_gn_ratio_is_invariant_under_scaling_and_grid_translation(
+        dims, n, variant, seed, scale, data):
+    d, m, cells = dims   # h = 1/cells divides the unit cube edge
+    grid = GridSpec(d, m, m / (2.0 * cells))
+    arrays = [_random_array(grid, seed + mu) for mu in range(n)]
+    ratio = gn_ratio([ScalarField(a, grid) for a in arrays], variant)
+    shift = tuple(data.draw(st.integers(0, m - 1)) for _ in range(d))
+    moved = [ScalarField(np.roll(a, shift, axis=tuple(range(d))), grid) for a in arrays]
+    scaled = [ScalarField(scale * a, grid) for a in arrays]
+    assert math.isclose(gn_ratio(moved, variant), ratio, rel_tol=1e-12)
+    assert math.isclose(gn_ratio(scaled, variant), ratio, rel_tol=1e-12)
 
 
 @PROPERTY

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nlskit import (CouplingSpec, GridSpec, ScalarField, SystemState,
-                    boundary_mass_fraction, current, density, energy,
+from nlskit import (CouplingSpec, GridSpec, ScalarField, Snapshot, SystemState,
+                    boundary_mass_fraction, current, energy,
                     field_from_function, h1_norm, lq_norm, mass, sup_cube_mass,
                     total_mass)
 
@@ -53,12 +53,12 @@ def test_state_validation(grid1d):
 
 def test_density_examples(grid1d):
     st = single_state(gaussian(grid1d))
-    d = density(st, 0).values
+    d = Snapshot(st).m[0]
     assert np.abs(d - np.exp(-grid1d.x_mesh[0] ** 2)).max() < 1e-14
     zero = single_state(ScalarField(np.zeros(grid1d.shape, complex), grid1d, "physical"))
-    assert np.abs(density(zero, 0).values).max() == 0.0
+    assert np.abs(Snapshot(zero).m[0]).max() == 0.0
     with pytest.raises(IndexError):
-        density(st, 1)
+        mass(st, 1)
 
 
 def test_current_real_field_vanishes(grid1d):
@@ -90,9 +90,9 @@ def test_mass_values(grid1d):
     cst = single_state(ScalarField(np.full(grid1d.shape, c), grid1d, "physical"))
     assert math.isclose(mass(cst, 0), abs(c) ** 2 * 2 * grid1d.l, rel_tol=1e-14)
     # mass equals the L1 norm of the density by construction
-    d = density(st, 0)
+    d = Snapshot(st).m[0]
     assert math.isclose(mass(st, 0),
-                        grid1d.cell_volume * float(d.values.sum()), rel_tol=0.0)
+                        grid1d.cell_volume * float(d.sum()), rel_tol=0.0)
 
 
 def test_energy_sine_kinetic(grid1d):
@@ -169,7 +169,7 @@ def test_gauge_invariance(grid1d):
     f = gaussian(grid1d, amp=0.8, velocity=[0.4])
     st = single_state(f, p=1.5)
     rot = single_state(ScalarField(np.exp(1.3j) * f.values, grid1d, "physical"), p=1.5)
-    assert np.abs(density(st, 0).values - density(rot, 0).values).max() < 1e-12
+    assert np.abs(Snapshot(st).m[0] - Snapshot(rot).m[0]).max() < 1e-12
     assert np.abs(current(st, 0)[0].values - current(rot, 0)[0].values).max() < 1e-12
     assert math.isclose(mass(st, 0), mass(rot, 0), rel_tol=1e-12)
     assert math.isclose(energy(st).total, energy(rot).total, rel_tol=1e-12)

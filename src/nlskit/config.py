@@ -160,6 +160,11 @@ def parse_config(path: str | os.PathLike | None = None,
     return RunConfig(**merged)
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _validate(c: dict, problems: list[str]):
     """Range and cross-field rules; every value has its declared type here
     (a value of another type was reported and left at its default)."""
@@ -204,6 +209,16 @@ def _validate(c: dict, problems: list[str]):
         misfit = GridSpec(cfg.d, cfg.grid_m, cfg.box_l).unit_cube_problem()
         if misfit:
             problems.append(f"gn-check needs unit cubes on the grid: {misfit}")
+    if cfg.experiment == "wave-op":
+        # the wave operator holds one complex n_nodes x N x M^d node buffer
+        n_nodes = int(round(cfg.wave_t / cfg.wave_dt)) + 1
+        size, memory = n_nodes * n * cfg.grid_m ** cfg.d * 16, _physical_memory()
+        if size > memory:
+            problems.append(
+                f"wave-op needs a {size / 2 ** 20:.1f} MiB node buffer ({n_nodes} nodes x "
+                f"{n} components x {cfg.grid_m}^{cfg.d} points), more than the "
+                f"{memory / 2 ** 20:.1f} MiB of physical memory: "
+                "shorten wave_t, lengthen wave_dt or coarsen the grid")
     if cfg.experiment == "verify-identities":
         # the finite differences of the checks need an interior snapshot
         for key in ("t_final", "fd_calibration_t") if cfg.fd_calibration_t else ("t_final",):

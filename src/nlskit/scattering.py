@@ -17,8 +17,8 @@ Wave-operator side: for a prescribed asymptotic profile w0+ the map
     h_mu(w) = sum_nu beta[mu,nu] |w_nu|^{p+1} |w_mu|^{p-1} w_mu,
 
 is iterated to its fixed point on a uniform time grid over [0, T] (trapezoid
-in s, exact spectral propagators, evaluated by a backward recursion so one
-sweep costs one propagator application per node).  w(0) is the initial datum
+in s, in the interaction picture exp(-i t Lap) w(t), where the free flow is
+constant and the Duhamel integral a running sum).  w(0) is the initial datum
 whose solution scatters to w0+; for small data the iteration contracts
 geometrically.
 """
@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import ScalarField, PHYSICAL, spectral_gradient
+from .grid import ScalarField, PHYSICAL, SPECTRAL, spectral_gradient
 from .system import (CouplingSpec, RunningIntegral, Snapshot, SystemState, mass,
                      state_from_arrays)
 from .evolve import NanAbortError, _nonlinear_exponents, linear_substep
@@ -193,89 +193,89 @@ def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
     """Initial datum whose solution scatters to the given asymptotic profile.
 
     Iterates the truncated Duhamel fixed point on the uniform grid
-    t_i = i dt over [0, T]; stops when the sup-in-time H^1 increment of the
-    iterate drops below tol.  Reaching max_iter returns a non-convergence
-    report; residuals growing three consecutive times, or a non-finite
-    nonlinearity, iterate or residual, raise WaveOperatorDivergence.  The
-    neglected tail int_T^inf is estimated by the final node's Duhamel
-    contribution and reported.
+    t_i = i dt over [0, T] until the sup-in-time H^1 increment of the iterate
+    drops below tol, holding V_i = FFT(exp(-i t_i Lap) w(t_i)) in one
+    n_nodes x N x M^d buffer: a sweep sets V_i = FFT(w0+) + i Sigma_i with
+    Sigma_i = Sigma_{i+1} + (dt/2)(H_{i+1} + H_i), H_i = FFT(exp(-i t_i Lap)
+    h(w(t_i))), back from Sigma_T = 0.  Reaching max_iter returns a
+    non-convergence report; residuals growing three consecutive times, or a
+    non-finite nonlinearity, iterate or residual, raise
+    WaveOperatorDivergence.  The neglected tail int_T^inf is estimated by the
+    final node's Duhamel contribution and reported.
     """
     grid = profile[0].grid
     n_nodes = int(round(t_max / dt)) + 1
     if n_nodes < 2:
         raise ValueError("truncation time must cover at least one step")
-    prof = [np.asarray(f.to_physical().values, dtype=complex) for f in profile]
+    axes = tuple(range(1, grid.d + 1))
+    # rows: exp(-+ i t |k|^2), the multipliers of exp(+- i t Lap), at t = T
+    sign = np.array([-1j, 1j]).reshape((2,) + (1,) * grid.d)
+    phases_T = np.exp(sign * (n_nodes - 1) * dt * grid.k_squared)
+    back = np.exp(-sign * dt * grid.k_squared)  # moves both rows one node back
+    v0 = np.fft.fftn([f.to_physical().values for f in profile], axes=axes)
+    V = np.repeat(v0[np.newaxis], n_nodes, axis=0)  # the free trajectory
+    h_T, h_here, h_next, sigma, new = (np.empty_like(v0) for _ in range(5))
 
-    # free trajectory exp(i t Lap) w0+ sampled on the node times
-    mult = np.exp(-1j * grid.k_squared * dt)
-    free = np.empty((n_nodes, coupling.n) + grid.shape, dtype=complex)
-    spectra = [np.fft.fftn(a) for a in prof]
-    for i in range(n_nodes):
-        for mu in range(coupling.n):
-            free[i, mu] = np.fft.ifftn(spectra[mu])
-            spectra[mu] = spectra[mu] * mult
-
-    def nonlinearity(node, t):
-        arrs = [node[mu] for mu in range(coupling.n)]
+    def integrand(v, phases, t, out):
+        """out = H at time t for V(t) = v; phases are the rows at t."""
+        np.multiply(v, phases[0], out=out)
+        np.fft.ifftn(out, axes=axes, out=out)
         try:
-            gs = _nonlinear_exponents(arrs, coupling, t)
+            gs = _nonlinear_exponents(list(out), coupling, t)
         except NanAbortError as err:
             raise WaveOperatorDivergence(
                 residuals, f"non-finite nonlinearity at t = {err.t}") from err
-        return [g * a for g, a in zip(gs, arrs)]
+        for g, a in zip(gs, out):
+            a *= g
+        np.fft.fftn(out, axes=axes, out=out)
+        out *= phases[1]
 
-    back = np.conj(mult)  # exp(+i dt |k|^2): propagator exp(-i dt Lap) ... inverse step
+    def h1(spectra):  # summed H^1 norms; exp(i t Lap) is an H^1 isometry
+        return sum(ScalarField(s / grid.npoints, grid, SPECTRAL).h1_norm() for s in spectra)
 
-    w = free.copy()
+    # the last node holds FFT(w0+) in every iterate: its zero increment is not sampled
+    sampled = range(0, n_nodes, max(1, n_nodes // 64))
     residuals: list[float] = []
     grow = 0
-    converged = False
-    message = ""
     # overflow shows up as a non-finite nonlinearity, iterate or residual,
     # each of which raises WaveOperatorDivergence
     with np.errstate(over="ignore", invalid="ignore"):
+        integrand(v0, phases_T, (n_nodes - 1) * dt, h_T)
         for it in range(1, max_iter + 1):
-            new = np.empty_like(w)
-            h_next = nonlinearity(w[-1], (n_nodes - 1) * dt)
-            new[-1] = free[-1]
-            # S(t_i) = exp(-i dt Lap) S(t_{i+1}) + (dt/2)(h(t_i) + exp(-i dt Lap) h(t_{i+1}))
-            S = [np.zeros(grid.shape, dtype=complex) for _ in range(coupling.n)]
+            phases = phases_T.copy()
+            h_next[...] = h_T
+            sigma.fill(0.0)
+            gaps = []
             for i in range(n_nodes - 2, -1, -1):
-                h_here = nonlinearity(w[i], i * dt)
-                for mu in range(coupling.n):
-                    carried = np.fft.ifftn(np.fft.fftn(S[mu] + 0.5 * dt * h_next[mu]) * back)
-                    S[mu] = carried + 0.5 * dt * h_here[mu]
-                    new[i, mu] = free[i, mu] + 1j * S[mu]
-                h_next = h_here
-            # node 0 is sampled and the recursion carries every later node into
-            # it, so a non-finite value anywhere makes a sampled gap non-finite
-            gaps = [sum(ScalarField(new[i, mu] - w[i, mu], grid, PHYSICAL).h1_norm()
-                        for mu in range(coupling.n))
-                    for i in range(0, n_nodes, max(1, n_nodes // 64))]
+                phases *= back
+                integrand(V[i], phases, i * dt, h_here)
+                h_next += h_here
+                h_next *= 0.5 * dt
+                sigma += h_next
+                h_next, h_here = h_here, h_next
+                np.multiply(sigma, 1j, out=new)
+                new += v0
+                if i in sampled:
+                    V[i] -= new
+                    gaps.append(h1(V[i]))
+                V[i] = new
+            # node 0 is sampled and the running sum carries every later node
+            # into it, so a non-finite value anywhere makes a sampled gap non-finite
             if not all(math.isfinite(g) for g in gaps):
                 raise WaveOperatorDivergence(
                     residuals, f"non-finite iterate or residual in iteration {it}")
             res = max(gaps)
             residuals.append(res)
-            w = new
             if res < tol:
-                converged = True
                 break
-            if len(residuals) >= 2 and res > residuals[-2]:
-                grow += 1
-                if grow >= 3:
-                    raise WaveOperatorDivergence(residuals)
-            else:
-                grow = 0
-        else:
-            message = (f"fixed point did not reach tol = {tol} within {max_iter} "
-                       "iterations; residual history attached")
+            grow = grow + 1 if len(residuals) >= 2 and res > residuals[-2] else 0
+            if grow >= 3:
+                raise WaveOperatorDivergence(residuals)
 
-    tail = dt * sum(ScalarField(h, grid, PHYSICAL).h1_norm()
-                    for h in nonlinearity(w[-1], (n_nodes - 1) * dt))
-    state0 = state_from_arrays(0.0, [w[0, mu] for mu in range(coupling.n)],
-                               coupling, grid)
-    return WaveOperatorResult(state0=state0, converged=converged,
-                              iterations=len(residuals),
-                              residuals=tuple(residuals), tail_estimate=tail,
-                              message=message)
+    converged = bool(residuals) and residuals[-1] < tol
+    message = "" if converged else (f"fixed point did not reach tol = {tol} within "
+                                    f"{max_iter} iterations; residual history attached")
+    return WaveOperatorResult(
+        state0=state_from_arrays(0.0, np.fft.ifftn(V[0], axes=axes), coupling, grid),
+        converged=converged, iterations=len(residuals), residuals=tuple(residuals),
+        tail_estimate=dt * h1(h_T), message=message)

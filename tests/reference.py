@@ -1,16 +1,24 @@
-"""Reference integrators the tests compare the production stepper against.
+"""Reference implementations the tests compare the production stepper and
+wave operator against.
 
 rk4_reference_step is a classical RK4 step on the full right-hand side, an
 independent cross-validation oracle for the Strang stepper; explicit, so
 stable only for dt of order h^2/pi.
+
+wave_operator_reference is the three-buffer wave-operator recursion in
+physical space (the free trajectory, the iterate and the new iterate, each
+n_nodes x N x M^d); the production wave_operator works in the interaction
+picture with one buffer and must agree with it to rounding.
 """
 
 import math
+from typing import Sequence
 
 import numpy as np
 
-from nlskit.evolve import _nonlinear_exponents
-from nlskit.grid import GridSpec
+from nlskit.evolve import NanAbortError, _nonlinear_exponents
+from nlskit.grid import PHYSICAL, GridSpec, ScalarField
+from nlskit.scattering import WaveOperatorDivergence, WaveOperatorResult
 from nlskit.system import CouplingSpec, SystemState, state_from_arrays
 
 
@@ -48,3 +56,97 @@ def rk4_reference_step(state: SystemState, dt: float) -> SystemState:
             f"RK4 reference step unstable at t = {state.t}: "
             f"norm grew {new_norm / old_norm:.2e}x; reduce dt below h^2/pi")
     return state_from_arrays(state.t + dt, new, c, g)
+
+
+def wave_operator_reference(profile: Sequence[ScalarField], coupling: CouplingSpec,
+                            t_max: float, dt: float, tol: float = 1e-6,
+                            max_iter: int = 30) -> WaveOperatorResult:
+    """Initial datum whose solution scatters to the given asymptotic profile.
+
+    Iterates the truncated Duhamel fixed point on the uniform grid
+    t_i = i dt over [0, T]; stops when the sup-in-time H^1 increment of the
+    iterate drops below tol.  Reaching max_iter returns a non-convergence
+    report; residuals growing three consecutive times, or a non-finite
+    nonlinearity, iterate or residual, raise WaveOperatorDivergence.  The
+    neglected tail int_T^inf is estimated by the final node's Duhamel
+    contribution and reported.
+    """
+    grid = profile[0].grid
+    n_nodes = int(round(t_max / dt)) + 1
+    if n_nodes < 2:
+        raise ValueError("truncation time must cover at least one step")
+    prof = [np.asarray(f.to_physical().values, dtype=complex) for f in profile]
+
+    # free trajectory exp(i t Lap) w0+ sampled on the node times
+    mult = np.exp(-1j * grid.k_squared * dt)
+    free = np.empty((n_nodes, coupling.n) + grid.shape, dtype=complex)
+    spectra = [np.fft.fftn(a) for a in prof]
+    for i in range(n_nodes):
+        for mu in range(coupling.n):
+            free[i, mu] = np.fft.ifftn(spectra[mu])
+            spectra[mu] = spectra[mu] * mult
+
+    def nonlinearity(node, t):
+        arrs = [node[mu] for mu in range(coupling.n)]
+        try:
+            gs = _nonlinear_exponents(arrs, coupling, t)
+        except NanAbortError as err:
+            raise WaveOperatorDivergence(
+                residuals, f"non-finite nonlinearity at t = {err.t}") from err
+        return [g * a for g, a in zip(gs, arrs)]
+
+    back = np.conj(mult)  # exp(+i dt |k|^2): propagator exp(-i dt Lap) ... inverse step
+
+    w = free.copy()
+    residuals: list[float] = []
+    grow = 0
+    converged = False
+    message = ""
+    # overflow shows up as a non-finite nonlinearity, iterate or residual,
+    # each of which raises WaveOperatorDivergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            new = np.empty_like(w)
+            h_next = nonlinearity(w[-1], (n_nodes - 1) * dt)
+            new[-1] = free[-1]
+            # S(t_i) = exp(-i dt Lap) S(t_{i+1}) + (dt/2)(h(t_i) + exp(-i dt Lap) h(t_{i+1}))
+            S = [np.zeros(grid.shape, dtype=complex) for _ in range(coupling.n)]
+            for i in range(n_nodes - 2, -1, -1):
+                h_here = nonlinearity(w[i], i * dt)
+                for mu in range(coupling.n):
+                    carried = np.fft.ifftn(np.fft.fftn(S[mu] + 0.5 * dt * h_next[mu]) * back)
+                    S[mu] = carried + 0.5 * dt * h_here[mu]
+                    new[i, mu] = free[i, mu] + 1j * S[mu]
+                h_next = h_here
+            # node 0 is sampled and the recursion carries every later node into
+            # it, so a non-finite value anywhere makes a sampled gap non-finite
+            gaps = [sum(ScalarField(new[i, mu] - w[i, mu], grid, PHYSICAL).h1_norm()
+                        for mu in range(coupling.n))
+                    for i in range(0, n_nodes, max(1, n_nodes // 64))]
+            if not all(math.isfinite(g) for g in gaps):
+                raise WaveOperatorDivergence(
+                    residuals, f"non-finite iterate or residual in iteration {it}")
+            res = max(gaps)
+            residuals.append(res)
+            w = new
+            if res < tol:
+                converged = True
+                break
+            if len(residuals) >= 2 and res > residuals[-2]:
+                grow += 1
+                if grow >= 3:
+                    raise WaveOperatorDivergence(residuals)
+            else:
+                grow = 0
+        else:
+            message = (f"fixed point did not reach tol = {tol} within {max_iter} "
+                       "iterations; residual history attached")
+
+    tail = dt * sum(ScalarField(h, grid, PHYSICAL).h1_norm()
+                    for h in nonlinearity(w[-1], (n_nodes - 1) * dt))
+    state0 = state_from_arrays(0.0, [w[0, mu] for mu in range(coupling.n)],
+                               coupling, grid)
+    return WaveOperatorResult(state0=state0, converged=converged,
+                              iterations=len(residuals),
+                              residuals=tuple(residuals), tail_estimate=tail,
+                              message=message)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nlskit.cli
+import nlskit.config
 import nlskit.verify
 from nlskit import (ConfigError, MorawetzWeight, parse_config, read_fields,
                     write_fields)
@@ -398,6 +399,27 @@ def test_cli_wave_op_writes_profile_and_diverges_for_large_data(tmp_path):
     assert code == 1
     summary = json.loads((baddir / "summary.json").read_text())
     assert summary["converged"] is False
+
+
+def test_cli_wave_op_refuses_a_node_buffer_larger_than_memory(tmp_path, capsys, monkeypatch):
+    # 81 nodes x 2 components x 64 points x 16 bytes = 165888 bytes; no array
+    # of that size is allocated, the refusal comes from the estimate
+    monkeypatch.setattr(nlskit.config, "_physical_memory", lambda: 100_000)
+    code = main(["wave-op", "--d", "1", "--grid-m", "64", "--box-l", "16",
+                 "--n-components", "2", "--wave-t", "4", "--wave-dt", "0.05",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nlskit: invalid configuration")
+    assert "0.2 MiB node buffer (81 nodes x 2 components x 64^1 points)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+    # a buffer of exactly the memory size is accepted
+    monkeypatch.setattr(nlskit.config, "_physical_memory", lambda: 165_888)
+    cfg = parse_config(overrides={"experiment": "wave-op", "d": 1, "grid_m": 64,
+                                  "n_components": 2, "wave_t": 4.0, "wave_dt": 0.05})
+    assert cfg.experiment == "wave-op"
 
 
 def test_cli_wave_op_overflow_is_a_named_divergence(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Property tests of the spectral transforms (round trip and Parseval,
 padded half-spectra included), the free flow, the nonlinear substep, the
-Strang step, the symmetry under permuting components, the running time
-integral and the GN ratio's invariances over random dimensions, grids, times
-and data."""
+Strang step, the symmetry of the stepper and of the wave operator under
+permuting components, the running time integral and the GN ratio's
+invariances over random dimensions, grids, times and data."""
 
 import math
 
@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from nlskit import (CouplingSpec, GridSpec, ScalarField, StepParams, energy, evolve,
                     forward_transform, gn_ratio, inverse_transform, linear_substep,
-                    mass, nonlinear_substep, state_from_arrays, strang_step, total_mass)
+                    mass, nonlinear_substep, state_from_arrays, strang_step, total_mass,
+                    wave_operator)
 from nlskit.grid import padded_geometry, padded_rfft
 from nlskit.system import RunningIntegral
 
@@ -162,6 +163,25 @@ def test_permuting_beta_and_the_components_permutes_the_solution(state, dt, data
         assert math.isclose(mass(out_swapped, i), mass(out, mu), rel_tol=1e-12, abs_tol=1e-300)
     assert math.isclose(energy(out_swapped).total, energy(out).total,
                         rel_tol=1e-12, abs_tol=1e-300)
+
+
+@PROPERTY
+@given(states(max_amplitude=0.2), st.data())
+def test_permuting_beta_and_the_profile_permutes_the_wave_operator(state, data):
+    c = state.coupling
+    perm = data.draw(st.permutations(range(c.n)))
+    swapped = CouplingSpec(c.n, c.beta[np.ix_(perm, perm)], c.p, c.d)
+    res = wave_operator(state.fields, c, 0.5, 0.05, tol=1e-10, max_iter=8)
+    res_swapped = wave_operator([state.fields[i] for i in perm], swapped, 0.5, 0.05,
+                                tol=1e-10, max_iter=8)
+    # the exponent sums over nu, and the residual over mu, in another order
+    tol = 1e-12 * max(_max_abs(res.state0), 1e-300)
+    for i, mu in enumerate(perm):
+        assert np.abs(res_swapped.state0.fields[i].values
+                      - res.state0.fields[mu].values).max() <= tol
+    assert res_swapped.iterations == res.iterations
+    for a, b in zip(res_swapped.residuals, res.residuals):
+        assert abs(a - b) <= 1e-12 * max(res.residuals[0], 1e-300)
 
 
 @PROPERTY

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from nlskit import (CouplingSpec, GridSpec, ScalarField, StepParams,
                     w1r_norm, wave_operator)
 
 from conftest import gaussian, single_state
+from reference import wave_operator_reference
 
 
 # ---------------------------------------------------------------------------
@@ -221,3 +223,47 @@ def test_wave_operator_roundtrip_small():
     gap = ScalarField(out.profile[0].values - prof[0].values, grid, "physical")
     assert gap.h1_norm() < 1e-2
     assert out.mass_mismatch < 1e-6
+
+
+def _two_component_profile(m):
+    grid = GridSpec(2, m, 8.0)
+    cpl = CouplingSpec(2, np.array([[1.0, 0.5], [0.5, 1.0]]), 1.0, 2)
+    prof = [gaussian(grid, amp=0.3, center=[0.5, 0.0], velocity=[0.4, 0.0]),
+            gaussian(grid, amp=0.2, center=[-0.5, 0.3], width=1.3)]
+    return prof, cpl
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_wave_operator_matches_the_three_buffer_recursion(d):
+    # the interaction-picture sweep against the physical-space recursion it
+    # replaced: equal up to rounding
+    if d == 1:
+        grid = GridSpec(1, 256, 32.0)
+        cpl = CouplingSpec(1, np.array([[1.0]]), 2.0, 1)
+        prof = [gaussian(grid, amp=0.3, velocity=[0.5])]
+    else:
+        prof, cpl = _two_component_profile(32)
+    res = wave_operator(prof, cpl, 3.0, 0.05, tol=1e-10)
+    ref = wave_operator_reference(prof, cpl, 3.0, 0.05, tol=1e-10)
+    assert res.converged and ref.converged
+    assert res.iterations == ref.iterations
+    scale = max(np.abs(f.values).max() for f in ref.state0.fields)
+    for a, b in zip(res.state0.fields, ref.state0.fields):
+        assert np.abs(a.values - b.values).max() <= 1e-12 * scale
+    assert math.isclose(res.tail_estimate, ref.tail_estimate, rel_tol=1e-12)
+    for a, b in zip(res.residuals, ref.residuals):
+        assert abs(a - b) <= 1e-12 * ref.residuals[0]
+
+
+def test_wave_operator_holds_one_node_buffer():
+    prof, cpl = _two_component_profile(32)
+    n_nodes = int(round(5.0 / 0.05)) + 1
+    node_buffer = n_nodes * cpl.n * 32 ** 2 * 16
+    tracemalloc.start()
+    try:
+        res = wave_operator(prof, cpl, 5.0, 0.05, tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak < 1.5 * node_buffer, f"peak {peak / node_buffer:.2f} node buffers"

@@ -65,18 +65,28 @@ def _nonlinear_exponents(arrays: list[np.ndarray], coupling: CouplingSpec,
     (decoupled mode only) sets g_mu = 0 wherever |u_mu| vanishes, where the
     product g_mu u_mu is zero anyway.  A non-finite exponent raises
     NanAbortError at t, the time of the step being taken; the overflow that
-    produced it is that error, not a RuntimeWarning."""
+    produced it is that error, not a RuntimeWarning.
+
+    The sum over nu does not depend on how the components are labelled: the
+    cross terms are added first (two floats add commutatively; three or more
+    are sorted pointwise), then the self term.  Relabelling the components
+    and beta together therefore relabels g_mu bit for bit."""
     p = coupling.p
     with np.errstate(over="ignore", invalid="ignore"):
         mods = [np.abs(a) for a in arrays]
         pow_p1 = [m ** (p + 1.0) for m in mods]
         out = []
         for mu in range(coupling.n):
+            cross = [coupling.beta[mu, nu] * pow_p1[nu] for nu in range(coupling.n)
+                     if nu != mu and coupling.beta[mu, nu] != 0.0]
+            if len(cross) > 2:
+                cross = np.sort(np.stack(cross), axis=0)
             s = np.zeros(arrays[mu].shape)
-            for nu in range(coupling.n):
-                b = coupling.beta[mu, nu]
-                if b != 0.0:
-                    s += b * pow_p1[nu]
+            for term in cross:
+                s += term
+            b = coupling.beta[mu, mu]
+            if b != 0.0:
+                s += b * pow_p1[mu]
             if p == 1.0:
                 fac = 1.0
             elif p > 1.0:

@@ -8,6 +8,20 @@ Both substeps are exact flows:
     each field picks up the phase exp(-i tau g_mu).  The moduli |u_mu| are
     constant along this flow, so the substep is exact and preserves every
     pointwise modulus.
+
+The components couple only pointwise, so a step does the same work on each
+of them.  The stepper holds them stacked as one (N, M, ..., M) complex array
+and works on the whole stack through three helpers:
+
+  * ``_transform``: one ``scipy.fft`` ``fftn``/``ifftn`` call over the
+    spatial axes, overwriting its input;
+  * ``_nonlinear_exponents``: every g_mu at once, into a real (N, ...)
+    buffer;
+  * ``_rotate``: u <- exp(-i tau g) u in place, the phase written with
+    cos/sin into a complex scratch array.
+
+``linear_substep``, ``nonlinear_substep``, ``strang_step`` and ``evolve``
+all use them, so one ``strang_step`` equals a one-step ``evolve`` bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +31,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.fft
 
 from .system import CouplingSpec, SystemState, state_from_arrays
 
@@ -59,56 +74,86 @@ class StepParams:
 MIN_MODULUS = 1e-300  # below this, |u|^{p-1} for p < 1 is defined as zero
 
 
-def _nonlinear_exponents(arrays: list[np.ndarray], coupling: CouplingSpec,
-                         t: float) -> list[np.ndarray]:
-    """g_mu = sum_nu beta[mu,nu] |u_nu|^{p+1} |u_mu|^{p-1}; the p < 1 case
+def _stack(state: SystemState) -> np.ndarray:
+    """A fresh (N, ...) complex array holding the component fields."""
+    return np.array([f.values for f in state.fields], dtype=complex)
+
+
+def _transform(stack: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """fftn (ifftn if ``inverse``) of every component of the stack, in one
+    call over the spatial axes that overwrites ``stack``; returns the result,
+    which shares its memory."""
+    fn = scipy.fft.ifftn if inverse else scipy.fft.fftn
+    return fn(stack, axes=tuple(range(1, stack.ndim)), overwrite_x=True)
+
+
+def _nonlinear_exponents(stack, coupling: CouplingSpec, t: float,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """g_mu = sum_nu beta[mu,nu] |u_nu|^{p+1} |u_mu|^{p-1} for every component
+    of ``stack`` (anything ``np.asarray`` makes an (N, ...) array), written
+    into ``out`` (a new real array if None) and returned.  The p < 1 case
     (decoupled mode only) sets g_mu = 0 wherever |u_mu| vanishes, where the
     product g_mu u_mu is zero anyway.  A non-finite exponent raises
-    NanAbortError at t, the time of the step being taken; the overflow that
+    NanAbortError at t, the time of the step being taken, chained to a
+    ValueError naming the component and grid index; the overflow that
     produced it is that error, not a RuntimeWarning.
 
     The sum over nu does not depend on how the components are labelled: the
     cross terms are added first (two floats add commutatively; three or more
     are sorted pointwise), then the self term.  Relabelling the components
     and beta together therefore relabels g_mu bit for bit."""
-    p = coupling.p
+    stack = np.asarray(stack)
+    p, beta = coupling.p, coupling.beta
+    if out is None:
+        out = np.empty(stack.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        mods = [np.abs(a) for a in arrays]
-        pow_p1 = [m ** (p + 1.0) for m in mods]
-        out = []
-        for mu in range(coupling.n):
-            cross = [coupling.beta[mu, nu] * pow_p1[nu] for nu in range(coupling.n)
-                     if nu != mu and coupling.beta[mu, nu] != 0.0]
+        fac = np.abs(stack)  # |u_mu|, later |u_mu|^{p-1}
+        pow_p1 = fac ** (p + 1.0)
+        term = np.empty(stack.shape[1:])
+        for mu, s in enumerate(out):
+            cross = [nu for nu in range(coupling.n) if nu != mu and beta[mu, nu] != 0.0]
+            s.fill(0.0)
             if len(cross) > 2:
-                cross = np.sort(np.stack(cross), axis=0)
-            s = np.zeros(arrays[mu].shape)
-            for term in cross:
-                s += term
-            b = coupling.beta[mu, mu]
-            if b != 0.0:
-                s += b * pow_p1[mu]
-            if p == 1.0:
-                fac = 1.0
-            elif p > 1.0:
-                fac = mods[mu] ** (p - 1.0)
+                for a in np.sort([beta[mu, nu] * pow_p1[nu] for nu in cross], axis=0):
+                    s += a
             else:
-                safe = np.where(mods[mu] > MIN_MODULUS, mods[mu], 1.0)
-                fac = np.where(mods[mu] > MIN_MODULUS, safe ** (p - 1.0), 0.0)
-            g = s * fac
-            if not np.isfinite(g).all():
-                idx = tuple(int(i[0]) for i in np.nonzero(~np.isfinite(g)))
-                raise NanAbortError(t) from ValueError(
-                    f"non-finite nonlinear exponent at grid index {idx}")
-            out.append(g)
+                for nu in cross:
+                    s += np.multiply(beta[mu, nu], pow_p1[nu], out=term)
+            if beta[mu, mu] != 0.0:
+                s += np.multiply(beta[mu, mu], pow_p1[mu], out=term)
+        if p > 1.0:
+            if p != 2.0:  # |u|^1 is |u|
+                np.power(fac, p - 1.0, out=fac)
+            out *= fac
+        elif p < 1.0:
+            safe = np.where(fac > MIN_MODULUS, fac, 1.0)
+            out *= np.where(fac > MIN_MODULUS, safe ** (p - 1.0), 0.0)
+        if not np.isfinite(out).all():
+            mu, *idx = (int(i[0]) for i in np.nonzero(~np.isfinite(out)))
+            raise NanAbortError(t) from ValueError(
+                f"non-finite nonlinear exponent in component {mu} "
+                f"at grid index {tuple(idx)}")
     return out
+
+
+def _rotate(stack: np.ndarray, g: np.ndarray, tau: float) -> None:
+    """stack <- exp(-i tau g) stack in place; ``g`` is overwritten with
+    -tau g.  The phase scratch is not kept between calls, so a stepper does
+    not hold it while its sink runs."""
+    theta = np.multiply(g, -tau, out=g)
+    phase = np.empty(stack.shape, dtype=complex)
+    np.cos(theta, out=phase.real)
+    np.sin(theta, out=phase.imag)
+    stack *= phase
 
 
 def linear_substep(state: SystemState, tau: float) -> SystemState:
     """Free flow over time tau: multiplier exp(-i |k|^2 tau) per component."""
     g = state.grid
-    mult = np.exp(-1j * g.k_squared * tau)
-    arrays = [np.fft.ifftn(np.fft.fftn(f.values) * mult) for f in state.fields]
-    return state_from_arrays(state.t + tau, arrays, state.coupling, g)
+    stack = _transform(_stack(state))
+    stack *= np.exp(-1j * g.k_squared * tau)
+    return state_from_arrays(state.t + tau, _transform(stack, inverse=True),
+                             state.coupling, g)
 
 
 def nonlinear_substep(state: SystemState, tau: float) -> SystemState:
@@ -117,10 +162,10 @@ def nonlinear_substep(state: SystemState, tau: float) -> SystemState:
     Does not advance t: the nonlinear flow is applied within a split step
     whose time bookkeeping is owned by the linear parts.
     """
-    arrays = [f.values for f in state.fields]
-    gs = _nonlinear_exponents(arrays, state.coupling, state.t)
-    new = [a * np.exp(-1j * tau * g) for a, g in zip(arrays, gs)]
-    return state_from_arrays(state.t, new, state.coupling, state.grid)
+    stack = _stack(state)
+    g = _nonlinear_exponents(stack, state.coupling, state.t)
+    _rotate(stack, g, tau)
+    return state_from_arrays(state.t, stack, state.coupling, state.grid)
 
 
 def strang_step(state: SystemState, dt: float) -> SystemState:
@@ -144,6 +189,13 @@ def evolve(state: SystemState, params: StepParams,
     observable overflows).  Boundary-mass accounting is an observable and is
     left to the sink, which can flag the run invalid without interrupting it.
 
+    The N components are stepped as one (N, M, ..., M) complex stack with
+    one real exponent buffer of the same shape, both allocated once per
+    call: each transform is one in-place ``scipy.fft`` call over the spatial
+    axes, the exponents are written into the buffer, and the phase rotation
+    multiplies the stack in place.  A snapshot hands the sink the stack
+    itself; stepping goes on in a copy.
+
     Consecutive half linear steps inside a snapshot block are fused into
     whole steps; the composition is mathematically identical to repeated
     strang_step.
@@ -160,29 +212,35 @@ def evolve(state: SystemState, params: StepParams,
     if n_steps == 0:
         return state
 
+    # allocated after the first sink call, which therefore runs without them
+    # (a sink's own transforms set the peak memory of a run)
+    stack = _stack(state)
+    exponents = np.empty(stack.shape)
+
     half = np.exp(-1j * g.k_squared * (dt / 2.0))
-    full = half * half
-    mask = g.dealias_mask if params.dealias else None
-    arrays = [f.values.copy() for f in state.fields]
+    # the 2/3 rule acts after each nonlinear substep; a 0/1 mask folds into
+    # the multipliers that follow it
+    full, last = half * half, half
+    if params.dealias:
+        full, last = full * g.dealias_mask, last * g.dealias_mask
     t = state.t
     step = 0
     while step < n_steps:
         block = min(params.snapshot_stride, n_steps - step)
-        spectra = [np.fft.fftn(a) * half for a in arrays]
+        stack = _transform(stack)
+        stack *= half
         for inner in range(block):
-            arrays = [np.fft.ifftn(s) for s in spectra]
-            gs = _nonlinear_exponents(arrays, c, state.t + (step + inner) * dt)
-            arrays = [a * np.exp(-1j * dt * gg) for a, gg in zip(arrays, gs)]
-            spectra = [np.fft.fftn(a) for a in arrays]
-            if mask is not None:
-                spectra = [s * mask for s in spectra]
-            mult = full if inner < block - 1 else half
-            spectra = [s * mult for s in spectra]
-        arrays = [np.fft.ifftn(s) for s in spectra]
+            stack = _transform(stack, inverse=True)
+            _nonlinear_exponents(stack, c, state.t + (step + inner) * dt, out=exponents)
+            _rotate(stack, exponents, dt)
+            stack = _transform(stack)
+            stack *= full if inner < block - 1 else last
+        stack = _transform(stack, inverse=True)
         step += block
         t = state.t + step * dt
-        if any(not np.isfinite(a).all() for a in arrays):
+        if not np.isfinite(stack).all():
             raise NanAbortError(t)
         if sink is not None and step % params.snapshot_stride == 0:
-            sink(state_from_arrays(t, arrays, c, g))
-    return state_from_arrays(t, arrays, c, g)
+            sink(state_from_arrays(t, stack, c, g))
+            stack = stack.copy()  # the sink may keep the state it was given
+    return state_from_arrays(t, stack, c, g)

@@ -215,18 +215,17 @@ def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
     v0 = np.fft.fftn([f.to_physical().values for f in profile], axes=axes)
     V = np.repeat(v0[np.newaxis], n_nodes, axis=0)  # the free trajectory
     h_T, h_here, h_next, sigma, new = (np.empty_like(v0) for _ in range(5))
+    exponents = np.empty(v0.shape)
 
     def integrand(v, phases, t, out):
         """out = H at time t for V(t) = v; phases are the rows at t."""
         np.multiply(v, phases[0], out=out)
         np.fft.ifftn(out, axes=axes, out=out)
         try:
-            gs = _nonlinear_exponents(list(out), coupling, t)
+            out *= _nonlinear_exponents(out, coupling, t, out=exponents)
         except NanAbortError as err:
             raise WaveOperatorDivergence(
                 residuals, f"non-finite nonlinearity at t = {err.t}") from err
-        for g, a in zip(gs, out):
-            a *= g
         np.fft.fftn(out, axes=axes, out=out)
         out *= phases[1]
 

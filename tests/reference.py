@@ -1,6 +1,13 @@
 """Reference implementations the tests compare the production stepper and
 wave operator against.
 
+evolve_reference is the per-component stepper: each of the N fields is its
+own array, with two numpy FFTs and fresh temporaries per component and step.
+The production evolve steps all components as one stacked array and must
+agree with it to rounding.  nonlinear_exponents_reference is the exponent
+computed one component at a time, which the stacked exponent must match bit
+for bit.
+
 rk4_reference_step is a classical RK4 step on the full right-hand side, an
 independent cross-validation oracle for the Strang stepper; explicit, so
 stable only for dt of order h^2/pi.
@@ -12,14 +19,58 @@ picture with one buffer and must agree with it to rounding.
 """
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from nlskit.evolve import NanAbortError, _nonlinear_exponents
+from nlskit.evolve import MIN_MODULUS, NanAbortError, StepParams, _nonlinear_exponents
 from nlskit.grid import PHYSICAL, GridSpec, ScalarField
 from nlskit.scattering import WaveOperatorDivergence, WaveOperatorResult
 from nlskit.system import CouplingSpec, SystemState, state_from_arrays
+
+
+def nonlinear_exponents_reference(arrays: list[np.ndarray], coupling: CouplingSpec,
+                                  t: float) -> list[np.ndarray]:
+    """g_mu = sum_nu beta[mu,nu] |u_nu|^{p+1} |u_mu|^{p-1}; the p < 1 case
+    (decoupled mode only) sets g_mu = 0 wherever |u_mu| vanishes, where the
+    product g_mu u_mu is zero anyway.  A non-finite exponent raises
+    NanAbortError at t, the time of the step being taken; the overflow that
+    produced it is that error, not a RuntimeWarning.
+
+    The sum over nu does not depend on how the components are labelled: the
+    cross terms are added first (two floats add commutatively; three or more
+    are sorted pointwise), then the self term.  Relabelling the components
+    and beta together therefore relabels g_mu bit for bit."""
+    p = coupling.p
+    with np.errstate(over="ignore", invalid="ignore"):
+        mods = [np.abs(a) for a in arrays]
+        pow_p1 = [m ** (p + 1.0) for m in mods]
+        out = []
+        for mu in range(coupling.n):
+            cross = [coupling.beta[mu, nu] * pow_p1[nu] for nu in range(coupling.n)
+                     if nu != mu and coupling.beta[mu, nu] != 0.0]
+            if len(cross) > 2:
+                cross = np.sort(np.stack(cross), axis=0)
+            s = np.zeros(arrays[mu].shape)
+            for term in cross:
+                s += term
+            b = coupling.beta[mu, mu]
+            if b != 0.0:
+                s += b * pow_p1[mu]
+            if p == 1.0:
+                fac = 1.0
+            elif p > 1.0:
+                fac = mods[mu] ** (p - 1.0)
+            else:
+                safe = np.where(mods[mu] > MIN_MODULUS, mods[mu], 1.0)
+                fac = np.where(mods[mu] > MIN_MODULUS, safe ** (p - 1.0), 0.0)
+            g = s * fac
+            if not np.isfinite(g).all():
+                idx = tuple(int(i[0]) for i in np.nonzero(~np.isfinite(g)))
+                raise NanAbortError(t) from ValueError(
+                    f"non-finite nonlinear exponent at grid index {idx}")
+            out.append(g)
+    return out
 
 
 def _rhs(grid: GridSpec, arrays: list[np.ndarray], coupling: CouplingSpec,
@@ -150,3 +201,59 @@ def wave_operator_reference(profile: Sequence[ScalarField], coupling: CouplingSp
                               iterations=len(residuals),
                               residuals=tuple(residuals), tail_estimate=tail,
                               message=message)
+
+
+def evolve_reference(state: SystemState, params: StepParams,
+           sink: Callable[[SystemState], None] | None = None) -> SystemState:
+    """Run repeated Strang steps to t_final, emitting snapshots to the sink.
+
+    The sink (if any) is called with the state at step 0 and after every
+    snapshot_stride-th step; it must be safe to call from the evolution
+    thread.  Non-finite values abort with NanAbortError (checked at snapshot
+    cadence, and on the initial state and its nonlinear exponents before the
+    sink sees it, so finite but overflowing data aborts at t0 before any
+    observable overflows).  Boundary-mass accounting is an observable and is
+    left to the sink, which can flag the run invalid without interrupting it.
+
+    Consecutive half linear steps inside a snapshot block are fused into
+    whole steps; the composition is mathematically identical to repeated
+    strang_step.
+    """
+    c = state.coupling
+    g = state.grid
+    dt = params.dt
+    n_steps = params.n_steps
+    if not state.is_finite():
+        raise NanAbortError(state.t)
+    _nonlinear_exponents([f.values for f in state.fields], c, state.t)
+    if sink is not None:
+        sink(state)
+    if n_steps == 0:
+        return state
+
+    half = np.exp(-1j * g.k_squared * (dt / 2.0))
+    full = half * half
+    mask = g.dealias_mask if params.dealias else None
+    arrays = [f.values.copy() for f in state.fields]
+    t = state.t
+    step = 0
+    while step < n_steps:
+        block = min(params.snapshot_stride, n_steps - step)
+        spectra = [np.fft.fftn(a) * half for a in arrays]
+        for inner in range(block):
+            arrays = [np.fft.ifftn(s) for s in spectra]
+            gs = _nonlinear_exponents(arrays, c, state.t + (step + inner) * dt)
+            arrays = [a * np.exp(-1j * dt * gg) for a, gg in zip(arrays, gs)]
+            spectra = [np.fft.fftn(a) for a in arrays]
+            if mask is not None:
+                spectra = [s * mask for s in spectra]
+            mult = full if inner < block - 1 else half
+            spectra = [s * mult for s in spectra]
+        arrays = [np.fft.ifftn(s) for s in spectra]
+        step += block
+        t = state.t + step * dt
+        if any(not np.isfinite(a).all() for a in arrays):
+            raise NanAbortError(t)
+        if sink is not None and step % params.snapshot_stride == 0:
+            sink(state_from_arrays(t, arrays, c, g))
+    return state_from_arrays(t, arrays, c, g)

@@ -2,14 +2,37 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from nlskit import (CouplingSpec, GridSpec, NanAbortError, ScalarField,
                     StepParams, SystemState, energy, evolve,
                     field_from_function, h1_norm, linear_substep, mass,
-                    nonlinear_substep, strang_step)
+                    nonlinear_substep, state_from_arrays, strang_step)
+from nlskit.evolve import _nonlinear_exponents
 
 from conftest import free_gaussian_exact, gaussian, single_state
-from reference import rk4_reference_step
+from reference import evolve_reference, nonlinear_exponents_reference, rk4_reference_step
+
+# points per axis by dimension for the stacked-versus-per-component checks
+SMALL_M = {1: 64, 2: 16, 3: 8}
+
+
+def _random_state(d, n, p, seed, amp=1.0):
+    """n random components on a small grid; beta is diagonal for p < 1 (the
+    decoupled mode), otherwise symmetric with the (0, n-1) pair switched off
+    when n >= 3; a few points of every component are exactly zero."""
+    grid = GridSpec(d, SMALL_M[d], 6.0)
+    rng = np.random.default_rng(seed)
+    beta = rng.uniform(0.2, 1.5, (n, n))
+    beta = np.diag(np.diag(beta)) if p < 1.0 else 0.5 * (beta + beta.T)
+    if n >= 3:
+        beta[0, n - 1] = beta[n - 1, 0] = 0.0
+    arrays = []
+    for mu in range(n):
+        a = amp * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+        a.flat[mu::5] = 0.0
+        arrays.append(a)
+    return state_from_arrays(0.0, arrays, CouplingSpec(n, beta, p, d), grid)
 
 
 def test_step_params_validation():
@@ -232,3 +255,81 @@ def test_rk4_instability_detected():
         cur = st
         for _ in range(200):
             cur = rk4_reference_step(cur, 0.05)
+
+
+@pytest.mark.parametrize("p", (0.5, 1.0, 1.5, 2.0, 3.0))
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_stacked_exponents_equal_the_per_component_ones_bit_for_bit(d, n, p):
+    # n = 4 sorts the three cross terms of each component
+    state = _random_state(d, n, p, seed=100 * d + 10 * n + int(2 * p))
+    arrays = [f.values for f in state.fields]
+    want = nonlinear_exponents_reference(arrays, state.coupling, state.t)
+    got = _nonlinear_exponents(arrays, state.coupling, state.t)
+    out = np.full((n,) + state.grid.shape, np.nan)
+    into = _nonlinear_exponents(np.stack(arrays), state.coupling, state.t, out=out)
+    assert got.shape == (n,) + state.grid.shape and into is out
+    for a, b, c in zip(got, out, want):
+        assert np.array_equal(a, c) and np.array_equal(b, c)
+
+
+@pytest.mark.parametrize("stride", (1, 4))
+@pytest.mark.parametrize("dealias", (False, True))
+@pytest.mark.parametrize("p", (0.5, 1.0, 2.0, 3.0))
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_stacked_evolve_matches_the_per_component_reference(d, n, p, dealias, stride):
+    # 6 steps: with stride 4 the last block of 2 steps emits no snapshot
+    state = _random_state(d, n, p, seed=100 * d + 10 * n + int(2 * p), amp=0.7)
+    params = StepParams(dt=0.01, t_final=0.06, snapshot_stride=stride, dealias=dealias)
+    seen, seen_ref = [], []
+    out = evolve(state, params, seen.append)
+    ref = evolve_reference(state, params, seen_ref.append)
+    assert len(seen) == len(seen_ref) == params.n_snapshots
+    assert [s.t for s in seen] == [s.t for s in seen_ref]
+    assert out.t == ref.t
+    for a, b in zip(seen + [out], seen_ref + [ref]):
+        scale = max(np.abs(f.values).max() for f in b.fields)
+        for fa, fb in zip(a.fields, b.fields):
+            assert np.abs(fa.values - fb.values).max() <= 1e-12 * scale
+
+
+def test_evolve_makes_one_batched_transform_pair_per_step(monkeypatch):
+    calls = {}
+
+    def count(lib, name):
+        fn = getattr(lib, name)
+
+        def counted(*args, **kwargs):
+            key = f"{lib.__name__}.{name}"
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(lib, name, counted)
+
+    for lib in (scipy.fft, np.fft):
+        for name in ("fftn", "ifftn"):
+            count(lib, name)
+    state = _random_state(2, 3, 1.0, seed=7)
+    n = 5  # one block of n steps
+    evolve(state, StepParams(dt=1e-3, t_final=n * 1e-3, snapshot_stride=n))
+    assert calls == {"scipy.fft.fftn": n + 1, "scipy.fft.ifftn": n + 1}
+    for comps in (1, 2, 3):
+        calls.clear()
+        linear_substep(_random_state(2, comps, 1.0, seed=comps), 0.1)
+        assert calls == {"scipy.fft.fftn": 1, "scipy.fft.ifftn": 1}
+
+
+def test_evolve_nan_abort_names_the_component(grid1d):
+    # decoupled, so only the huge component's exponent |u|^3 |u| overflows
+    calm, huge = gaussian(grid1d, amp=0.5), gaussian(grid1d, amp=1e80)
+    mods = np.abs(huge.values)
+    with np.errstate(over="ignore"):
+        first = int(np.flatnonzero(~np.isfinite(mods ** 3.0 * mods))[0])
+    cpl = CouplingSpec(2, np.eye(2), 2.0, 1)
+    for fields, mu in (((calm, huge), 1), ((huge, calm), 0)):
+        with pytest.raises(NanAbortError) as err:
+            evolve(SystemState(0.25, fields, cpl), StepParams(dt=1e-3, t_final=0.1))
+        assert err.value.t == 0.25
+        cause = str(err.value.__cause__)
+        assert f"component {mu} at grid index ({first},)" in cause

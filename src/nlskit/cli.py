@@ -29,7 +29,7 @@ from .initial_data import InitialDataSpec, build_initial_state
 from .morawetz import MorawetzWeight
 from .scattering import (WaveOperatorDivergence, admissible_pair,
                          asymptotic_profile, wave_operator)
-from .system import CouplingSpec, mass
+from .system import BOUNDARY_MASS_LIMIT, CouplingSpec, mass
 from .verify import (calibrate_fd_constants, check_identities, collect_series)
 
 EXIT_OK, EXIT_FAIL, EXIT_NAN = 0, 1, 2
@@ -140,7 +140,7 @@ def run_simulate(cfg: RunConfig, out: Path) -> tuple[dict, str]:
                        "pass": collector.mass_drift() <= cfg.mass_drift_tol},
         "energy_drift": {"value": collector.energy_drift(), "tol": cfg.energy_drift_tol,
                          "pass": collector.energy_drift() <= cfg.energy_drift_tol},
-        "boundary_mass": {"value": collector.max_boundary_fraction, "tol": 1e-6,
+        "boundary_mass": {"value": collector.max_boundary_fraction, "tol": BOUNDARY_MASS_LIMIT,
                           "pass": collector.boundary_valid},
         # H1 control: sum ||u(t)||_H1^2 <= sum ||u(0)||_L2^2 + E(0)
         "h1_bound": {"value": h1sq_T, "tol": bound * (1.0 + 1e-6) + 1e-12,

@@ -11,10 +11,9 @@ Both substeps are exact flows:
 
 The components couple only pointwise, so a step does the same work on each
 of them.  The stepper holds them stacked as one (N, M, ..., M) complex array
-and works on the whole stack through three helpers:
+and works on the whole stack: each transform is one in-place
+``grid.transform`` call, and two helpers do the rest:
 
-  * ``_transform``: one ``scipy.fft`` ``fftn``/``ifftn`` call over the
-    spatial axes, overwriting its input;
   * ``_nonlinear_exponents``: every g_mu at once, into a real (N, ...)
     buffer;
   * ``_rotate``: u <- exp(-i tau g) u in place, the phase written with
@@ -31,8 +30,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.fft
 
+from .grid import transform
 from .system import CouplingSpec, SystemState, state_from_arrays
 
 
@@ -77,14 +76,6 @@ MIN_MODULUS = 1e-300  # below this, |u|^{p-1} for p < 1 is defined as zero
 def _stack(state: SystemState) -> np.ndarray:
     """A fresh (N, ...) complex array holding the component fields."""
     return np.array([f.values for f in state.fields], dtype=complex)
-
-
-def _transform(stack: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """fftn (ifftn if ``inverse``) of every component of the stack, in one
-    call over the spatial axes that overwrites ``stack``; returns the result,
-    which shares its memory."""
-    fn = scipy.fft.ifftn if inverse else scipy.fft.fftn
-    return fn(stack, axes=tuple(range(1, stack.ndim)), overwrite_x=True)
 
 
 def _nonlinear_exponents(stack, coupling: CouplingSpec, t: float,
@@ -150,9 +141,9 @@ def _rotate(stack: np.ndarray, g: np.ndarray, tau: float) -> None:
 def linear_substep(state: SystemState, tau: float) -> SystemState:
     """Free flow over time tau: multiplier exp(-i |k|^2 tau) per component."""
     g = state.grid
-    stack = _transform(_stack(state))
+    stack = transform(g, _stack(state))
     stack *= np.exp(-1j * g.k_squared * tau)
-    return state_from_arrays(state.t + tau, _transform(stack, inverse=True),
+    return state_from_arrays(state.t + tau, transform(g, stack, inverse=True),
                              state.coupling, g)
 
 
@@ -191,10 +182,10 @@ def evolve(state: SystemState, params: StepParams,
 
     The N components are stepped as one (N, M, ..., M) complex stack with
     one real exponent buffer of the same shape, both allocated once per
-    call: each transform is one in-place ``scipy.fft`` call over the spatial
-    axes, the exponents are written into the buffer, and the phase rotation
-    multiplies the stack in place.  A snapshot hands the sink the stack
-    itself; stepping goes on in a copy.
+    call: each transform is one in-place ``grid.transform`` call, the
+    exponents are written into the buffer, and the phase rotation multiplies
+    the stack in place.  A snapshot hands the sink the stack itself; stepping
+    goes on in a copy.
 
     Consecutive half linear steps inside a snapshot block are fused into
     whole steps; the composition is mathematically identical to repeated
@@ -227,15 +218,15 @@ def evolve(state: SystemState, params: StepParams,
     step = 0
     while step < n_steps:
         block = min(params.snapshot_stride, n_steps - step)
-        stack = _transform(stack)
+        stack = transform(g, stack)
         stack *= half
         for inner in range(block):
-            stack = _transform(stack, inverse=True)
+            stack = transform(g, stack, inverse=True)
             _nonlinear_exponents(stack, c, state.t + (step + inner) * dt, out=exponents)
             _rotate(stack, exponents, dt)
-            stack = _transform(stack)
+            stack = transform(g, stack)
             stack *= full if inner < block - 1 else last
-        stack = _transform(stack, inverse=True)
+        stack = transform(g, stack, inverse=True)
         step += block
         t = state.t + step * dt
         if not np.isfinite(stack).all():

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, PHYSICAL, cube_sup_l2
+from .grid import GridSpec, ScalarField, PHYSICAL, cube_sup_l2, mode_numbers, transform
 
 MAIN = "main"
 CUBIC = "cubic"
@@ -87,18 +87,15 @@ def _ratio(fields: tuple[ScalarField, ...], variant: str, l2_scale: float) -> fl
 def _band_limited(grid: GridSpec, alpha: int, rng: np.random.Generator) -> tuple[ScalarField, ...]:
     """Random fields with Gaussian spectral envelope, hard-cut at |j| <= M/6."""
     jmax = max(2, grid.m // 6)
-    j = np.rint(np.fft.fftfreq(grid.m) * grid.m)
-    mesh = np.meshgrid(*([j] * grid.d), indexing="ij")
-    keep = np.ones(grid.shape, dtype=bool)
-    env = np.zeros(grid.shape)
-    for a in mesh:
-        keep &= np.abs(a) <= jmax
+    mesh = np.meshgrid(*([mode_numbers(grid.m)] * grid.d), indexing="ij")
+    keep = np.max(np.abs(mesh), axis=0) <= jmax
     env = np.exp(-sum(a * a for a in mesh) / (2.0 * (jmax / 2.0) ** 2))
     out = []
     for _ in range(alpha):
         coef = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
         coef *= env * keep
-        vals = np.fft.ifftn(coef) * grid.m ** (grid.d / 2)
+        vals = transform(grid, coef, inverse=True)
+        vals *= grid.m ** (grid.d / 2)
         out.append(ScalarField(vals, grid, PHYSICAL))
     return tuple(out)
 

@@ -12,7 +12,9 @@ correction, so the coefficient ``c_k`` of a field ``f`` satisfies
 
     f(x) = sum_k c_k exp(i k.x),        c_0 = mean(f),
 
-and Parseval reads ``h^d sum_m |f_m|^2 = (2L)^d sum_k |c_k|^2``.
+and Parseval reads ``h^d sum_m |f_m|^2 = (2L)^d sum_k |c_k|^2``.  Every
+unpadded complex transform in the package is one ``transform`` call (in-place
+``scipy.fft``, batched over leading axes); every ``j`` comes from ``mode_numbers``.
 
 Free-space convolutions (used for the bilinear interaction weights) zero-pad
 the box by a factor of two per axis and multiply by the transform of the
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -59,6 +61,14 @@ _ABS_CELL_AVG = {1: 0.25,
 
 class GridUsageError(ValueError):
     """Raised when an operation is applied to a field in the wrong representation."""
+
+
+@lru_cache(maxsize=32)
+def mode_numbers(n: int) -> np.ndarray:
+    """Mode numbers 0, 1, ..., n/2-1, -n/2, ..., -1 as floats; cached, read-only."""
+    j = np.rint(scipy.fft.fftfreq(n) * n)
+    j.setflags(write=False)
+    return j
 
 
 @dataclass(frozen=True)
@@ -124,8 +134,7 @@ class GridSpec:
     @cached_property
     def axis_wavenumbers(self) -> np.ndarray:
         """Wavenumbers along one axis in FFT ordering, k_j = (pi/L) j."""
-        j = np.fft.fftfreq(self.m) * self.m  # 0, 1, ..., M/2-1, -M/2, ..., -1
-        k = (math.pi / self.l) * j
+        k = (math.pi / self.l) * mode_numbers(self.m)
         k.setflags(write=False)
         return k
 
@@ -159,22 +168,16 @@ class GridSpec:
     def _phase(self) -> np.ndarray:
         # (-1)^{j_1 + ... + j_d}: converts plain FFT output (modes anchored at
         # x = -L) into coefficients of exp(i k.x) with the true coordinates.
-        j = np.rint(np.fft.fftfreq(self.m) * self.m).astype(np.int64)
-        s = np.where(j % 2 == 0, 1.0, -1.0)
-        out = s
-        for _ in range(self.d - 1):
-            out = np.multiply.outer(out, s)
+        s = np.where(mode_numbers(self.m) % 2 == 0, 1.0, -1.0)
+        out = reduce(np.multiply.outer, [s] * self.d)
         out.setflags(write=False)
         return out
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: keeps per-axis mode numbers |j| <= M/3."""
-        j = np.abs(np.rint(np.fft.fftfreq(self.m) * self.m).astype(np.int64))
-        keep = j <= self.m // 3
-        out = keep
-        for _ in range(self.d - 1):
-            out = np.multiply.outer(out, keep)
+        keep = np.abs(mode_numbers(self.m)) <= self.m // 3
+        out = reduce(np.multiply.outer, [keep] * self.d)
         out.setflags(write=False)
         return out
 
@@ -229,12 +232,22 @@ def field_from_function(grid: GridSpec, fn: Callable[..., np.ndarray]) -> Scalar
     return ScalarField(np.asarray(fn(*grid.x_mesh), dtype=complex), grid, PHYSICAL)
 
 
+def transform(grid: GridSpec, values: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """fftn (or, if ``inverse``, ifftn, which carries the 1/M^d) over the last
+    grid.d axes of ``values``, batched over any leading axes.  ``values``
+    must be a complex128 array (or view) that the caller owns: it is
+    transformed in place and the result shares its memory."""
+    fn = scipy.fft.ifftn if inverse else scipy.fft.fftn
+    return fn(values, axes=tuple(range(-grid.d, 0)), overwrite_x=True)
+
+
 def forward_transform(f: ScalarField) -> ScalarField:
     """Physical -> spectral; coefficient of exp(i k.x), DC entry equals the mean."""
     if f.space != PHYSICAL:
         raise GridUsageError("forward_transform expects a physical-space field")
     g = f.grid
-    coeff = np.fft.fftn(f.values) * (g._phase / g.npoints)
+    coeff = transform(g, f.values.astype(complex))
+    coeff *= g._phase / g.npoints
     return ScalarField(coeff, g, SPECTRAL)
 
 
@@ -243,7 +256,8 @@ def inverse_transform(f: ScalarField) -> ScalarField:
     if f.space != SPECTRAL:
         raise GridUsageError("inverse_transform expects a spectral-space field")
     g = f.grid
-    vals = np.fft.ifftn(f.values * g._phase) * g.npoints
+    vals = transform(g, f.values * g._phase, inverse=True)
+    vals *= g.npoints
     return ScalarField(vals, g, PHYSICAL)
 
 
@@ -252,8 +266,9 @@ def spectral_gradient(f: ScalarField) -> list[ScalarField]:
     g = f.grid
     c = f.to_spectral().values
     out = []
-    for a in range(g.d):
-        comp = np.fft.ifftn((1j * g.k_mesh[a]) * c * g._phase) * g.npoints
+    for k in g.k_mesh:
+        comp = transform(g, (1j * k) * c * g._phase, inverse=True)
+        comp *= g.npoints
         out.append(ScalarField(comp, g, PHYSICAL))
     return out
 
@@ -369,7 +384,7 @@ class PaddedGeometry:
         self.shape = (n,) * grid.d
         self.npoints = n ** grid.d
         self.dk = math.pi / (factor * grid.l)
-        self._full = np.rint(np.fft.fftfreq(n) * n)  # 0..n/2-1, -n/2..-1
+        self._full = mode_numbers(n)
         # mode numbers per axis on the half spectrum: the last axis is halved
         j_axes = [self._along(a, self._full) for a in range(grid.d - 1)]
         j_axes.append(np.arange(n // 2 + 1, dtype=float))
@@ -464,7 +479,7 @@ def _kernel_hat(grid: GridSpec, kernel: RadialKernel) -> np.ndarray:
             hat = _analytic_reciprocal_hat(grid) / grid.cell_volume
         else:
             vals = kernel.evaluate(padded_geometry(grid).radius(), grid.h, grid.d)
-            hat = scipy.fft.rfftn(vals, workers=_WORKERS).real.copy()
+            hat = padded_rfft(grid, vals).real.copy()
         hat.setflags(write=False)
         if len(_KERNEL_HAT_CACHE) > 32:
             _KERNEL_HAT_CACHE.clear()

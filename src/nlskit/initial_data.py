@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, PHYSICAL
+from .grid import GridSpec, ScalarField, PHYSICAL, transform
 from .system import CouplingSpec, SystemState
 
 FAMILIES = ("gaussian", "multi-bump", "plane-modulated", "random-band-limited")
@@ -124,16 +124,13 @@ def build_initial_state(grid: GridSpec, coupling: CouplingSpec,
 
     else:  # random-band-limited
         children = np.random.SeedSequence(spec.seed).spawn(n)
-        j = np.rint(np.fft.fftfreq(grid.m) * grid.m)
-        mesh = np.meshgrid(*([(math.pi / grid.l) * j] * d), indexing="ij")
-        k2 = sum(a * a for a in mesh)
         for mu in range(n):
             rng = np.random.default_rng(children[mu])
             kappa = max(float(widths[mu]), 1e-6)
-            env = np.exp(-k2 / (kappa ** 2))
+            env = np.exp(-grid.k_squared / (kappa ** 2))
             coef = (rng.standard_normal(grid.shape)
                     + 1j * rng.standard_normal(grid.shape)) * env
-            vals = np.fft.ifftn(coef)
+            vals = transform(grid, coef, inverse=True)
             peak = np.abs(vals).max()
             if peak > 0:
                 vals *= amps[mu] / peak

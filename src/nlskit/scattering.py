@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import ScalarField, PHYSICAL, SPECTRAL, spectral_gradient
+from .grid import ScalarField, PHYSICAL, SPECTRAL, spectral_gradient, transform
 from .system import (CouplingSpec, RunningIntegral, Snapshot, SystemState, mass,
                      state_from_arrays)
 from .evolve import NanAbortError, _nonlinear_exponents, linear_substep
@@ -207,12 +207,11 @@ def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
     n_nodes = int(round(t_max / dt)) + 1
     if n_nodes < 2:
         raise ValueError("truncation time must cover at least one step")
-    axes = tuple(range(1, grid.d + 1))
     # rows: exp(-+ i t |k|^2), the multipliers of exp(+- i t Lap), at t = T
     sign = np.array([-1j, 1j]).reshape((2,) + (1,) * grid.d)
     phases_T = np.exp(sign * (n_nodes - 1) * dt * grid.k_squared)
     back = np.exp(-sign * dt * grid.k_squared)  # moves both rows one node back
-    v0 = np.fft.fftn([f.to_physical().values for f in profile], axes=axes)
+    v0 = transform(grid, np.array([f.to_physical().values for f in profile], dtype=complex))
     V = np.repeat(v0[np.newaxis], n_nodes, axis=0)  # the free trajectory
     h_T, h_here, h_next, sigma, new = (np.empty_like(v0) for _ in range(5))
     exponents = np.empty(v0.shape)
@@ -220,13 +219,13 @@ def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
     def integrand(v, phases, t, out):
         """out = H at time t for V(t) = v; phases are the rows at t."""
         np.multiply(v, phases[0], out=out)
-        np.fft.ifftn(out, axes=axes, out=out)
+        transform(grid, out, inverse=True)
         try:
             out *= _nonlinear_exponents(out, coupling, t, out=exponents)
         except NanAbortError as err:
             raise WaveOperatorDivergence(
                 residuals, f"non-finite nonlinearity at t = {err.t}") from err
-        np.fft.fftn(out, axes=axes, out=out)
+        transform(grid, out)
         out *= phases[1]
 
     def h1(spectra):  # summed H^1 norms; exp(i t Lap) is an H^1 isometry
@@ -275,6 +274,7 @@ def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
     message = "" if converged else (f"fixed point did not reach tol = {tol} within "
                                     f"{max_iter} iterations; residual history attached")
     return WaveOperatorResult(
-        state0=state_from_arrays(0.0, np.fft.ifftn(V[0], axes=axes), coupling, grid),
+        # from a copy, so that the returned state does not keep V alive
+        state0=state_from_arrays(0.0, transform(grid, V[0].copy(), inverse=True), coupling, grid),
         converged=converged, iterations=len(residuals), residuals=tuple(residuals),
         tail_estimate=dt * h1(h_T), message=message)

@@ -9,8 +9,8 @@ import pytest
 import nlskit.cli
 import nlskit.config
 import nlskit.verify
-from nlskit import (ConfigError, MorawetzWeight, parse_config, read_fields,
-                    write_fields)
+from nlskit import (ConfigError, CouplingSpec, GridSpec, InitialDataSpec, MorawetzWeight,
+                    build_initial_state, parse_config, read_fields, write_fields)
 from nlskit.cli import main
 from nlskit.config import CHOICES, ENV_OUT_DIR, SCHEMA
 from nlskit.evolve import StepParams, evolve
@@ -459,3 +459,44 @@ def test_cli_gn_check_deterministic(tmp_path):
     assert main(args + ["--out-dir", str(out1)]) == 0
     assert main(args + ["--out-dir", str(out2)]) == 0
     assert (out1 / "gn_report.json").read_bytes() == (out2 / "gn_report.json").read_bytes()
+
+
+# one small run of each subcommand, simulate in every dimension
+_NO_NUMPY_FFT_RUNS = {
+    "simulate-d1": ["simulate", "--d", "1", "--grid-m", "64", "--box-l", "8",
+                    "--dt", "0.01", "--t-final", "0.04", "--snapshot-stride", "2"],
+    "simulate-d2": ["simulate", "--d", "2", "--grid-m", "16", "--box-l", "6",
+                    "--dt", "0.01", "--t-final", "0.04", "--snapshot-stride", "2"],
+    "simulate-d3": ["simulate", *_D3_RUN],
+    "verify-identities": ["verify-identities", *_VERIFY_D1],
+    "scatter": ["scatter", "--d", "1", "--grid-m", "64", "--box-l", "16", "--beta", "0",
+                "--dt", "0.01", "--t-final", "0.2", "--snapshot-stride", "5"],
+    "wave-op": ["wave-op", "--d", "1", "--grid-m", "64", "--box-l", "16",
+                "--wave-t", "1", "--wave-dt", "0.05"],
+    "gn-check": ["gn-check", "--d", "2", "--grid-m", "16", "--box-l", "4",
+                 "--gn-count", "3", "--gn-generator", "band-limited"],
+}
+
+
+@pytest.fixture
+def no_numpy_fft(monkeypatch):
+    """Make every numpy.fft transform raise: scipy.fft is the only library."""
+    def refuse(name):
+        def raiser(*args, **kwargs):
+            raise AssertionError(f"numpy.fft.{name} called")
+        return raiser
+
+    for name in ("fftn", "ifftn", "fft", "ifft", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, refuse(name))
+
+
+@pytest.mark.parametrize("run", list(_NO_NUMPY_FFT_RUNS))
+def test_no_subcommand_calls_numpy_fft(tmp_path, no_numpy_fft, run):
+    assert main([*_NO_NUMPY_FFT_RUNS[run], "--out-dir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("d, m", [(1, 64), (2, 16), (3, 8)])
+def test_random_band_limited_data_does_not_call_numpy_fft(no_numpy_fft, d, m):
+    state = build_initial_state(GridSpec(d, m, 4.0), CouplingSpec(2, np.eye(2), 1.0, d),
+                                InitialDataSpec(family="random-band-limited", seed=3))
+    assert state.is_finite()

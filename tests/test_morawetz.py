@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from nlskit import (CouplingSpec, GridSpec, MorawetzWeight, ScalarField,
                     StepParams, SystemState, admissible_pair,
@@ -261,23 +262,35 @@ def test_shared_snapshot_gives_the_same_diagnostics(d, m):
 
 def test_one_collector_call_transforms_each_piece_once(monkeypatch):
     # a d = 3, N = 2 snapshot makes one unpadded forward transform per
-    # component and one of rho, and every column equals its observable on the
-    # bare state bit for bit
+    # component and one of rho, all through scipy.fft and none through
+    # numpy.fft, and every column equals its observable on the bare state
+    # bit for bit
     st = two_component_state(GridSpec(3, 16, 8.0), p=1.0)
     weight, inter = MorawetzWeight.quadratic(), MorawetzWeight.abs_distance()
     collector = DiagnosticsCollector(st.coupling, st.grid, CollectorOptions(
         weight=weight, vddot=True, interaction=inter,
         strichartz_pair=admissible_pair(1.0, 3)))
-    calls, fftn = [], np.fft.fftn
+    calls, numpy_calls, fftn = [], [], scipy.fft.fftn
 
     def counted_fftn(*args, **kwargs):
         calls.append(args[0].shape)
         return fftn(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "fftn", counted_fftn)
+    def numpy_counted(name):
+        fn = getattr(np.fft, name)
+
+        def counted(*args, **kwargs):
+            numpy_calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(scipy.fft, "fftn", counted_fftn)
+    for name in ("fftn", "ifftn", "fft", "ifft", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, numpy_counted(name))
     collector(st)
     monkeypatch.undo()
     assert calls == [st.grid.shape] * (st.coupling.n + 1)
+    assert numpy_calls == []
     rec = collector.records[0]
     e, rep = energy(st), interaction_report(st, inter)
     expected = {"mass_1": mass(st, 0), "mass_2": mass(st, 1), "kinetic": e.kinetic,

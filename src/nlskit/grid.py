@@ -26,15 +26,14 @@ of the kernel over one grid cell (closed form per dimension).
 Scalar pairings ``int f (K * g) dx`` of real data never go back to physical
 space: by Parseval on the doubled box they are weighted sums of
 ``conj(f_hat) K_hat g_hat`` over real-to-complex half-spectra
-(``kernel_inner_product``).  Padded transforms are ``scipy.fft`` real
-transforms threaded over every CPU available to the process; kernel
-transforms are cached as real half-spectra.
+(``kernel_inner_product``).  Padded transforms run one ``scipy.fft`` pass
+per axis on one thread and skip the rows that hold only padding zeros
+(``padded_rfft``); kernel transforms are cached as real half-spectra.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Callable
@@ -44,9 +43,6 @@ import scipy.fft
 
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
-
-# threads per padded transform: every CPU this process may run on
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Cell averages over the unit cell [-1/2, 1/2)^d (scaled by h at use site):
 #   int 1/r over the centered unit square  = 4 ln(1 + sqrt 2)
@@ -424,8 +420,18 @@ def padded_geometry(grid: GridSpec, factor: int = 2) -> PaddedGeometry:
 
 def padded_rfft(grid: GridSpec, values: np.ndarray, factor: int = 2) -> np.ndarray:
     """Half-spectrum (unnormalized ``rfftn``) of a real array zero-padded to
-    factor M points per axis."""
-    return scipy.fft.rfftn(values, s=(factor * grid.m,) * grid.d, workers=_WORKERS)
+    n = factor M points per axis.
+
+    One pass per axis, on one thread: an ``rfftn`` along the last axis of the
+    unpadded input, then an ``fft`` padded to n along axes 0, ..., d-2 in
+    that order.  Each pass transforms only the rows that can be nonzero, and
+    in that order the result equals ``rfftn(values, s=(n,) * d)`` bit for
+    bit (also for inputs already n long, such as sampled kernels)."""
+    n = factor * grid.m
+    out = scipy.fft.rfftn(values, s=(n,), axes=(-1,))
+    for axis in range(grid.d - 1):
+        out = scipy.fft.fft(out, n=n, axis=axis, overwrite_x=True)
+    return out
 
 
 def _analytic_reciprocal_hat(grid: GridSpec) -> np.ndarray:
@@ -524,7 +530,7 @@ def _pad_forward(f: ScalarField) -> np.ndarray:
 def _convolve_hat(grid: GridSpec, spectrum: np.ndarray) -> np.ndarray:
     """Finish a padded convolution from its half-spectrum and restrict to
     the original box."""
-    conv = scipy.fft.irfftn(spectrum, s=padded_geometry(grid).shape, workers=_WORKERS)
+    conv = scipy.fft.irfftn(spectrum, s=padded_geometry(grid).shape)
     return conv[(slice(0, grid.m),) * grid.d] * grid.cell_volume
 
 

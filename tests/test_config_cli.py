@@ -191,7 +191,7 @@ _RERUNS = {
 
 @pytest.mark.parametrize("experiment", list(_RERUNS))
 def test_cli_d3_reruns_byte_identical(tmp_path, experiment):
-    # the d = 3 interaction and accumulator columns use threaded padded
+    # the d = 3 interaction and accumulator columns use per-axis padded
     # transforms, and every column reads one shared Snapshot per state
     args, artifacts = _RERUNS[experiment]
     out1, out2 = tmp_path / "a", tmp_path / "b"

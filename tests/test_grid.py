@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from nlskit import (GridSpec, GridUsageError, RadialKernel, ScalarField,
                     apply_multiplier, convolve_kernel_gradient,
@@ -267,6 +268,36 @@ def test_kernel_inner_product_matches_convolution(d, name):
         scale = vol * float(np.sum(np.abs(f * conv_a.values)))
         got = kernel_inner_product(grid, f_hat, g_hat, kernel, axis=a)
         assert abs(got - expected) <= 1e-12 * abs(expected) + 1e-14 * scale
+
+
+def test_padded_rfft_passes_only_over_rows_that_can_be_nonzero(monkeypatch):
+    # an rfftn along the last axis of the unpadded M^d input, then one fft
+    # padded to n = 2M per remaining axis in order 0, ..., d-2, none threaded
+    calls = []
+
+    def recorded(name):
+        fn = getattr(scipy.fft, name)
+
+        def wrapper(x, *args, **kwargs):
+            out = fn(x, *args, **kwargs)
+            calls.append((name, x.shape, out.shape, kwargs))
+            return out
+        return wrapper
+
+    for name in ("rfftn", "fft", "fftn", "irfftn"):
+        monkeypatch.setattr(scipy.fft, name, recorded(name))
+    for d, m in ((3, 8), (2, 12)):
+        calls.clear()
+        n, half = 2 * m, m + 1
+        padded_rfft(GridSpec(d, m, 4.0), np.ones((m,) * d))
+        rows = (m,) * (d - 1)
+        expected = [("rfftn", (m,) * d, rows + (half,), {"s": (n,), "axes": (-1,)})]
+        for axis in range(d - 1):
+            rows = rows[:axis] + (n,) + rows[axis + 1:]
+            expected.append(("fft", expected[-1][2], rows + (half,),
+                             {"n": n, "axis": axis, "overwrite_x": True}))
+        assert calls == expected
+        assert not any("workers" in kwargs for *_, kwargs in calls)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
@@ -105,6 +106,15 @@ def test_padded_half_spectrum_parseval(grid, seed, factor):
     physical = grid.cell_volume * float(np.sum(f * f))
     spectral = grid.cell_volume / geo.npoints * float(np.sum(geo.weights * np.abs(f_hat) ** 2))
     assert math.isclose(physical, spectral, rel_tol=1e-12)
+    # the per-axis passes equal one padded rfftn bit for bit: on a contiguous
+    # array, on a strided .real view of a complex array (as Snapshot passes
+    # its gradients) and on an input already factor M long (as _kernel_hat
+    # passes the sampled kernel)
+    z = _random_array(grid, seed + 1)
+    full = np.random.default_rng(seed).standard_normal(geo.shape)
+    for values in (f, z.real, full):
+        assert np.array_equal(padded_rfft(grid, values, factor),
+                              scipy.fft.rfftn(values, s=geo.shape))
 
 
 @PROPERTY

@@ -26,7 +26,9 @@ of the kernel over one grid cell (closed form per dimension).
 Scalar pairings ``int f (K * g) dx`` of real data never go back to physical
 space: by Parseval on the doubled box they are weighted sums of
 ``conj(f_hat) K_hat g_hat`` over real-to-complex half-spectra
-(``kernel_inner_product``).  Padded transforms run one ``scipy.fft`` pass
+(``kernel_inner_product``); the gradient pairing
+``sum_a int d_a f (K * d_a f)`` is the sum of ``|k|^2 K_hat |f_hat|^2``
+(``kernel_gradient_product``).  Padded transforms run one ``scipy.fft`` pass
 per axis on one thread and skip the rows that hold only padding zeros
 (``padded_rfft``); kernel transforms are cached as real half-spectra.
 """
@@ -494,27 +496,38 @@ def _kernel_hat(grid: GridSpec, kernel: RadialKernel) -> np.ndarray:
 
 
 def kernel_inner_product(grid: GridSpec, f_hat: np.ndarray, g_hat: np.ndarray,
-                         kernel: RadialKernel, axis: int | None = None) -> float:
-    """int f (K * g) dx, or int f (d_axis K * g) dx when an axis is given, for
-    real f and g supported in the box, from their padded_rfft half-spectra.
+                         kernel: RadialKernel) -> float:
+    """int f (K * g) dx for real f and g supported in the box, from their
+    padded_rfft half-spectra.
 
     By Parseval on the doubled box this is h^(2d)/N sum_k conj(f_k) K_k g_k
     over the N padded modes, evaluated as the weighted real part of the
     half-spectrum sum with no inverse transform.  It equals
-    h^d sum_x f (convolve_radial_kernel(g) or convolve_kernel_gradient(g)[axis]).
+    h^d sum_x f convolve_radial_kernel(g).
     """
     geo = padded_geometry(grid)
-    hat = _kernel_hat(grid, kernel)
-    if axis is None:
-        cross = f_hat.real * g_hat.real          # Re conj(f) g
-        cross += f_hat.imag * g_hat.imag
-    else:
-        cross = f_hat.imag * g_hat.real          # -Im conj(f) g, as Re(i k z) = -k Im z
-        cross -= f_hat.real * g_hat.imag
-        cross *= geo.odd_k_axes[axis]
-    cross *= hat
+    cross = f_hat.real * g_hat.real          # Re conj(f) g
+    cross += f_hat.imag * g_hat.imag
+    cross *= _kernel_hat(grid, kernel)
     cross *= geo.weights
     return grid.cell_volume ** 2 / geo.npoints * float(np.sum(cross))
+
+
+def kernel_gradient_product(grid: GridSpec, f_hat: np.ndarray, kernel: RadialKernel) -> float:
+    """sum_a int d_a f (K * d_a f) dx for real f supported in the box, from
+    its padded_rfft half-spectrum.
+
+    The padded transform of d_a f is i k_a f_hat (k_a from odd_k_axes), so by
+    Parseval this is h^(2d)/N sum_k |k|^2 K_k |f_k|^2 over the N padded
+    modes: one weighted half-spectrum sum, with no transform of d_a f.
+    """
+    geo = padded_geometry(grid)
+    sq = f_hat.real * f_hat.real
+    sq += f_hat.imag * f_hat.imag
+    sq *= sum(k * k for k in geo.odd_k_axes)  # not cached: a stored |k|^2 raised peak RSS
+    sq *= _kernel_hat(grid, kernel)
+    sq *= geo.weights
+    return grid.cell_volume ** 2 / geo.npoints * float(np.sum(sq))
 
 
 def _pad_forward(f: ScalarField) -> np.ndarray:

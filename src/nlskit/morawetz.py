@@ -39,22 +39,31 @@ collapse as eps -> 0.
 Every double integral is a pairing int f (K * g) dx on the zero-padded box,
 evaluated by Parseval on the padded half-spectra (grid.kernel_inner_product):
 no M^d x M^d object is ever formed and no convolution is taken back to
-physical space.  The per-state pieces (spectra, densities, currents,
-gradients, padded transforms) come from one system.Snapshot, so a caller that
-evaluates several diagnostics of one state can build the Snapshot once and
-pass it in place of the state.
+physical space.  Two forms keep the number of padded transforms down:
+
+    dI/dt = -4 int (div j)(K * rho),   div j = sum_mu Im(conj(u_mu) Lap u_mu)
+
+(the current pairing integrated by parts: one padded transform in place of
+d), and the gradient pairing sum_a intint d_a rho d_a rho K, which is the
+half-spectrum sum of |k|^2 K_hat |rho_hat|^2 (grid.kernel_gradient_product)
+and transforms no d_a rho.  The per-state pieces (spectra, densities,
+currents, gradients, padded transforms) come from one system.Snapshot, so a
+caller that evaluates several diagnostics of one state can build the
+Snapshot once and pass it in place of the state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf
 
-from .grid import GridSpec, RadialKernel, kernel_inner_product, padded_geometry, padded_rfft
+from .grid import (GridSpec, RadialKernel, kernel_gradient_product, kernel_inner_product,
+                   padded_geometry, padded_rfft)
 from .system import RunningIntegral, Snapshot, SystemState
 
 ABS_DISTANCE = "absdistance"
@@ -147,22 +156,26 @@ class MorawetzWeight:
                     and (np.asarray(self.d1(r)) / r >= -1e-12).all())
 
 
-def _radius(grid: GridSpec, center) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _cached_meshes(grid: GridSpec, center: tuple[float, ...]):
+    r = np.sqrt(sum((x - c) ** 2 for x, c in zip(grid.x_mesh, center)))
+    safe = np.where(r > 0, r, 1.0)
+    dirs = tuple(np.where(r > 0, (x - c) / safe, 0.0) for x, c in zip(grid.x_mesh, center))
+    for a in (r, *dirs):
+        a.setflags(write=False)
+    return r, dirs
+
+
+def _virial_meshes(grid: GridSpec, center) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """|x - center| and the unit directions (x - center)/|x - center| (zero at
+    the centre), cached per grid and centre and read-only; center None is
+    the origin."""
     if center is None:
         center = (0.0,) * grid.d
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if center.shape != (grid.d,):
         raise ValueError(f"center must have {grid.d} components")
-    return np.sqrt(sum((x - c) ** 2 for x, c in zip(grid.x_mesh, center)))
-
-
-def _unit_directions(grid: GridSpec, center) -> list[np.ndarray]:
-    if center is None:
-        center = (0.0,) * grid.d
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    r = _radius(grid, center)
-    safe = np.where(r > 0, r, 1.0)
-    return [np.where(r > 0, (x - c) / safe, 0.0) for x, c in zip(grid.x_mesh, center)]
+    return _cached_meshes(grid, tuple(float(c) for c in center))
 
 
 def virial_V(state: SystemState | Snapshot, weight: MorawetzWeight, center=None) -> float:
@@ -172,7 +185,7 @@ def virial_V(state: SystemState | Snapshot, weight: MorawetzWeight, center=None)
     rho = snap.rho
     if weight.kind == CONSTANT:
         return weight.value * g.cell_volume * float(rho.sum())
-    r = _radius(g, center)
+    r, _ = _virial_meshes(g, center)
     phi = r if weight.kind == ABS_DISTANCE else np.asarray(weight.profile(r))
     return g.cell_volume * float(np.sum(phi * rho))
 
@@ -183,9 +196,8 @@ def virial_Vdot(state: SystemState | Snapshot, weight: MorawetzWeight, center=No
     g = snap.state.grid
     if weight.kind == CONSTANT:
         return 0.0
-    r = _radius(g, center)
+    r, dirs = _virial_meshes(g, center)
     dphi = np.ones_like(r) if weight.kind == ABS_DISTANCE else np.asarray(weight.d1(r))
-    dirs = _unit_directions(g, center)
     j = snap.current
     total = sum(np.sum(j[a] * dphi * dirs[a]) for a in range(g.d))
     return 2.0 * g.cell_volume * float(total)
@@ -244,8 +256,7 @@ def virial_Vddot(state: SystemState | Snapshot, weight: MorawetzWeight,
     if weight.d3 is None or weight.d4 is None:
         raise ValueError("third and fourth radial derivatives are required "
                          "for the bilaplacian term")
-    r = _radius(g, center)
-    dirs = _unit_directions(g, center)
+    r, dirs = _virial_meshes(g, center)
     d1 = np.asarray(weight.d1(r))
     d2 = np.asarray(weight.d2(r))
     safe = np.where(r > 0, r, 1.0)
@@ -293,8 +304,10 @@ def gradient_pairing(state: SystemState | Snapshot, route: str = "kernel") -> fl
     """sum_{mu,kappa} intint Lap_x psi grad_x m_mu . grad_y m_kappa for the
     |x-y| weight.
 
-    route = 'kernel':     per-dimension kernel convolution
-                          (d = 1 delta collapse, d = 2 and 3 reciprocal kernel)
+    route = 'kernel':     d = 1: the delta collapse 2 ||dx rho||^2;
+                          d = 2, 3: Lap_x psi = (d-1)/|x-y|, paired as the
+                          half-spectrum sum (d-1) sum_k |k|^2 K_hat |rho_hat|^2
+                          of the reciprocal kernel K (no transform of grad rho)
     route = 'fractional': the equivalent single-time spectral form,
                           d = 1: 2 ||dx rho||^2,  d = 2: 2 pi ||(-Lap)^{1/4} rho||^2.
                           Unverified in d = 3 (not provided).
@@ -320,22 +333,18 @@ def gradient_pairing(state: SystemState | Snapshot, route: str = "kernel") -> fl
         raise NotImplementedError("fractional pairing form is only asserted in d = 1, 2")
     if route != "kernel":
         raise ValueError(f"unknown route {route!r}")
-    grads = snap.rho_grads
     if g.d == 1:
-        return 2.0 * g.cell_volume * float(np.sum(grads[0] ** 2))
+        return 2.0 * g.cell_volume * float(np.sum(snap.rho_grads[0] ** 2))
     kernel = RadialKernel.reciprocal(transform="analytic" if g.d == 2 else "grid")
-    coeff = 1.0 if g.d == 2 else 2.0
-    total = 0.0
-    for ga in grads:
-        ga_hat = padded_rfft(g, ga)
-        total += kernel_inner_product(g, ga_hat, ga_hat, kernel)
-    return coeff * total
+    return (g.d - 1.0) * kernel_gradient_product(g, snap.rho_hat, kernel)
 
 
 def interaction_report(state: SystemState | Snapshot, weight: MorawetzWeight) -> InteractionReport:
     """I, dI/dt, the nonlinear term and the convexity lower bound for d2I/dt2.
 
     All double integrals are kernel pairings on the padded half-spectra.
+    dI/dt is taken by parts, -4 int (div j)(K * rho) with the Snapshot's
+    div_current, so it pairs one padded transform with rho_hat whatever d is.
     Delta parts of the |x-y| weight (Lap psi in d = 1, Lap^2 psi in d = 3)
     are collapsed to single integrals analytically.  The gradient term uses
     the kernel route only; the d = 2 fractional cross-check (an 8x-padded
@@ -361,9 +370,8 @@ def interaction_report(state: SystemState | Snapshot, weight: MorawetzWeight) ->
         abs_kernel = RadialKernel.abs_distance()
         rho_hat = snap.rho_hat  # shared by every rho pairing below
         I = kernel_inner_product(g, rho_hat, rho_hat, abs_kernel)
-        Idot = 4.0 * sum(kernel_inner_product(g, padded_rfft(g, snap.current[a]), rho_hat,
-                                              abs_kernel, axis=a)
-                         for a in range(g.d))
+        Idot = -4.0 * kernel_inner_product(g, padded_rfft(g, snap.div_current), rho_hat,
+                                           abs_kernel)
         if g.d == 1:
             N = (8.0 * p / (p + 1.0)) * vol * float(np.sum(P * rho))
             grad_term = 2.0 * gradient_pairing(snap, "kernel")
@@ -393,12 +401,11 @@ def interaction_report(state: SystemState | Snapshot, weight: MorawetzWeight) ->
         delta_eps = RadialKernel.gaussian_delta(weight.eps)
         rho_hat = snap.rho_hat
         I = kernel_inner_product(g, rho_hat, rho_hat, prof_kernel)
-        Idot = 4.0 * kernel_inner_product(g, padded_rfft(g, snap.current[0]), rho_hat,
-                                          prof_kernel, axis=0)
+        Idot = -4.0 * kernel_inner_product(g, padded_rfft(g, snap.div_current), rho_hat,
+                                           prof_kernel)
         N = (8.0 * p / (p + 1.0)) * kernel_inner_product(g, padded_rfft(g, P), rho_hat,
                                                          delta_eps)
-        drho_hat = padded_rfft(g, snap.rho_grads[0])
-        grad_term = 4.0 * kernel_inner_product(g, drho_hat, drho_hat, delta_eps)
+        grad_term = 4.0 * kernel_gradient_product(g, rho_hat, delta_eps)
         return InteractionReport(t=t, weight=weight.label, I=I, Idot=Idot,
                                  N_term=N, gradient_term=grad_term,
                                  rhs_lower=grad_term + N)

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import (GridSpec, ScalarField, PHYSICAL, SPECTRAL, cube_sup_l2,
-                   forward_transform, padded_rfft, spectral_gradient)
+                   forward_transform, padded_rfft, spectral_gradient, transform)
 
 
 def critical_exponent(d: int) -> float:
@@ -185,11 +185,14 @@ class Snapshot:
       spectra    per-component spectra c_k (grid.forward_transform values)
       m          per-component densities |u_mu|^2
       rho        total density sum_mu m_mu
-      rho_spectrum  spectrum of rho
+      rho_spectrum  spectrum of rho (d = 1 and 2 diagnostics only)
       P          coupling density sum_{mu,nu} beta[mu,nu] |u_mu|^{p+1} |u_nu|^{p+1}
       grads      spectral gradients of each component from its spectrum, grads[mu][a]
       current    total current sum_mu Im(conj(u_mu) grad u_mu), per axis
+      div_current  its divergence sum_mu Im(conj(u_mu) Lap u_mu), each Lap u_mu
+                 from the component spectrum by one inverse transform
       rho_grads  real spectral gradient of rho from its spectrum, per axis
+                 (d = 1 only: the delta collapse and grad_density_sq)
       m_hats     padded half-spectra of the m_mu (grid.padded_rfft)
       rho_hat    padded half-spectrum of rho, sum_mu m_hats[mu]
     """
@@ -241,6 +244,16 @@ class Snapshot:
     @cached_property
     def current(self) -> list[np.ndarray]:
         return total_current(self.state, self.grads)
+
+    @cached_property
+    def div_current(self) -> np.ndarray:
+        g = self.state.grid
+        out = np.zeros(g.shape)
+        for f, c in zip(self.state.fields, self.spectra):
+            lap = transform(g, -g.k_squared * c * g._phase, inverse=True)
+            lap *= g.npoints
+            out += np.imag(np.conj(f.values) * lap)
+        return out
 
     @cached_property
     def rho_grads(self) -> list[np.ndarray]:

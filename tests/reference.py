@@ -16,6 +16,16 @@ wave_operator_reference is the three-buffer wave-operator recursion in
 physical space (the free trajectory, the iterate and the new iterate, each
 n_nodes x N x M^d); the production wave_operator works in the interaction
 picture with one buffer and must agree with it to rounding.
+
+idot_reference and gradient_pairing_reference are the per-axis Morawetz
+pairings: one padded transform and one kernel pairing per axis, of each
+current component (paired with d_a K by kernel_axis_pairing_reference) and
+of each spectral derivative of rho.  The production
+interaction_report integrates dI/dt by parts (one padded transform of
+div j) and sums |k|^2 K_hat |rho_hat|^2 for the gradient term; the two
+forms agree to rounding on resolved states, and their gap is discretisation
+error that falls as the grid is refined.  virial_meshes_reference builds
+the virial radius and direction meshes afresh, as before they were cached.
 """
 
 import math
@@ -24,9 +34,54 @@ from typing import Callable, Sequence
 import numpy as np
 
 from nlskit.evolve import MIN_MODULUS, NanAbortError, StepParams, _nonlinear_exponents
-from nlskit.grid import PHYSICAL, GridSpec, ScalarField
+from nlskit.grid import (PHYSICAL, GridSpec, RadialKernel, ScalarField, _kernel_hat,
+                         kernel_inner_product, padded_geometry, padded_rfft)
 from nlskit.scattering import WaveOperatorDivergence, WaveOperatorResult
-from nlskit.system import CouplingSpec, SystemState, state_from_arrays
+from nlskit.system import CouplingSpec, Snapshot, SystemState, state_from_arrays
+
+
+def kernel_axis_pairing_reference(grid: GridSpec, f_hat: np.ndarray, g_hat: np.ndarray,
+                                  kernel: RadialKernel, axis: int) -> float:
+    """int f (d_axis K * g) dx for real f and g supported in the box, from
+    their padded_rfft half-spectra: h^(2d)/N sum_k conj(f_k) i k_axis K_k g_k.
+    It equals h^d sum_x f convolve_kernel_gradient(g)[axis]."""
+    geo = padded_geometry(grid)
+    cross = f_hat.imag * g_hat.real          # -Im conj(f) g, as Re(i k z) = -k Im z
+    cross -= f_hat.real * g_hat.imag
+    cross *= geo.odd_k_axes[axis]
+    cross *= _kernel_hat(grid, kernel)
+    cross *= geo.weights
+    return grid.cell_volume ** 2 / geo.npoints * float(np.sum(cross))
+
+
+def idot_reference(snap: Snapshot, kernel: RadialKernel) -> float:
+    """4 sum_a int j_a (d_a K * rho) dx: each current component padded,
+    transformed and paired with rho_hat along its axis."""
+    g = snap.state.grid
+    return 4.0 * sum(kernel_axis_pairing_reference(g, padded_rfft(g, snap.current[a]),
+                                                   snap.rho_hat, kernel, a)
+                     for a in range(g.d))
+
+
+def gradient_pairing_reference(snap: Snapshot, kernel: RadialKernel) -> float:
+    """sum_a int d_a rho (K * d_a rho) dx from the padded transforms of the
+    spectral derivatives of rho, one pairing per axis."""
+    g = snap.state.grid
+    total = 0.0
+    for ga in snap.rho_grads:
+        ga_hat = padded_rfft(g, ga)
+        total += kernel_inner_product(g, ga_hat, ga_hat, kernel)
+    return total
+
+
+def virial_meshes_reference(grid: GridSpec, center) -> tuple[np.ndarray, list[np.ndarray]]:
+    """|x - center| and the unit directions, built afresh on every call."""
+    if center is None:
+        center = (0.0,) * grid.d
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    r = np.sqrt(sum((x - c) ** 2 for x, c in zip(grid.x_mesh, center)))
+    safe = np.where(r > 0, r, 1.0)
+    return r, [np.where(r > 0, (x - c) / safe, 0.0) for x, c in zip(grid.x_mesh, center)]
 
 
 def nonlinear_exponents_reference(arrays: list[np.ndarray], coupling: CouplingSpec,

@@ -8,9 +8,10 @@ from nlskit import (GridSpec, GridUsageError, RadialKernel, ScalarField,
                     apply_multiplier, convolve_kernel_gradient,
                     convolve_radial_kernel, field_from_function,
                     forward_transform, inverse_transform, spectral_gradient)
-from nlskit.grid import kernel_inner_product, padded_rfft
+from nlskit.grid import kernel_gradient_product, kernel_inner_product, padded_geometry, padded_rfft
 
 from conftest import gaussian, random_field
+from reference import kernel_axis_pairing_reference
 
 
 def test_gridspec_validation():
@@ -266,8 +267,23 @@ def test_kernel_inner_product_matches_convolution(d, name):
     for a, conv_a in enumerate(convolve_kernel_gradient(gf, kernel)):
         expected = vol * float(np.sum(f * conv_a.values))
         scale = vol * float(np.sum(np.abs(f * conv_a.values)))
-        got = kernel_inner_product(grid, f_hat, g_hat, kernel, axis=a)
+        got = kernel_axis_pairing_reference(grid, f_hat, g_hat, kernel, a)
         assert abs(got - expected) <= 1e-12 * abs(expected) + 1e-14 * scale
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_gradient_product_is_the_sum_of_axis_pairings(d):
+    # the padded half-spectrum of d_a f is i k_a f_hat, so the |k|^2 sum is
+    # the sum over axes of the pairings of those half-spectra, to rounding
+    grid = _PAIRING_GRIDS[d]
+    kernel = RadialKernel.gaussian_delta(0.4) if d == 1 else RadialKernel.reciprocal()
+    f_hat = padded_rfft(grid, _supported_pair(grid, seed=d)[0])
+    odd = padded_geometry(grid).odd_k_axes
+    axes = sum(kernel_inner_product(grid, 1j * k * f_hat, 1j * k * f_hat, kernel)
+               for k in odd)
+    got = kernel_gradient_product(grid, f_hat, kernel)
+    assert got > 0.0
+    assert abs(got - axes) <= 1e-13 * axes
 
 
 def test_padded_rfft_passes_only_over_rows_that_can_be_nonzero(monkeypatch):

@@ -11,11 +11,14 @@ from nlskit import (CouplingSpec, GridSpec, MorawetzWeight, ScalarField,
                     interaction_inequality_check, interaction_report, lq_norm,
                     mass, strang_step, sup_cube_mass, total_mass, virial_V,
                     virial_Vddot, virial_Vdot)
+from nlskit import grid as nlskit_grid
 from nlskit.diagnostics import CollectorOptions, DiagnosticsCollector
-from nlskit.morawetz import SpacetimeAccumulators
+from nlskit.grid import RadialKernel
+from nlskit.morawetz import ERF_SMOOTHED, SpacetimeAccumulators, _virial_meshes
 from nlskit.system import Snapshot
 
 from conftest import gaussian, single_state
+from reference import gradient_pairing_reference, idot_reference, virial_meshes_reference
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -260,37 +263,53 @@ def test_shared_snapshot_gives_the_same_diagnostics(d, m):
     assert shared.history == alone.history
 
 
-def test_one_collector_call_transforms_each_piece_once(monkeypatch):
-    # a d = 3, N = 2 snapshot makes one unpadded forward transform per
-    # component and one of rho, all through scipy.fft and none through
-    # numpy.fft, and every column equals its observable on the bare state
-    # bit for bit
-    st = two_component_state(GridSpec(3, 16, 8.0), p=1.0)
-    weight, inter = MorawetzWeight.quadratic(), MorawetzWeight.abs_distance()
-    collector = DiagnosticsCollector(st.coupling, st.grid, CollectorOptions(
-        weight=weight, vddot=True, interaction=inter,
-        strichartz_pair=admissible_pair(1.0, 3)))
-    calls, numpy_calls, fftn = [], [], scipy.fft.fftn
+def _counted_collector_call(monkeypatch, d, m):
+    """One DiagnosticsCollector call, every column on, on a d-dimensional
+    two-component state.  A warm-up call fills the kernel cache first.
+    Returns the state, the collector, and what the counted call did: the
+    input shape of each unpadded forward transform, of each padded transform
+    (the rfftn pass that starts every grid.padded_rfft), the number of
+    kernel lookups (one per pairing) and the numpy.fft calls."""
+    st = two_component_state(GridSpec(d, m, 8.0), p=1.0)
+    options = CollectorOptions(weight=MorawetzWeight.quadratic(), vddot=True,
+                               interaction=MorawetzWeight.abs_distance(),
+                               strichartz_pair=admissible_pair(1.0, d))
+    DiagnosticsCollector(st.coupling, st.grid, options)(st)
+    collector = DiagnosticsCollector(st.coupling, st.grid, options)
+    counts = {"fftn": [], "padded": [], "pairings": 0, "numpy": []}
 
-    def counted_fftn(*args, **kwargs):
-        calls.append(args[0].shape)
-        return fftn(*args, **kwargs)
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key].append(args[0].shape)
+            return fn(*args, **kwargs)
+        return wrapper
 
     def numpy_counted(name):
         fn = getattr(np.fft, name)
 
-        def counted(*args, **kwargs):
-            numpy_calls.append(name)
+        def wrapper(*args, **kwargs):
+            counts["numpy"].append(name)
             return fn(*args, **kwargs)
-        return counted
+        return wrapper
 
-    monkeypatch.setattr(scipy.fft, "fftn", counted_fftn)
+    kernel_hat = nlskit_grid._kernel_hat
+
+    def counted_kernel_hat(*args, **kwargs):
+        counts["pairings"] += 1
+        return kernel_hat(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "fftn", counted(scipy.fft.fftn, "fftn"))
+    monkeypatch.setattr(scipy.fft, "rfftn", counted(scipy.fft.rfftn, "padded"))
+    monkeypatch.setattr(nlskit_grid, "_kernel_hat", counted_kernel_hat)
     for name in ("fftn", "ifftn", "fft", "ifft", "rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, numpy_counted(name))
     collector(st)
     monkeypatch.undo()
-    assert calls == [st.grid.shape] * (st.coupling.n + 1)
-    assert numpy_calls == []
+    return st, collector, counts
+
+
+def _assert_columns_equal_bare_state_observables(st, collector):
+    weight, inter = collector.opts.weight, collector.opts.interaction
     rec = collector.records[0]
     e, rep = energy(st), interaction_report(st, inter)
     expected = {"mass_1": mass(st, 0), "mass_2": mass(st, 1), "kinetic": e.kinetic,
@@ -305,6 +324,122 @@ def test_one_collector_call_transforms_each_piece_once(monkeypatch):
     alone = SpacetimeAccumulators(st.coupling)
     alone.update(st)
     assert collector.accumulators.history == alone.history
+
+
+def test_one_collector_call_transforms_each_piece_once(monkeypatch):
+    # a d = 3, N = 2 snapshot makes one unpadded forward transform per
+    # component (rho's spectrum is not needed), all through scipy.fft and
+    # none through numpy.fft; 6 padded transforms (m_1, m_2, div j, P and
+    # the two |u_mu|^{2p+2}) and 6 pairings (I, Idot, N, the gradient sum and
+    # two recip_self); and every column equals its observable on the bare
+    # state bit for bit
+    st, collector, counts = _counted_collector_call(monkeypatch, 3, 16)
+    assert counts["fftn"] == [st.grid.shape] * st.coupling.n
+    assert counts["padded"] == [st.grid.shape] * 6
+    assert counts["pairings"] == 6
+    assert counts["numpy"] == []
+    _assert_columns_equal_bare_state_observables(st, collector)
+
+
+def test_one_d2_collector_call_also_transforms_rho(monkeypatch):
+    # in d = 2 the half_deriv_sq accumulator reads rho's unpadded spectrum,
+    # so a snapshot makes N + 1 unpadded forward transforms; the padded
+    # transforms and pairings are the same 6 as in d = 3
+    st, collector, counts = _counted_collector_call(monkeypatch, 2, 32)
+    assert counts["fftn"] == [st.grid.shape] * (st.coupling.n + 1)
+    assert counts["padded"] == [st.grid.shape] * 6
+    assert counts["pairings"] == 6
+    assert counts["numpy"] == []
+    _assert_columns_equal_bare_state_observables(st, collector)
+
+
+def resolved_moving_state(grid):
+    """Two narrow, moving Gaussians with different widths, amplitudes and
+    centres: no symmetry makes Idot vanish, and rho is resolved and decayed
+    at the box edge on the grids below."""
+    cpl = CouplingSpec(2, np.array([[1.0, 0.5], [0.5, 1.0]]), 1.0, grid.d)
+    u1 = gaussian(grid, amp=0.7, width=1.0, velocity=[0.3] * grid.d)
+    u2 = gaussian(grid, amp=0.5, width=0.8, center=[1.0] * grid.d,
+                  velocity=[-0.2] * grid.d)
+    return SystemState(0.0, (u1, u2), cpl)
+
+
+def _per_axis_form_gaps(snap, weight):
+    """Relative gaps of the report's Idot and gradient term to the per-axis
+    forms of tests/reference.py (None where the gradient term is the d = 1
+    delta collapse, which has no pairing)."""
+    g = snap.state.grid
+    rep = interaction_report(snap, weight)
+    if weight.kind == ERF_SMOOTHED:
+        kernel = RadialKernel.from_profile(
+            weight.profile, origin_value=float(weight.profile(np.asarray(0.0))))
+        grad = 4.0 * gradient_pairing_reference(snap, RadialKernel.gaussian_delta(weight.eps))
+    else:
+        kernel = RadialKernel.abs_distance()
+        recip = RadialKernel.reciprocal(transform="analytic" if g.d == 2 else "grid")
+        grad = None if g.d == 1 else 2.0 * (g.d - 1) * gradient_pairing_reference(snap, recip)
+    idot = idot_reference(snap, kernel)
+    grad_gap = None if grad is None else abs(rep.gradient_term - grad) / abs(grad)
+    return abs(rep.Idot - idot) / abs(idot), grad_gap
+
+
+# Measured relative gaps on resolved_moving_state (numpy 2.4, scipy 1.17):
+# d = 1 |x| and erf: Idot 2.2e-15, erf gradient term 0; d = 2: Idot 4e-16,
+# gradient term 8.8e-15; d = 3: Idot 1.0e-14, gradient term 3.1e-14.  The
+# bound 1e-12 leaves a 30x margin over the largest.
+@pytest.mark.parametrize("d, m, l, weight", [
+    (1, 256, 16.0, MorawetzWeight.abs_distance()),
+    (1, 256, 16.0, MorawetzWeight.erf_smoothed(0.3)),
+    (2, 64, 8.0, MorawetzWeight.abs_distance()),
+    (3, 48, 6.0, MorawetzWeight.abs_distance()),
+], ids=["d1-abs", "d1-erf", "d2-abs", "d3-abs"])
+def test_idot_by_parts_and_gradient_sum_match_per_axis_forms(d, m, l, weight):
+    snap = Snapshot(resolved_moving_state(GridSpec(d, m, l)))
+    idot_gap, grad_gap = _per_axis_form_gaps(snap, weight)
+    assert idot_gap < 1e-12
+    assert grad_gap is None or grad_gap < 1e-12
+
+
+# Measured gaps (Idot, gradient term): d = 2, L = 12: (2.9e-4, 1.2e-4) at
+# M = 32 and (1.4e-16, 1.2e-16) at M = 128; d = 3, L = 6: (4.0e-9, 1.3e-5) at
+# M = 24 and (1.0e-14, 3.1e-14) at M = 48.  The smallest drop is 4e5, so the
+# forms differ by discretisation error, not by a bug in either.
+@pytest.mark.parametrize("d, l, coarse, fine", [(2, 12.0, 32, 128), (3, 6.0, 24, 48)])
+def test_by_parts_and_per_axis_forms_converge_under_refinement(d, l, coarse, fine):
+    weight = MorawetzWeight.abs_distance()
+    gaps = [_per_axis_form_gaps(Snapshot(resolved_moving_state(GridSpec(d, m, l))), weight)
+            for m in (coarse, fine)]
+    for before, after in zip(*gaps):
+        assert after < 1e-4 * before
+
+
+def test_virial_meshes_are_cached_per_grid_and_centre():
+    # the cached meshes equal fresh ones bit for bit and are read-only, and
+    # a second grid or centre gets its own arrays, so no entry is stale
+    g1, g2 = GridSpec(2, 32, 8.0), GridSpec(2, 32, 6.0)
+    seen = []
+    for grid in (g1, g2):
+        for center in (None, (0.5, -1.25), np.array([1.0, 2.0])):
+            r, dirs = _virial_meshes(grid, center)
+            r_ref, dirs_ref = virial_meshes_reference(grid, center)
+            assert r.tobytes() == r_ref.tobytes()
+            assert [a.tobytes() for a in dirs] == [a.tobytes() for a in dirs_ref]
+            assert not any(a.flags.writeable for a in (r, *dirs))
+            assert _virial_meshes(grid, center)[0] is r
+            assert all(r is not other for other in seen)
+            seen.append(r)
+    assert _virial_meshes(g1, [0.5, -1.25])[0] is _virial_meshes(g1, (0.5, -1.25))[0]
+    with pytest.raises(ValueError, match="2 components"):
+        _virial_meshes(g1, (1.0, 2.0, 3.0))
+    st = two_component_state(g2)
+    snap = Snapshot(st)
+    weight = MorawetzWeight.quadratic()
+    for center in ((0.5, -1.25), (1.0, 2.0)):
+        r, dirs = virial_meshes_reference(g2, center)
+        vol = g2.cell_volume
+        assert virial_V(st, weight, center) == vol * float(np.sum(r * r * snap.rho))
+        assert virial_Vdot(st, weight, center) == 2.0 * vol * float(
+            sum(np.sum(snap.current[a] * (2.0 * r) * dirs[a]) for a in range(2)))
 
 
 # ---------------------------------------------------------------------------

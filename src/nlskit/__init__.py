@@ -12,7 +12,7 @@ on seeded corpora.
 
 from .grid import (GridSpec, ScalarField, RadialKernel, GridUsageError,
                    field_from_function, forward_transform, inverse_transform,
-                   spectral_gradient, apply_multiplier,
+                   spectral_gradient,
                    convolve_radial_kernel, convolve_kernel_gradient, cube_sup_l2)
 from .system import (CouplingSpec, SystemState, EnergyReport, LqReport,
                      Snapshot, state_from_arrays, current, mass, total_mass,

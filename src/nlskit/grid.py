@@ -13,8 +13,13 @@ correction, so the coefficient ``c_k`` of a field ``f`` satisfies
     f(x) = sum_k c_k exp(i k.x),        c_0 = mean(f),
 
 and Parseval reads ``h^d sum_m |f_m|^2 = (2L)^d sum_k |c_k|^2``.  Every
-unpadded complex transform in the package is one ``transform`` call (in-place
-``scipy.fft``, batched over leading axes); every ``j`` comes from ``mode_numbers``.
+unpadded complex transform in the package is one ``transform`` call (one
+in-place ``numpy.fft`` pass per axis, batched over leading axes; the inverse
+applies its 1/M^d once, after the first pass, as pocketfft's ``ifftn`` does,
+so both directions equal ``fftn``/``ifftn`` bit for bit); every ``j`` comes
+from ``mode_numbers``.  ``numpy.fft`` is the package's one FFT library;
+special functions are imported on first use, in the two functions that need
+them (``_analytic_reciprocal_hat`` and ``morawetz.MorawetzWeight.erf_smoothed``).
 
 Free-space convolutions (used for the bilinear interaction weights) zero-pad
 the box by a factor of two per axis and multiply by the transform of the
@@ -28,8 +33,8 @@ space: by Parseval on the doubled box they are weighted sums of
 ``conj(f_hat) K_hat g_hat`` over real-to-complex half-spectra
 (``kernel_inner_product``); the gradient pairing
 ``sum_a int d_a f (K * d_a f)`` is the sum of ``|k|^2 K_hat |f_hat|^2``
-(``kernel_gradient_product``).  Padded transforms run one ``scipy.fft`` pass
-per axis on one thread and skip the rows that hold only padding zeros
+(``kernel_gradient_product``).  Padded transforms run one ``numpy.fft`` pass
+per axis and skip the rows that hold only padding zeros
 (``padded_rfft``); kernel transforms are cached as real half-spectra.
 """
 
@@ -41,7 +46,6 @@ from functools import cached_property, lru_cache, reduce
 from typing import Callable
 
 import numpy as np
-import scipy.fft
 
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
@@ -64,7 +68,7 @@ class GridUsageError(ValueError):
 @lru_cache(maxsize=32)
 def mode_numbers(n: int) -> np.ndarray:
     """Mode numbers 0, 1, ..., n/2-1, -n/2, ..., -1 as floats; cached, read-only."""
-    j = np.rint(scipy.fft.fftfreq(n) * n)
+    j = np.rint(np.fft.fftfreq(n) * n)
     j.setflags(write=False)
     return j
 
@@ -234,9 +238,25 @@ def transform(grid: GridSpec, values: np.ndarray, inverse: bool = False) -> np.n
     """fftn (or, if ``inverse``, ifftn, which carries the 1/M^d) over the last
     grid.d axes of ``values``, batched over any leading axes.  ``values``
     must be a complex128 array (or view) that the caller owns: it is
-    transformed in place and the result shares its memory."""
-    fn = scipy.fft.ifftn if inverse else scipy.fft.fftn
-    return fn(values, axes=tuple(range(-grid.d, 0)), overwrite_x=True)
+    transformed in place and the result shares its memory.
+
+    One in-place ``numpy.fft`` pass per axis, axes -d, ..., -1 in that order.
+    The inverse scales once by 1/M^d right after its first pass, where
+    pocketfft's own ifftn applies it, and runs every other pass unscaled:
+    the result is then ifftn bit for bit, which a 1/M scaling in each pass
+    is not (it differs in the last bit at M = 48, d = 3)."""
+    axes = range(-grid.d, 0)
+    if not inverse:
+        for axis in axes:
+            np.fft.fft(values, axis=axis, out=values)
+        return values
+    if grid.d == 1:
+        return np.fft.ifft(values, axis=-1, out=values)
+    np.fft.ifft(values, axis=axes[0], norm="forward", out=values)
+    values *= 1.0 / grid.npoints
+    for axis in axes[1:]:
+        np.fft.ifft(values, axis=axis, norm="forward", out=values)
+    return values
 
 
 def forward_transform(f: ScalarField) -> ScalarField:
@@ -269,28 +289,6 @@ def spectral_gradient(f: ScalarField) -> list[ScalarField]:
         comp *= g.npoints
         out.append(ScalarField(comp, g, PHYSICAL))
     return out
-
-
-def apply_multiplier(f: ScalarField, multiplier: Callable[[np.ndarray], np.ndarray],
-                     name: str = "multiplier") -> ScalarField:
-    """Apply a radial spectral multiplier m(|k|) and return a field in the
-    same representation as the input.
-
-    The callable receives the |k| mesh; for multipliers singular at k = 0 the
-    caller must patch the origin (e.g. with np.where) before returning.
-    """
-    g = f.grid
-    m = np.asarray(multiplier(g.k_modulus))
-    bad = ~np.isfinite(m)
-    if bad.any():
-        idx = tuple(int(i[0]) for i in np.nonzero(bad))
-        kvec = tuple(float(g.k_mesh[a][idx]) for a in range(g.d))
-        raise ValueError(
-            f"{name} is not finite at k = {kvec} (grid index {idx}); "
-            "singular multipliers must be patched at the offending wavenumbers")
-    spec = f.to_spectral()
-    out = ScalarField(spec.values * m, g, SPECTRAL)
-    return out if f.space == SPECTRAL else inverse_transform(out)
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +422,15 @@ def padded_rfft(grid: GridSpec, values: np.ndarray, factor: int = 2) -> np.ndarr
     """Half-spectrum (unnormalized ``rfftn``) of a real array zero-padded to
     n = factor M points per axis.
 
-    One pass per axis, on one thread: an ``rfftn`` along the last axis of the
+    One ``numpy.fft`` pass per axis: an ``rfftn`` along the last axis of the
     unpadded input, then an ``fft`` padded to n along axes 0, ..., d-2 in
     that order.  Each pass transforms only the rows that can be nonzero, and
     in that order the result equals ``rfftn(values, s=(n,) * d)`` bit for
     bit (also for inputs already n long, such as sampled kernels)."""
     n = factor * grid.m
-    out = scipy.fft.rfftn(values, s=(n,), axes=(-1,))
+    out = np.fft.rfftn(values, s=(n,), axes=(-1,))
     for axis in range(grid.d - 1):
-        out = scipy.fft.fft(out, n=n, axis=axis, overwrite_x=True)
+        out = np.fft.fft(out, n=n, axis=axis)
     return out
 
 
@@ -543,7 +541,7 @@ def _pad_forward(f: ScalarField) -> np.ndarray:
 def _convolve_hat(grid: GridSpec, spectrum: np.ndarray) -> np.ndarray:
     """Finish a padded convolution from its half-spectrum and restrict to
     the original box."""
-    conv = scipy.fft.irfftn(spectrum, s=padded_geometry(grid).shape)
+    conv = np.fft.irfftn(spectrum, s=padded_geometry(grid).shape, axes=range(grid.d))
     return conv[(slice(0, grid.m),) * grid.d] * grid.cell_volume
 
 

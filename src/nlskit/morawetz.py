@@ -60,7 +60,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from .grid import (GridSpec, RadialKernel, kernel_gradient_product, kernel_inner_product,
                    padded_geometry, padded_rfft)
@@ -127,13 +126,15 @@ class MorawetzWeight:
         spacing, otherwise the mollifier is unresolved."""
         if eps <= 0:
             raise ValueError("smoothing width must be positive")
+        from scipy.special import erf  # on first use: importing scipy is slow
+
         s = math.sqrt(math.pi)
 
         def profile(r):
-            return r * _erf(r / eps) + (eps / s) * np.exp(-((r / eps) ** 2))
+            return r * erf(r / eps) + (eps / s) * np.exp(-((r / eps) ** 2))
 
         def d1(r):
-            return _erf(r / eps)
+            return erf(r / eps)
 
         def d2(r):
             return (2.0 / (eps * s)) * np.exp(-((r / eps) ** 2))

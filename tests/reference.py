@@ -26,6 +26,10 @@ div j) and sums |k|^2 K_hat |rho_hat|^2 for the gradient term; the two
 forms agree to rounding on resolved states, and their gap is discretisation
 error that falls as the grid is refined.  virial_meshes_reference builds
 the virial radius and direction meshes afresh, as before they were cached.
+
+apply_multiplier applies a radial spectral multiplier m(|k|) to one field;
+the package has no caller of it, and the tests use it to check the
+transform conventions.
 """
 
 import math
@@ -34,8 +38,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from nlskit.evolve import MIN_MODULUS, NanAbortError, StepParams, _nonlinear_exponents
-from nlskit.grid import (PHYSICAL, GridSpec, RadialKernel, ScalarField, _kernel_hat,
-                         kernel_inner_product, padded_geometry, padded_rfft)
+from nlskit.grid import (PHYSICAL, SPECTRAL, GridSpec, RadialKernel, ScalarField, _kernel_hat,
+                         inverse_transform, kernel_inner_product, padded_geometry, padded_rfft)
 from nlskit.scattering import WaveOperatorDivergence, WaveOperatorResult
 from nlskit.system import CouplingSpec, Snapshot, SystemState, state_from_arrays
 
@@ -82,6 +86,28 @@ def virial_meshes_reference(grid: GridSpec, center) -> tuple[np.ndarray, list[np
     r = np.sqrt(sum((x - c) ** 2 for x, c in zip(grid.x_mesh, center)))
     safe = np.where(r > 0, r, 1.0)
     return r, [np.where(r > 0, (x - c) / safe, 0.0) for x, c in zip(grid.x_mesh, center)]
+
+
+def apply_multiplier(f: ScalarField, multiplier: Callable[[np.ndarray], np.ndarray],
+                     name: str = "multiplier") -> ScalarField:
+    """Apply a radial spectral multiplier m(|k|) and return a field in the
+    same representation as the input.
+
+    The callable receives the |k| mesh; for multipliers singular at k = 0 the
+    caller must patch the origin (e.g. with np.where) before returning.
+    """
+    g = f.grid
+    m = np.asarray(multiplier(g.k_modulus))
+    bad = ~np.isfinite(m)
+    if bad.any():
+        idx = tuple(int(i[0]) for i in np.nonzero(bad))
+        kvec = tuple(float(g.k_mesh[a][idx]) for a in range(g.d))
+        raise ValueError(
+            f"{name} is not finite at k = {kvec} (grid index {idx}); "
+            "singular multipliers must be patched at the offending wavenumbers")
+    spec = f.to_spectral()
+    out = ScalarField(spec.values * m, g, SPECTRAL)
+    return out if f.space == SPECTRAL else inverse_transform(out)
 
 
 def nonlinear_exponents_reference(arrays: list[np.ndarray], coupling: CouplingSpec,

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import nlskit.cli
 import nlskit.config
@@ -461,7 +466,9 @@ def test_cli_gn_check_deterministic(tmp_path):
     assert (out1 / "gn_report.json").read_bytes() == (out2 / "gn_report.json").read_bytes()
 
 
-# one small run of each subcommand, simulate in every dimension
+# one small run of each subcommand, simulate in every dimension; each must
+# make no scipy.fft call, as numpy.fft is the one FFT library (the two tests
+# below keep their numpy_fft names so that their ids stay stable)
 _NO_NUMPY_FFT_RUNS = {
     "simulate-d1": ["simulate", "--d", "1", "--grid-m", "64", "--box-l", "8",
                     "--dt", "0.01", "--t-final", "0.04", "--snapshot-stride", "2"],
@@ -479,24 +486,61 @@ _NO_NUMPY_FFT_RUNS = {
 
 
 @pytest.fixture
-def no_numpy_fft(monkeypatch):
-    """Make every numpy.fft transform raise: scipy.fft is the only library."""
+def no_scipy_fft(monkeypatch):
+    """Make every scipy.fft entry point raise: numpy.fft is the only library."""
     def refuse(name):
         def raiser(*args, **kwargs):
-            raise AssertionError(f"numpy.fft.{name} called")
+            raise AssertionError(f"scipy.fft.{name} called")
         return raiser
 
-    for name in ("fftn", "ifftn", "fft", "ifft", "rfftn", "irfftn"):
-        monkeypatch.setattr(np.fft, name, refuse(name))
+    for name in scipy.fft.__all__:
+        monkeypatch.setattr(scipy.fft, name, refuse(name))
 
 
 @pytest.mark.parametrize("run", list(_NO_NUMPY_FFT_RUNS))
-def test_no_subcommand_calls_numpy_fft(tmp_path, no_numpy_fft, run):
+def test_no_subcommand_calls_numpy_fft(tmp_path, no_scipy_fft, run):
     assert main([*_NO_NUMPY_FFT_RUNS[run], "--out-dir", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("d, m", [(1, 64), (2, 16), (3, 8)])
-def test_random_band_limited_data_does_not_call_numpy_fft(no_numpy_fft, d, m):
+def test_random_band_limited_data_does_not_call_numpy_fft(no_scipy_fft, d, m):
     state = build_initial_state(GridSpec(d, m, 4.0), CouplingSpec(2, np.eye(2), 1.0, d),
                                 InitialDataSpec(family="random-band-limited", seed=3))
     assert state.is_finite()
+
+
+# Run in a fresh interpreter: prints, as its last line, whether scipy was
+# loaded after each stage, with the exit code of each run and the checks of
+# the two functions that import scipy.special on first use.
+_FIRST_USE_SCRIPT = """
+import json, math, sys
+import nlskit.cli
+from nlskit import GridSpec, MorawetzWeight, RadialKernel
+from nlskit.grid import _kernel_hat
+
+runs, out = json.loads(sys.argv[1]), sys.argv[2]
+seen = {"import": "scipy" in sys.modules}
+for name, args in runs.items():
+    seen[name] = [nlskit.cli.main([*args, "--out-dir", f"{out}/{name}"]), "scipy" in sys.modules]
+weight = MorawetzWeight.erf_smoothed(0.5)
+seen["erf"] = [math.isclose(weight.d1(1.0), math.erf(2.0), rel_tol=1e-14),
+               "scipy.special" in sys.modules]
+grid = GridSpec(2, 16, 4.0)
+hat = _kernel_hat(grid, RadialKernel.reciprocal("analytic"))
+seen["analytic"] = [bool(math.isclose(hat[0, 0], 2.0 * math.pi * 8.0 / grid.cell_volume))
+                    and bool((hat > 0.0).all()), "scipy.special" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_is_imported_only_for_special_functions_on_first_use(tmp_path):
+    runs = {"simulate-d3": ["simulate", "--d", "3", "--grid-m", "16", "--box-l", "6",
+                            "--t-final", "0.02"],
+            "wave-op-d2": ["wave-op", "--d", "2", "--grid-m", "16", "--box-l", "8",
+                           "--wave-t", "1", "--wave-dt", "0.05"]}
+    env = {**os.environ, "PYTHONPATH": str(Path(nlskit.cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _FIRST_USE_SCRIPT, json.dumps(runs),
+                           str(tmp_path)], env=env, capture_output=True, text=True, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"import": False, "simulate-d3": [0, False], "wave-op-d2": [0, False],
+                    "erf": [True, True], "analytic": [True, True]}

@@ -295,29 +295,33 @@ def test_stacked_evolve_matches_the_per_component_reference(d, n, p, dealias, st
 
 
 def test_evolve_makes_one_batched_transform_pair_per_step(monkeypatch):
+    # a transform is one numpy.fft pass per axis over the whole (N, M, ...)
+    # stack: d fft passes forward and d ifft passes back
     calls = {}
 
     def count(lib, name):
         fn = getattr(lib, name)
 
-        def counted(*args, **kwargs):
-            key = f"{lib.__name__}.{name}"
-            calls[key] = calls.get(key, 0) + 1
-            return fn(*args, **kwargs)
+        def counted(x, *args, **kwargs):
+            calls.setdefault(f"{lib.__name__}.{name}", []).append(x.shape)
+            return fn(x, *args, **kwargs)
 
         monkeypatch.setattr(lib, name, counted)
 
     for lib in (scipy.fft, np.fft):
-        for name in ("fftn", "ifftn"):
+        for name in ("fftn", "ifftn", "fft", "ifft"):
             count(lib, name)
     state = _random_state(2, 3, 1.0, seed=7)
+    stack = [(3,) + state.grid.shape] * state.grid.d
     n = 5  # one block of n steps
     evolve(state, StepParams(dt=1e-3, t_final=n * 1e-3, snapshot_stride=n))
-    assert calls == {"scipy.fft.fftn": n + 1, "scipy.fft.ifftn": n + 1}
+    assert calls == {"numpy.fft.fft": stack * (n + 1), "numpy.fft.ifft": stack * (n + 1)}
     for comps in (1, 2, 3):
         calls.clear()
-        linear_substep(_random_state(2, comps, 1.0, seed=comps), 0.1)
-        assert calls == {"scipy.fft.fftn": 1, "scipy.fft.ifftn": 1}
+        state = _random_state(2, comps, 1.0, seed=comps)
+        stack = [(comps,) + state.grid.shape] * state.grid.d
+        linear_substep(state, 0.1)
+        assert calls == {"numpy.fft.fft": stack, "numpy.fft.ifft": stack}
 
 
 def test_evolve_nan_abort_names_the_component(grid1d):

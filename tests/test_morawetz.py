@@ -267,28 +267,32 @@ def _counted_collector_call(monkeypatch, d, m):
     """One DiagnosticsCollector call, every column on, on a d-dimensional
     two-component state.  A warm-up call fills the kernel cache first.
     Returns the state, the collector, and what the counted call did: the
-    input shape of each unpadded forward transform, of each padded transform
-    (the rfftn pass that starts every grid.padded_rfft), the number of
-    kernel lookups (one per pairing) and the numpy.fft calls."""
+    input shape of each numpy.fft pass of an unpadded forward transform (d
+    per transform), of each padded transform (the rfftn pass that starts
+    every grid.padded_rfft) and of each padded fft pass after it, the number
+    of kernel lookups (one per pairing) and the scipy.fft calls."""
     st = two_component_state(GridSpec(d, m, 8.0), p=1.0)
     options = CollectorOptions(weight=MorawetzWeight.quadratic(), vddot=True,
                                interaction=MorawetzWeight.abs_distance(),
                                strichartz_pair=admissible_pair(1.0, d))
     DiagnosticsCollector(st.coupling, st.grid, options)(st)
     collector = DiagnosticsCollector(st.coupling, st.grid, options)
-    counts = {"fftn": [], "padded": [], "pairings": 0, "numpy": []}
+    counts = {"fft": [], "padded": [], "padded_fft": [], "pairings": 0, "scipy": []}
+    fft, rfftn = np.fft.fft, np.fft.rfftn
 
-    def counted(fn, key):
+    def counted_fft(x, *args, **kwargs):
+        counts["padded_fft" if "n" in kwargs else "fft"].append(x.shape)
+        return fft(x, *args, **kwargs)
+
+    def counted_rfftn(x, *args, **kwargs):
+        counts["padded"].append(x.shape)
+        return rfftn(x, *args, **kwargs)
+
+    def scipy_counted(name):
+        fn = getattr(scipy.fft, name)
+
         def wrapper(*args, **kwargs):
-            counts[key].append(args[0].shape)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    def numpy_counted(name):
-        fn = getattr(np.fft, name)
-
-        def wrapper(*args, **kwargs):
-            counts["numpy"].append(name)
+            counts["scipy"].append(name)
             return fn(*args, **kwargs)
         return wrapper
 
@@ -298,14 +302,25 @@ def _counted_collector_call(monkeypatch, d, m):
         counts["pairings"] += 1
         return kernel_hat(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, "fftn", counted(scipy.fft.fftn, "fftn"))
-    monkeypatch.setattr(scipy.fft, "rfftn", counted(scipy.fft.rfftn, "padded"))
+    monkeypatch.setattr(np.fft, "fft", counted_fft)
+    monkeypatch.setattr(np.fft, "rfftn", counted_rfftn)
     monkeypatch.setattr(nlskit_grid, "_kernel_hat", counted_kernel_hat)
-    for name in ("fftn", "ifftn", "fft", "ifft", "rfftn", "irfftn"):
-        monkeypatch.setattr(np.fft, name, numpy_counted(name))
+    for name in scipy.fft.__all__:
+        monkeypatch.setattr(scipy.fft, name, scipy_counted(name))
     collector(st)
     monkeypatch.undo()
     return st, collector, counts
+
+
+def _padded_passes(grid, transforms):
+    """Input shapes of the fft passes after the rfftn pass of each padded
+    transform: axes 0, ..., d-2 in turn, each padded to 2M."""
+    shape = grid.shape[:-1] + (grid.m + 1,)
+    passes = []
+    for axis in range(grid.d - 1):
+        passes.append(shape)
+        shape = shape[:axis] + (2 * grid.m,) + shape[axis + 1:]
+    return passes * transforms
 
 
 def _assert_columns_equal_bare_state_observables(st, collector):
@@ -328,16 +343,17 @@ def _assert_columns_equal_bare_state_observables(st, collector):
 
 def test_one_collector_call_transforms_each_piece_once(monkeypatch):
     # a d = 3, N = 2 snapshot makes one unpadded forward transform per
-    # component (rho's spectrum is not needed), all through scipy.fft and
-    # none through numpy.fft; 6 padded transforms (m_1, m_2, div j, P and
-    # the two |u_mu|^{2p+2}) and 6 pairings (I, Idot, N, the gradient sum and
-    # two recip_self); and every column equals its observable on the bare
-    # state bit for bit
+    # component (rho's spectrum is not needed), d numpy.fft passes each, and
+    # no scipy.fft call; 6 padded transforms (m_1, m_2, div j, P and the two
+    # |u_mu|^{2p+2}) and 6 pairings (I, Idot, N, the gradient sum and two
+    # recip_self); and every column equals its observable on the bare state
+    # bit for bit
     st, collector, counts = _counted_collector_call(monkeypatch, 3, 16)
-    assert counts["fftn"] == [st.grid.shape] * st.coupling.n
+    assert counts["fft"] == [st.grid.shape] * (st.coupling.n * st.grid.d)
     assert counts["padded"] == [st.grid.shape] * 6
+    assert counts["padded_fft"] == _padded_passes(st.grid, 6)
     assert counts["pairings"] == 6
-    assert counts["numpy"] == []
+    assert counts["scipy"] == []
     _assert_columns_equal_bare_state_observables(st, collector)
 
 
@@ -346,10 +362,11 @@ def test_one_d2_collector_call_also_transforms_rho(monkeypatch):
     # so a snapshot makes N + 1 unpadded forward transforms; the padded
     # transforms and pairings are the same 6 as in d = 3
     st, collector, counts = _counted_collector_call(monkeypatch, 2, 32)
-    assert counts["fftn"] == [st.grid.shape] * (st.coupling.n + 1)
+    assert counts["fft"] == [st.grid.shape] * ((st.coupling.n + 1) * st.grid.d)
     assert counts["padded"] == [st.grid.shape] * 6
+    assert counts["padded_fft"] == _padded_passes(st.grid, 6)
     assert counts["pairings"] == 6
-    assert counts["numpy"] == []
+    assert counts["scipy"] == []
     _assert_columns_equal_bare_state_observables(st, collector)
 
 

@@ -220,13 +220,19 @@ def _validate(c: dict, problems: list[str]):
                 f"{memory / 2 ** 20:.1f} MiB of physical memory: "
                 "shorten wave_t, lengthen wave_dt or coarsen the grid")
     if cfg.experiment == "verify-identities":
-        # the finite differences of the checks need an interior snapshot
-        for key in ("t_final", "fd_calibration_t") if cfg.fd_calibration_t else ("t_final",):
+        # the finite differences of the checks need an interior snapshot, and
+        # a calibration window (fd_calibration_t, or t_final when it is 0) of
+        # 3 snapshots fits its dt^2 constants from too few gaps to bound them
+        minimum = {"t_final": (3, "")}
+        minimum["fd_calibration_t" if cfg.fd_calibration_t else "t_final"] = (
+            4, " in its calibration window")
+        for key, (least, what) in minimum.items():
             count = cfg.step_params(c[key]).n_snapshots
-            if count < 3:
+            if count < least:
                 problems.append(
-                    f"verify-identities needs at least 3 snapshots: {key} = {c[key]} "
-                    f"gives {count} at dt = {cfg.dt}, snapshot_stride = {cfg.snapshot_stride}")
+                    f"verify-identities needs at least {least} snapshots{what}: "
+                    f"{key} = {c[key]} gives {count} at dt = {cfg.dt}, "
+                    f"snapshot_stride = {cfg.snapshot_stride}")
     for key in ("amplitude", "width", "chirp"):
         v = c[key]
         if isinstance(v, list) and len(v) != n:

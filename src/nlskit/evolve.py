@@ -79,12 +79,15 @@ def _stack(state: SystemState) -> np.ndarray:
 
 
 def _nonlinear_exponents(stack, coupling: CouplingSpec, t: float,
-                         out: np.ndarray | None = None) -> np.ndarray:
+                         out: np.ndarray | None = None,
+                         work: np.ndarray | None = None) -> np.ndarray:
     """g_mu = sum_nu beta[mu,nu] |u_nu|^{p+1} |u_mu|^{p-1} for every component
     of ``stack`` (anything ``np.asarray`` makes an (N, ...) array), written
-    into ``out`` (a new real array if None) and returned.  The p < 1 case
-    (decoupled mode only) sets g_mu = 0 wherever |u_mu| vanishes, where the
-    product g_mu u_mu is zero anyway.  A non-finite exponent raises
+    into ``out`` (a new real array if None) and returned.  ``work`` is a
+    caller-owned real (2N+1, ...) scratch array (a new one if None), so a
+    caller that passes both allocates nothing at p >= 1 and N <= 3.  The p < 1
+    case (decoupled mode only) sets g_mu = 0 wherever |u_mu| vanishes, where
+    the product g_mu u_mu is zero anyway.  A non-finite exponent raises
     NanAbortError at t, the time of the step being taken, chained to a
     ValueError naming the component and grid index; the overflow that
     produced it is that error, not a RuntimeWarning.
@@ -94,15 +97,19 @@ def _nonlinear_exponents(stack, coupling: CouplingSpec, t: float,
     are sorted pointwise), then the self term.  Relabelling the components
     and beta together therefore relabels g_mu bit for bit."""
     stack = np.asarray(stack)
-    p, beta = coupling.p, coupling.beta
+    p, beta, n = coupling.p, coupling.beta, coupling.n
     if out is None:
         out = np.empty(stack.shape)
+    if work is None:
+        work = np.empty((2 * n + 1,) + stack.shape[1:])
+    # |u_mu| (later |u_mu|^{p-1}), |u_mu|^{p+1}, one product term
+    fac, pow_p1, term = work[:n], work[n:2 * n], work[2 * n]
     with np.errstate(over="ignore", invalid="ignore"):
-        fac = np.abs(stack)  # |u_mu|, later |u_mu|^{p-1}
-        pow_p1 = fac ** (p + 1.0)
-        term = np.empty(stack.shape[1:])
+        np.abs(stack, out=fac)
+        pow_p1[...] = fac
+        pow_p1 **= p + 1.0  # in place, ** keeps its sqrt and square fast paths
         for mu, s in enumerate(out):
-            cross = [nu for nu in range(coupling.n) if nu != mu and beta[mu, nu] != 0.0]
+            cross = [nu for nu in range(n) if nu != mu and beta[mu, nu] != 0.0]
             s.fill(0.0)
             if len(cross) > 2:
                 for a in np.sort([beta[mu, nu] * pow_p1[nu] for nu in cross], axis=0):
@@ -117,9 +124,14 @@ def _nonlinear_exponents(stack, coupling: CouplingSpec, t: float,
                 np.power(fac, p - 1.0, out=fac)
             out *= fac
         elif p < 1.0:
-            safe = np.where(fac > MIN_MODULUS, fac, 1.0)
-            out *= np.where(fac > MIN_MODULUS, safe ** (p - 1.0), 0.0)
-        if not np.isfinite(out).all():
+            vanishing = fac <= MIN_MODULUS
+            fac[vanishing] = 1.0
+            fac **= p - 1.0
+            fac[vanishing] = 0.0
+            out *= fac
+        # a sum is finite only if every term is; a finite sum can still
+        # overflow, so a non-finite one is checked term by term
+        if not math.isfinite(out.sum()) and not np.isfinite(out).all():
             mu, *idx = (int(i[0]) for i in np.nonzero(~np.isfinite(out)))
             raise NanAbortError(t) from ValueError(
                 f"non-finite nonlinear exponent in component {mu} "

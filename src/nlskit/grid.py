@@ -217,9 +217,7 @@ class ScalarField:
 
     def h1_norm(self) -> float:
         """Inhomogeneous Sobolev norm, ||f||^2 = sum_k (1+|k|^2) |c_k|^2 (2L)^d."""
-        c = self.to_spectral().values
-        g = self.grid
-        return math.sqrt(g.box_volume * float(np.sum((1.0 + g.k_squared) * np.abs(c) ** 2)))
+        return float(h1_norms(self.grid, self.to_spectral().values))
 
     def lq_norm(self, q: float) -> float:
         """L^q norm by grid quadrature; q = inf returns the max modulus."""
@@ -257,6 +255,19 @@ def transform(grid: GridSpec, values: np.ndarray, inverse: bool = False) -> np.n
     for axis in axes[1:]:
         np.fft.ifft(values, axis=axis, norm="forward", out=values)
     return values
+
+
+def h1_norms(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Inhomogeneous Sobolev norms sqrt((2L)^d sum_k (1+|k|^2) |c_k|^2) of the
+    coefficients ``coeffs`` over its last grid.d axes, one per leading index.
+    Only moduli enter, so spectra that differ from the coefficients by a
+    unimodular factor per mode (the half-box phase, a free flow) give the
+    same norms; a plain ``transform`` output gives M^d times them."""
+    w = np.abs(coeffs)
+    w *= w
+    w *= 1.0 + grid.k_squared
+    sums = w.reshape(w.shape[:w.ndim - grid.d] + (-1,)).sum(axis=-1)
+    return np.sqrt(grid.box_volume * sums)
 
 
 def forward_transform(f: ScalarField) -> ScalarField:

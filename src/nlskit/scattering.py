@@ -17,22 +17,27 @@ Wave-operator side: for a prescribed asymptotic profile w0+ the map
     h_mu(w) = sum_nu beta[mu,nu] |w_nu|^{p+1} |w_mu|^{p-1} w_mu,
 
 is iterated to its fixed point on a uniform time grid over [0, T] (trapezoid
-in s, in the interaction picture exp(-i t Lap) w(t), where the free flow is
-constant and the Duhamel integral a running sum).  w(0) is the initial datum
-whose solution scatters to w0+; for small data the iteration contracts
-geometrically.
+in s).  The iterate is held as the spectra of w(t_i) themselves; one
+multiplier exp(+i dt |k|^2) moves both the free solution and the Duhamel
+running sum one node back, so the integrand h at each node depends on that
+node alone and the nodes of a sweep are evaluated concurrently.  w(0) is
+the initial datum whose solution scatters to w0+; for small data the
+iteration contracts geometrically.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .grid import ScalarField, PHYSICAL, SPECTRAL, spectral_gradient, transform
+from .grid import ScalarField, PHYSICAL, h1_norms, spectral_gradient, transform
 from .system import (CouplingSpec, RunningIntegral, Snapshot, SystemState, mass,
                      state_from_arrays)
 from .evolve import NanAbortError, _nonlinear_exponents, linear_substep
@@ -194,87 +199,130 @@ def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
 
     Iterates the truncated Duhamel fixed point on the uniform grid
     t_i = i dt over [0, T] until the sup-in-time H^1 increment of the iterate
-    drops below tol, holding V_i = FFT(exp(-i t_i Lap) w(t_i)) in one
-    n_nodes x N x M^d buffer: a sweep sets V_i = FFT(w0+) + i Sigma_i with
-    Sigma_i = Sigma_{i+1} + (dt/2)(H_{i+1} + H_i), H_i = FFT(exp(-i t_i Lap)
-    h(w(t_i))), back from Sigma_T = 0.  Reaching max_iter returns a
-    non-convergence report; residuals growing three consecutive times, or a
-    non-finite nonlinearity, iterate or residual, raise
-    WaveOperatorDivergence.  The neglected tail int_T^inf is estimated by the
-    final node's Duhamel contribution and reported.
+    drops below tol, holding W_i = FFT(w(t_i)) in one n_nodes x N x M^d
+    buffer.  With E = exp(+i dt |k|^2), the multiplier that moves a spectrum
+    of the free flow one node back, and G_i = FFT(h(w(t_i))) from the
+    previous iterate, a sweep runs back from node T:
+
+        S_i = E (S_{i+1} + (dt/2) G_{i+1}) + (dt/2) G_i,   S_T = 0,
+        F_i = E F_{i+1},   F_T = FFT(exp(i T Lap) w0+),
+        W_i = F_i + i S_i.
+
+    Each G_i is a pure per-node map of W_i (inverse transform, nonlinearity,
+    forward transform), so the node integrands of a sweep run on a thread
+    pool, one worker per CPU this process may run on (fewer when the node
+    buffer is short), each with its own scratch; at most two blocks of one
+    node per worker are in flight, the next block computing while the sweep
+    consumes the current one.  Every node is computed the same way on any
+    thread, so the result does not depend on the worker count.
+
+    Reaching max_iter returns a non-convergence report; residuals growing
+    three consecutive times, or a non-finite nonlinearity, iterate or
+    residual, raise WaveOperatorDivergence.  The neglected tail int_T^inf is
+    estimated by the final node's Duhamel contribution and reported.
     """
+    from concurrent.futures import ThreadPoolExecutor  # only wave-op runs start threads
+
     grid = profile[0].grid
     n_nodes = int(round(t_max / dt)) + 1
     if n_nodes < 2:
         raise ValueError("truncation time must cover at least one step")
-    # rows: exp(-+ i t |k|^2), the multipliers of exp(+- i t Lap), at t = T
-    sign = np.array([-1j, 1j]).reshape((2,) + (1,) * grid.d)
-    phases_T = np.exp(sign * (n_nodes - 1) * dt * grid.k_squared)
-    back = np.exp(-sign * dt * grid.k_squared)  # moves both rows one node back
-    v0 = transform(grid, np.array([f.to_physical().values for f in profile], dtype=complex))
-    V = np.repeat(v0[np.newaxis], n_nodes, axis=0)  # the free trajectory
-    h_T, h_here, h_next, sigma, new = (np.empty_like(v0) for _ in range(5))
-    exponents = np.empty(v0.shape)
+    back = np.exp(1j * dt * grid.k_squared)  # E
+    W = np.empty((n_nodes, coupling.n) + grid.shape, dtype=complex)
+    W[-1] = [f.to_physical().values for f in profile]
+    transform(grid, W[-1])
+    W[-1] *= np.exp(-1j * (n_nodes - 1) * dt * grid.k_squared)
+    for i in range(n_nodes - 2, -1, -1):  # the free trajectory
+        np.multiply(W[i + 1], back, out=W[i])
 
-    def integrand(v, phases, t, out):
-        """out = H at time t for V(t) = v; phases are the rows at t."""
-        np.multiply(v, phases[0], out=out)
-        transform(grid, out, inverse=True)
+    def h1(spectra):  # summed H^1 norms of spectra held as plain FFTs
+        return float(h1_norms(grid, spectra).sum()) / grid.npoints
+
+    # a worker costs about 4 node sizes (two in-flight nodes, its exponents
+    # and their (2N+1) x M^d real scratch): n_nodes // 16 workers keep that
+    # under a quarter of the node buffer, whatever the CPU count
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = max(1, min(cpus or 1, n_nodes // 16))
+    window = 2 * workers
+    half_h = np.empty((window,) + W.shape[1:], dtype=complex)
+    scratch = threading.local()
+    residuals: list[float] = []
+
+    def half_integrand(i, out):
+        """out = (dt/2) G_i, from the node buffer W_i."""
+        if not hasattr(scratch, "exponents"):
+            scratch.exponents = np.empty(out.shape)
+            scratch.work = np.empty((2 * coupling.n + 1,) + grid.shape)
+        # errstate is per thread; overflow surfaces as NanAbortError
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[...] = W[i]
+            transform(grid, out, inverse=True)
+            out *= _nonlinear_exponents(out, coupling, i * dt, out=scratch.exponents,
+                                        work=scratch.work)
+            transform(grid, out)
+            out *= 0.5 * dt
+        return out
+
+    def result(future):
         try:
-            out *= _nonlinear_exponents(out, coupling, t, out=exponents)
+            return future.result()
         except NanAbortError as err:
             raise WaveOperatorDivergence(
                 residuals, f"non-finite nonlinearity at t = {err.t}") from err
-        transform(grid, out)
-        out *= phases[1]
 
-    def h1(spectra):  # summed H^1 norms; exp(i t Lap) is an H^1 isometry
-        return sum(ScalarField(s / grid.npoints, grid, SPECTRAL).h1_norm() for s in spectra)
-
-    # the last node holds FFT(w0+) in every iterate: its zero increment is not sampled
+    half_h_T = np.empty_like(W[-1])
+    free, sigma, new = (np.empty_like(W[-1]) for _ in range(3))
+    # the last node holds F_T in every iterate: its zero increment is not sampled
     sampled = range(0, n_nodes, max(1, n_nodes // 64))
-    residuals: list[float] = []
+    order = range(n_nodes - 2, -1, -1)
     grow = 0
-    # overflow shows up as a non-finite nonlinearity, iterate or residual,
-    # each of which raises WaveOperatorDivergence
-    with np.errstate(over="ignore", invalid="ignore"):
-        integrand(v0, phases_T, (n_nodes - 1) * dt, h_T)
-        for it in range(1, max_iter + 1):
-            phases = phases_T.copy()
-            h_next[...] = h_T
-            sigma.fill(0.0)
-            gaps = []
-            for i in range(n_nodes - 2, -1, -1):
-                phases *= back
-                integrand(V[i], phases, i * dt, h_here)
-                h_next += h_here
-                h_next *= 0.5 * dt
-                sigma += h_next
-                h_next, h_here = h_here, h_next
-                np.multiply(sigma, 1j, out=new)
-                new += v0
-                if i in sampled:
-                    V[i] -= new
-                    gaps.append(h1(V[i]))
-                V[i] = new
-            # node 0 is sampled and the running sum carries every later node
-            # into it, so a non-finite value anywhere makes a sampled gap non-finite
-            if not all(math.isfinite(g) for g in gaps):
-                raise WaveOperatorDivergence(
-                    residuals, f"non-finite iterate or residual in iteration {it}")
-            res = max(gaps)
-            residuals.append(res)
-            if res < tol:
-                break
-            grow = grow + 1 if len(residuals) >= 2 and res > residuals[-2] else 0
-            if grow >= 3:
-                raise WaveOperatorDivergence(residuals)
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        result(pool.submit(half_integrand, n_nodes - 1, half_h_T))
+        # overflow shows up as a non-finite nonlinearity, iterate or residual,
+        # each of which raises WaveOperatorDivergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            for it in range(1, max_iter + 1):
+                pending = deque(pool.submit(half_integrand, i, half_h[q % window])
+                                for q, i in enumerate(order[:window]))
+                free[...] = W[-1]
+                sigma[...] = half_h_T  # S_T + (dt/2) G_T
+                gaps = []
+                for q, i in enumerate(order):
+                    h = result(pending.popleft())
+                    sigma *= back
+                    sigma += h  # S_i
+                    free *= back
+                    w_i = new if i in sampled else W[i]
+                    np.multiply(sigma, 1j, out=w_i)
+                    w_i += free
+                    sigma += h  # S_i + (dt/2) G_i, carried to node i - 1
+                    if q + window < len(order):
+                        pending.append(pool.submit(half_integrand, order[q + window], h))
+                    if i in sampled:
+                        W[i] -= new
+                        gaps.append(h1(W[i]))
+                        W[i] = new
+                # node 0 is sampled and the running sum carries every later node
+                # into it, so a non-finite value anywhere makes a sampled gap non-finite
+                if not all(math.isfinite(g) for g in gaps):
+                    raise WaveOperatorDivergence(
+                        residuals, f"non-finite iterate or residual in iteration {it}")
+                res = max(gaps)
+                residuals.append(res)
+                if res < tol:
+                    break
+                grow = grow + 1 if len(residuals) >= 2 and res > residuals[-2] else 0
+                if grow >= 3:
+                    raise WaveOperatorDivergence(residuals)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     converged = bool(residuals) and residuals[-1] < tol
     message = "" if converged else (f"fixed point did not reach tol = {tol} within "
                                     f"{max_iter} iterations; residual history attached")
     return WaveOperatorResult(
-        # from a copy, so that the returned state does not keep V alive
-        state0=state_from_arrays(0.0, transform(grid, V[0].copy(), inverse=True), coupling, grid),
+        # from a copy, so that the returned state does not keep W alive
+        state0=state_from_arrays(0.0, transform(grid, W[0].copy(), inverse=True), coupling, grid),
         converged=converged, iterations=len(residuals), residuals=tuple(residuals),
-        tail_estimate=dt * h1(h_T), message=message)
+        tail_estimate=2.0 * h1(half_h_T), message=message)

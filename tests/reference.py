@@ -14,8 +14,8 @@ stable only for dt of order h^2/pi.
 
 wave_operator_reference is the three-buffer wave-operator recursion in
 physical space (the free trajectory, the iterate and the new iterate, each
-n_nodes x N x M^d); the production wave_operator works in the interaction
-picture with one buffer and must agree with it to rounding.
+n_nodes x N x M^d); the production wave_operator holds the spectra of the
+iterate in one buffer and must agree with it to rounding.
 
 idot_reference and gradient_pairing_reference are the per-axis Morawetz
 pairings: one padded transform and one kernel pairing per axis, of each

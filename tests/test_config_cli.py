@@ -187,7 +187,8 @@ _D3_RUN = ["--d", "3", "--n-components", "2", "--beta", "1,0.5,0.5,1",
 # subcommand -> (arguments, artifacts compared across reruns)
 _RERUNS = {
     "simulate": (_D3_RUN, ["diagnostics.csv"]),
-    "verify-identities": (_D3_RUN, ["diagnostics.csv"]),
+    # 6 steps at stride 2: the 4 snapshots of the shortest calibration window
+    "verify-identities": (_D3_RUN + ["--t-final", "0.06"], ["diagnostics.csv"]),
     "scatter": (_D3_RUN + ["--scatter-window", "3"], ["diagnostics.csv", "profile.nlsf"]),
     "gn-check": (["--d", "3", "--grid-m", "16", "--box-l", "4", "--gn-count", "3",
                   "--seed", "5"], ["gn_report.json"]),
@@ -236,12 +237,12 @@ def test_cli_bad_config_exit_one(tmp_path, capsys):
 @pytest.mark.parametrize("experiment", ["simulate", "verify-identities", "scatter"])
 def test_cli_nan_abort_exit_two(tmp_path, capsys, experiment):
     # the overflowing initial state is the named abort, not a warning first;
-    # stride 5 gives the 3 snapshots verify-identities needs to pass validation
+    # stride 5 gives the 4 snapshots verify-identities needs to pass validation
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = main([experiment, "--d", "1", "--grid-m", "64", "--box-l", "8",
                      "--p", "2", "--amplitude", "1e200", "--dt", "0.01",
-                     "--t-final", "0.1", "--snapshot-stride", "5",
+                     "--t-final", "0.15", "--snapshot-stride", "5",
                      "--out-dir", str(tmp_path)])
     assert code == 2
     assert "NaN" in capsys.readouterr().err
@@ -298,7 +299,7 @@ def _recording_evolve(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("window", [0.1, 0.2, 0.3])
+@pytest.mark.parametrize("window", [0.15, 0.2, 0.3])
 def test_cli_verify_identities_runs_two_trajectories(tmp_path, monkeypatch, window):
     """One dt run over max(window, t_final) and one dt/2 run over the window
     give the outputs of the three separate runs (dt and dt/2 over the
@@ -373,14 +374,34 @@ def test_cli_verify_identities_rejects_fewer_than_three_snapshots(tmp_path, caps
     assert main(["verify-identities", "--config", str(cfgfile), *_VERIFY_D1,
                  "--t-final", t_final, "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "nlskit: invalid configuration" in err and "at least 3 snapshots" in err
+    assert "nlskit: invalid configuration" in err and "gives 2 at dt = 0.01" in err
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("window,t_final", [(0.1, "0.2"), (0, "0.1")])
+def test_cli_verify_identities_rejects_a_three_snapshot_calibration_window(
+        tmp_path, capsys, window, t_final):
+    # with fd_calibration_t = 0.1 this run used to exit 1, its virial and
+    # interaction gaps above their calibrated tolerances; t_final is the
+    # window when fd_calibration_t is 0
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"fd_calibration_t": window}))
+    out = tmp_path / "out"
+    assert main(["verify-identities", "--config", str(cfgfile), *_VERIFY_D1,
+                 "--t-final", t_final, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    key = "fd_calibration_t = 0.1" if window else "t_final = 0.1"
+    assert f"at least 4 snapshots in its calibration window: {key} gives 3" in err
+    assert not (out / "summary.json").exists()
+    cfgfile.write_text(json.dumps({"fd_calibration_t": 0.15}))  # 4 snapshots
+    assert main(["verify-identities", "--config", str(cfgfile), *_VERIFY_D1,
+                 "--out-dir", str(out)]) == 0
 
 
 @pytest.mark.parametrize("experiment", ["verify-identities", "scatter"])
 def test_cli_passes_dealias_to_every_evolve_call(tmp_path, monkeypatch, experiment):
     cfgfile = tmp_path / "c.json"
-    cfgfile.write_text(json.dumps({"dealias": True, "fd_calibration_t": 0.1}))
+    cfgfile.write_text(json.dumps({"dealias": True, "fd_calibration_t": 0.15}))
     calls = _recording_evolve(monkeypatch)
     main([experiment, "--config", str(cfgfile), *_VERIFY_D1,
           "--out-dir", str(tmp_path / "out")])

@@ -273,6 +273,41 @@ def test_stacked_exponents_equal_the_per_component_ones_bit_for_bit(d, n, p):
         assert np.array_equal(a, c) and np.array_equal(b, c)
 
 
+@pytest.mark.parametrize("p", (0.5, 1.0, 1.5, 2.0, 3.0))
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_exponents_in_caller_scratch_equal_the_allocating_ones_bit_for_bit(d, n, p):
+    # the scratch starts dirty (NaN, then the previous call's values), and
+    # p = 0.5 and 1.5 take the sqrt and square fast paths of **
+    state = _random_state(d, n, p, seed=100 * d + 10 * n + int(2 * p))
+    other = _random_state(d, n, p, seed=7 + 100 * d + 10 * n + int(2 * p))
+    work = np.full((2 * n + 1,) + state.grid.shape, np.nan)
+    out = np.full((n,) + state.grid.shape, np.nan)
+    for st in (state, other):
+        stack = np.stack([f.values for f in st.fields])
+        want = _nonlinear_exponents(stack, st.coupling, st.t)
+        got = _nonlinear_exponents(stack, st.coupling, st.t, out=out, work=work)
+        assert got is out and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p,mu", ((0.5, 1), (2.0, 0)))
+def test_exponents_in_caller_scratch_name_the_same_non_finite_entry(p, mu):
+    # decoupled at p < 1, so the NaN of component 1 shows first in its own
+    # exponent; coupled at p = 2, it shows first in component 0's
+    state = _random_state(2, 3, p, seed=5)
+    stack = np.stack([f.values for f in state.fields])
+    stack[1, 3, 4] = np.nan
+    stack[2, 0, 1] = np.inf
+    causes = []
+    for work in (None, np.zeros((7,) + state.grid.shape)):
+        with pytest.raises(NanAbortError) as err:
+            _nonlinear_exponents(stack, state.coupling, 0.5, work=work)
+        assert err.value.t == 0.5
+        causes.append(str(err.value.__cause__))
+    assert causes[0] == causes[1]
+    assert f"component {mu} at grid index (3, 4)" in causes[0]
+
+
 @pytest.mark.parametrize("stride", (1, 4))
 @pytest.mark.parametrize("dealias", (False, True))
 @pytest.mark.parametrize("p", (0.5, 1.0, 2.0, 3.0))

@@ -8,8 +8,8 @@ from nlskit import (GridSpec, GridUsageError, RadialKernel, ScalarField,
                     convolve_kernel_gradient, convolve_radial_kernel,
                     field_from_function, forward_transform, inverse_transform,
                     spectral_gradient)
-from nlskit.grid import (kernel_gradient_product, kernel_inner_product, padded_geometry,
-                         padded_rfft, transform)
+from nlskit.grid import (h1_norms, kernel_gradient_product, kernel_inner_product,
+                         padded_geometry, padded_rfft, transform)
 
 from conftest import gaussian, random_field
 from reference import apply_multiplier, kernel_axis_pairing_reference
@@ -64,6 +64,25 @@ def test_round_trip_and_parseval(d, m, l):
     scale = np.abs(f.values).max()
     assert np.abs(back.values - f.values).max() < 1e-12 * scale
     assert math.isclose(f.l2_norm(), f.to_spectral().l2_norm(), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 256, 16.0), GridSpec(2, 100, 8.0),
+                                  GridSpec(3, 24, 6.0)], ids=lambda g: f"d{g.d}-m{g.m}")
+def test_h1_norm_is_the_batched_norm_bit_for_bit(grid):
+    # ScalarField.h1_norm is one row of grid.h1_norms, and equals the
+    # single-field formula it replaced bit for bit; a plain transform output
+    # gives M^d times the norm, whatever the half-box phase
+    rng = np.random.default_rng(grid.d)
+    fields = [random_field(grid, rng) for _ in range(3)]
+    coeffs = np.stack([f.to_spectral().values for f in fields])
+    batched = h1_norms(grid, coeffs)
+    assert batched.shape == (3,)
+    for f, c, norm in zip(fields, coeffs, batched):
+        old = math.sqrt(grid.box_volume
+                        * float(np.sum((1.0 + grid.k_squared) * np.abs(c) ** 2)))
+        assert f.h1_norm() == old == norm
+        plain = transform(grid, f.values.astype(complex))
+        assert math.isclose(float(h1_norms(grid, plain)), grid.npoints * old, rel_tol=1e-13)
 
 
 @pytest.mark.parametrize("n", [1, 3])

@@ -1,4 +1,8 @@
+import concurrent.futures
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -235,7 +239,7 @@ def _two_component_profile(m):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_wave_operator_matches_the_three_buffer_recursion(d):
-    # the interaction-picture sweep against the physical-space recursion it
+    # the node-buffer sweep against the physical-space recursion it
     # replaced: equal up to rounding
     if d == 1:
         grid = GridSpec(1, 256, 32.0)
@@ -266,4 +270,89 @@ def test_wave_operator_holds_one_node_buffer():
     finally:
         tracemalloc.stop()
     assert res.converged
+    assert peak < 1.5 * node_buffer, f"peak {peak / node_buffer:.2f} node buffers"
+
+
+_THREAD_POOL = concurrent.futures.ThreadPoolExecutor
+
+
+def _run_on_cpus(monkeypatch, cpus, *args, **kwargs):
+    """wave_operator with an affinity set of ``cpus`` CPUs; returns its
+    result (or raised error) and the worker counts of the pools it made."""
+    pools = []
+
+    class Recording(_THREAD_POOL):
+        def __init__(self, max_workers, **kw):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kw)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    before = threading.active_count()
+    try:
+        return wave_operator(*args, **kwargs), pools
+    except WaveOperatorDivergence as err:
+        return err, pools
+    finally:
+        assert threading.active_count() == before
+
+
+def test_wave_operator_does_not_depend_on_the_worker_count(monkeypatch):
+    prof, cpl = _two_component_profile(32)
+    runs = [_run_on_cpus(monkeypatch, cpus, prof, cpl, 5.0, 0.05, tol=1e-10)
+            for cpus in (1, 4)]
+    (one, pools_one), (four, pools_four) = runs
+    assert pools_one == [1] and pools_four == [4]
+    assert one.converged and one.iterations == four.iterations
+    assert one.residuals == four.residuals
+    assert one.tail_estimate == four.tail_estimate
+    for a, b in zip(one.state0.fields, four.state0.fields):
+        assert np.array_equal(a.values, b.values)
+
+
+def test_wave_operator_workers_switching_often_change_nothing(monkeypatch):
+    # 8 workers on fewer cores, switching threads every microsecond: every
+    # node integrand still lands in its own slot, read after its future
+    grid = GridSpec(1, 256, 32.0)
+    cpl = CouplingSpec(1, np.array([[1.0]]), 2.0, 1)
+    args = ([gaussian(grid, amp=0.3, velocity=[0.5])], cpl, 8.0, 0.05)
+    one, _ = _run_on_cpus(monkeypatch, 1, *args, tol=1e-10)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many, pools = _run_on_cpus(monkeypatch, 8, *args, tol=1e-10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [8] and one.converged
+    assert one.residuals == many.residuals and one.tail_estimate == many.tail_estimate
+    assert np.array_equal(one.state0.fields[0].values, many.state0.fields[0].values)
+
+
+@pytest.mark.parametrize("l,p,amp,reason", [
+    (32.0, 2.0, 2.0, "grew 3 times"),
+    (32.0, 2.0, 3.0, "non-finite iterate or residual in iteration 4"),
+    (16.0, 3.0, 3.0, "non-finite nonlinearity at t = 1.75")])
+def test_wave_operator_divergence_stops_its_workers(monkeypatch, l, p, amp, reason):
+    # the sweep sees residual growth and a non-finite iterate, a worker an
+    # overflowing nonlinearity
+    grid = GridSpec(1, 256, l)
+    cpl = CouplingSpec(1, np.array([[1.0]]), p, 1)
+    err, pools = _run_on_cpus(monkeypatch, 4, [gaussian(grid, amp=amp)], cpl, 5.0, 0.05,
+                              tol=1e-8, max_iter=30)
+    assert isinstance(err, WaveOperatorDivergence) and pools == [4]
+    assert reason in str(err)
+
+
+def test_wave_operator_caps_its_workers_by_the_node_buffer(monkeypatch):
+    # 64 CPUs, 101 nodes: n_nodes // 16 = 6 workers, within the bound of
+    # test_wave_operator_holds_one_node_buffer
+    prof, cpl = _two_component_profile(32)
+    node_buffer = 101 * cpl.n * 32 ** 2 * 16
+    tracemalloc.start()
+    try:
+        res, pools = _run_on_cpus(monkeypatch, 64, prof, cpl, 5.0, 0.05, tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged and pools == [6]
     assert peak < 1.5 * node_buffer, f"peak {peak / node_buffer:.2f} node buffers"

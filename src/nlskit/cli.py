@@ -292,7 +292,11 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config, overrides)
         out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError([f"out_dir: cannot create directory {out}: "
+                               f"{err.strerror or err}"]) from err
         summary, failure = _RUNNERS[cfg.experiment](cfg, out)
         code = EXIT_FAIL if failure else EXIT_OK
     except ConfigError as err:

@@ -186,6 +186,8 @@ def _validate(c: dict, problems: list[str]):
     need("weight_eps", c["weight_eps"] > 0, "> 0")
     need("wave_dt", c["wave_dt"] > 0, "> 0")
     need("wave_t", c["wave_t"] > 0, "> 0")
+    need("wave_max_iter", c["wave_max_iter"] >= 1, ">= 1")
+    need("scatter_window", c["scatter_window"] >= 2, ">= 2")
     need("gn_count", c["gn_count"] >= 1, ">= 1")
     need("gn_alpha", c["gn_alpha"] >= 1, ">= 1")
 
@@ -210,8 +212,12 @@ def _validate(c: dict, problems: list[str]):
         if misfit:
             problems.append(f"gn-check needs unit cubes on the grid: {misfit}")
     if cfg.experiment == "wave-op":
-        # the wave operator holds one complex n_nodes x N x M^d node buffer
+        # the wave operator holds one complex n_nodes x N x M^d node buffer,
+        # and its quadrature needs a step between two nodes
         n_nodes = int(round(cfg.wave_t / cfg.wave_dt)) + 1
+        if n_nodes < 2:
+            problems.append(f"wave-op needs at least 2 time nodes: wave_t = {cfg.wave_t} "
+                            f"gives {n_nodes} at wave_dt = {cfg.wave_dt}")
         size, memory = n_nodes * n * cfg.grid_m ** cfg.d * 16, _physical_memory()
         if size > memory:
             problems.append(
@@ -219,20 +225,24 @@ def _validate(c: dict, problems: list[str]):
                 f"{n} components x {cfg.grid_m}^{cfg.d} points), more than the "
                 f"{memory / 2 ** 20:.1f} MiB of physical memory: "
                 "shorten wave_t, lengthen wave_dt or coarsen the grid")
+    minimum = {}
+    if cfg.experiment == "scatter":
+        # the Cauchy test compares consecutive snapshots
+        minimum["t_final"] = (2, "")
     if cfg.experiment == "verify-identities":
         # the finite differences of the checks need an interior snapshot, and
         # a calibration window (fd_calibration_t, or t_final when it is 0) of
         # 3 snapshots fits its dt^2 constants from too few gaps to bound them
-        minimum = {"t_final": (3, "")}
+        minimum["t_final"] = (3, "")
         minimum["fd_calibration_t" if cfg.fd_calibration_t else "t_final"] = (
             4, " in its calibration window")
-        for key, (least, what) in minimum.items():
-            count = cfg.step_params(c[key]).n_snapshots
-            if count < least:
-                problems.append(
-                    f"verify-identities needs at least {least} snapshots{what}: "
-                    f"{key} = {c[key]} gives {count} at dt = {cfg.dt}, "
-                    f"snapshot_stride = {cfg.snapshot_stride}")
+    for key, (least, what) in minimum.items():
+        count = cfg.step_params(c[key]).n_snapshots
+        if count < least:
+            problems.append(
+                f"{cfg.experiment} needs at least {least} snapshots{what}: "
+                f"{key} = {c[key]} gives {count} at dt = {cfg.dt}, "
+                f"snapshot_stride = {cfg.snapshot_stride}")
     for key in ("amplitude", "width", "chirp"):
         v = c[key]
         if isinstance(v, list) and len(v) != n:

@@ -34,7 +34,6 @@ class CollectorOptions:
     weight: MorawetzWeight | None = None            # virial weight
     vddot: bool = False                             # d2V/dt2 column (smooth weight only)
     interaction: MorawetzWeight | None = None       # bilinear weight
-    center: object = None
     lq_values: tuple[float, ...] = (4.0,)
     accumulators: bool = True
     strichartz_pair: object = None                  # StrichartzPair or None
@@ -89,10 +88,10 @@ class DiagnosticsCollector:
         if self.cube_mass:
             rec["sup_cube_mass"] = sup_cube_mass(snap)
         if self.opts.weight is not None:
-            rec["V"] = virial_V(snap, self.opts.weight, self.opts.center)
-            rec["Vdot"] = virial_Vdot(snap, self.opts.weight, self.opts.center)
+            rec["V"] = virial_V(snap, self.opts.weight)
+            rec["Vdot"] = virial_Vdot(snap, self.opts.weight)
             if self.opts.vddot:
-                rec["Vddot"] = virial_Vddot(snap, self.opts.weight, self.opts.center).total
+                rec["Vddot"] = virial_Vddot(snap, self.opts.weight).total
         if self.opts.interaction is not None:
             rep = interaction_report(snap, self.opts.interaction)
             self.reports.append(rep)

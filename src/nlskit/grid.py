@@ -378,19 +378,19 @@ class RadialKernel:
 
 
 class PaddedGeometry:
-    """The box zero-padded to n = factor M points per axis (period 2 factor L).
+    """The box zero-padded to n = 2M points per axis (period 4L).
 
     Half-spectrum arrays have the shape of ``rfftn`` output,
     ``(n,) * (d - 1) + (n // 2 + 1,)``; the per-axis arrays are shaped to
     broadcast against it.
     """
 
-    def __init__(self, grid: GridSpec, factor: int):
-        n = factor * grid.m
+    def __init__(self, grid: GridSpec):
+        n = 2 * grid.m
         self.grid = grid
         self.shape = (n,) * grid.d
         self.npoints = n ** grid.d
-        self.dk = math.pi / (factor * grid.l)
+        self.dk = math.pi / (2 * grid.l)
         self._full = mode_numbers(n)
         # mode numbers per axis on the half spectrum: the last axis is halved
         j_axes = [self._along(a, self._full) for a in range(grid.d - 1)]
@@ -425,20 +425,20 @@ class PaddedGeometry:
 
 
 @lru_cache(maxsize=16)
-def padded_geometry(grid: GridSpec, factor: int = 2) -> PaddedGeometry:
-    return PaddedGeometry(grid, factor)
+def padded_geometry(grid: GridSpec) -> PaddedGeometry:
+    return PaddedGeometry(grid)
 
 
-def padded_rfft(grid: GridSpec, values: np.ndarray, factor: int = 2) -> np.ndarray:
+def padded_rfft(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Half-spectrum (unnormalized ``rfftn``) of a real array zero-padded to
-    n = factor M points per axis.
+    n = 2M points per axis.
 
     One ``numpy.fft`` pass per axis: an ``rfftn`` along the last axis of the
     unpadded input, then an ``fft`` padded to n along axes 0, ..., d-2 in
     that order.  Each pass transforms only the rows that can be nonzero, and
     in that order the result equals ``rfftn(values, s=(n,) * d)`` bit for
     bit (also for inputs already n long, such as sampled kernels)."""
-    n = factor * grid.m
+    n = 2 * grid.m
     out = np.fft.rfftn(values, s=(n,), axes=(-1,))
     for axis in range(grid.d - 1):
         out = np.fft.fft(out, n=n, axis=axis)

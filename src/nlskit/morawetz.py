@@ -46,7 +46,8 @@ physical space.  Two forms keep the number of padded transforms down:
 (the current pairing integrated by parts: one padded transform in place of
 d), and the gradient pairing sum_a intint d_a rho d_a rho K, which is the
 half-spectrum sum of |k|^2 K_hat |rho_hat|^2 (grid.kernel_gradient_product)
-and transforms no d_a rho.  The per-state pieces (spectra, densities,
+and transforms no d_a rho (the tests check it against its d = 2 fractional
+form 2 pi ||(-Lap)^{1/4} rho||^2).  The per-state pieces (spectra, densities,
 currents, gradients, padded transforms) come from one system.Snapshot, so a
 caller that evaluates several diagnostics of one state can build the
 Snapshot once and pass it in place of the state.
@@ -62,13 +63,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import (GridSpec, RadialKernel, kernel_gradient_product, kernel_inner_product,
-                   padded_geometry, padded_rfft)
+                   padded_rfft)
 from .system import RunningIntegral, Snapshot, SystemState
 
 ABS_DISTANCE = "absdistance"
 SMOOTH_RADIAL = "smoothradial"
 ERF_SMOOTHED = "erf"
 CONSTANT = "constant"
+
+CONVEXITY_R_MAX, CONVEXITY_SAMPLES = 100.0, 2048  # radii sampled by convexity_ok
+INEQUALITY_REL_TOL = 1e-6  # relative floor of interaction_inequality_check's tolerances
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,11 +118,6 @@ class MorawetzWeight:
         )
 
     @staticmethod
-    def smooth_radial(profile, d1, d2, d3=None, d4=None, label="smooth") -> "MorawetzWeight":
-        return MorawetzWeight(SMOOTH_RADIAL, profile=profile, d1=d1, d2=d2,
-                              d3=d3, d4=d4, label=label)
-
-    @staticmethod
     def erf_smoothed(eps: float) -> "MorawetzWeight":
         """Erf regularization of |r|; its second derivative is exactly the
         Gaussian mollifier 2 exp(-(r/eps)^2)/(eps sqrt(pi)), so eps -> 0
@@ -148,11 +147,11 @@ class MorawetzWeight:
         return MorawetzWeight(ERF_SMOOTHED, eps=eps, profile=profile,
                               d1=d1, d2=d2, d3=d3, d4=d4, label=f"erf({eps})")
 
-    def convexity_ok(self, r_max: float = 100.0, samples: int = 2048) -> bool:
+    def convexity_ok(self) -> bool:
         """Sampled check that d2 >= 0 and d1/r >= 0 (radial convexity)."""
         if self.kind in (CONSTANT, ABS_DISTANCE):
             return True
-        r = np.linspace(r_max / samples, r_max, samples)
+        r = np.linspace(CONVEXITY_R_MAX / CONVEXITY_SAMPLES, CONVEXITY_R_MAX, CONVEXITY_SAMPLES)
         return bool((np.asarray(self.d2(r)) >= -1e-12).all()
                     and (np.asarray(self.d1(r)) / r >= -1e-12).all())
 
@@ -301,39 +300,17 @@ _SUPPORTED = ("supported weights for interaction_report: constant (any d), "
               "|x| (d = 1, 2, 3), erf-smoothed (d = 1)")
 
 
-def gradient_pairing(state: SystemState | Snapshot, route: str = "kernel") -> float:
+def gradient_pairing(state: SystemState | Snapshot) -> float:
     """sum_{mu,kappa} intint Lap_x psi grad_x m_mu . grad_y m_kappa for the
     |x-y| weight.
 
-    route = 'kernel':     d = 1: the delta collapse 2 ||dx rho||^2;
-                          d = 2, 3: Lap_x psi = (d-1)/|x-y|, paired as the
-                          half-spectrum sum (d-1) sum_k |k|^2 K_hat |rho_hat|^2
-                          of the reciprocal kernel K (no transform of grad rho)
-    route = 'fractional': the equivalent single-time spectral form,
-                          d = 1: 2 ||dx rho||^2,  d = 2: 2 pi ||(-Lap)^{1/4} rho||^2.
-                          Unverified in d = 3 (not provided).
+    d = 1:     the delta collapse 2 ||dx rho||^2;
+    d = 2, 3:  Lap_x psi = (d-1)/|x-y|, paired as the half-spectrum sum
+               (d-1) sum_k |k|^2 K_hat |rho_hat|^2 of the reciprocal kernel K
+               (no transform of grad rho).
     """
     snap = Snapshot.of(state)
     g = snap.state.grid
-    if route == "fractional":
-        if g.d == 1:
-            c = snap.rho_spectrum
-            return 2.0 * g.box_volume * float(np.sum(g.k_squared * np.abs(c) ** 2))
-        if g.d == 2:
-            # |k| has a conical point at k = 0; refine the k-lattice 8x by
-            # zero padding and average |k| over the origin cell so the
-            # quadrature reaches the identity-check tolerance.
-            pad = 8
-            geo = padded_geometry(g, pad)
-            chat = padded_rfft(g, snap.rho, pad) / geo.npoints
-            sq = chat.real ** 2 + chat.imag ** 2
-            total = float(np.sum(geo.weights * geo.k_modulus * sq))
-            total += 0.3825979 * geo.dk * float(sq[0, 0])  # cell average of |k| over the origin cell
-            vol_k = (pad * 2.0 * g.l) ** g.d
-            return 2.0 * math.pi * vol_k * total
-        raise NotImplementedError("fractional pairing form is only asserted in d = 1, 2")
-    if route != "kernel":
-        raise ValueError(f"unknown route {route!r}")
     if g.d == 1:
         return 2.0 * g.cell_volume * float(np.sum(snap.rho_grads[0] ** 2))
     kernel = RadialKernel.reciprocal(transform="analytic" if g.d == 2 else "grid")
@@ -347,10 +324,8 @@ def interaction_report(state: SystemState | Snapshot, weight: MorawetzWeight) ->
     dI/dt is taken by parts, -4 int (div j)(K * rho) with the Snapshot's
     div_current, so it pairs one padded transform with rho_hat whatever d is.
     Delta parts of the |x-y| weight (Lap psi in d = 1, Lap^2 psi in d = 3)
-    are collapsed to single integrals analytically.  The gradient term uses
-    the kernel route only; the d = 2 fractional cross-check (an 8x-padded
-    transform) is not run here -- call gradient_pairing(snap, "fractional")
-    for it.
+    are collapsed to single integrals analytically.  The gradient term is
+    gradient_pairing.
     """
     snap = Snapshot.of(state)
     g = snap.state.grid
@@ -375,14 +350,14 @@ def interaction_report(state: SystemState | Snapshot, weight: MorawetzWeight) ->
                                            abs_kernel)
         if g.d == 1:
             N = (8.0 * p / (p + 1.0)) * vol * float(np.sum(P * rho))
-            grad_term = 2.0 * gradient_pairing(snap, "kernel")
+            grad_term = 2.0 * gradient_pairing(snap)
             return InteractionReport(t=t, weight=weight.label, I=I, Idot=Idot,
                                      N_term=N, gradient_term=grad_term,
                                      rhs_lower=grad_term + N)
         lap_coeff = float(g.d - 1)  # Lap |z| = (d-1)/|z|
         N = (4.0 * p / (p + 1.0)) * lap_coeff * kernel_inner_product(
             g, padded_rfft(g, P), rho_hat, RadialKernel.reciprocal())
-        grad_term = 2.0 * gradient_pairing(snap, "kernel")
+        grad_term = 2.0 * gradient_pairing(snap)
         alt = None
         if g.d == 3:
             # Lap^2 |z| = Lap (2/|z|) = -8 pi delta, so the delta collapse of
@@ -419,6 +394,19 @@ def interaction_report(state: SystemState | Snapshot, weight: MorawetzWeight) ->
 # Trajectory-level inequality check
 # ---------------------------------------------------------------------------
 
+def central_difference(times: np.ndarray, series: np.ndarray) -> np.ndarray:
+    """(f(t + dt) - f(t - dt)) / 2dt at interior snapshots, dt = times[1] - times[0]."""
+    dt = times[1] - times[0]
+    return (series[2:] - series[:-2]) / (2.0 * dt)
+
+
+def second_difference(times: np.ndarray, series: np.ndarray) -> np.ndarray:
+    """(f(t + dt) - 2 f(t) + f(t - dt)) / dt^2 at interior snapshots,
+    dt = times[1] - times[0]."""
+    dt = times[1] - times[0]
+    return (series[2:] - 2.0 * series[1:-1] + series[:-2]) / dt ** 2
+
+
 @dataclass
 class InequalityCheck:
     times: np.ndarray
@@ -437,8 +425,7 @@ class InequalityCheck:
 
 
 def interaction_inequality_check(reports: Sequence[InteractionReport],
-                                 fd_constant: float | None = None,
-                                 rel_tol: float = 1e-6) -> InequalityCheck:
+                                 fd_constant: float | None = None) -> InequalityCheck:
     """Second-difference form and time-integrated form of the convexity bound.
 
     Requires >= 3 reports at uniform snapshot spacing.  Tolerances combine a
@@ -457,7 +444,7 @@ def interaction_inequality_check(reports: Sequence[InteractionReport],
     idots = np.array([r.Idot for r in reports])
     rhs = np.array([r.rhs_lower for r in reports])
 
-    iddot_fd = (I[2:] - 2.0 * I[1:-1] + I[:-2]) / dt ** 2
+    iddot_fd = second_difference(ts, I)
 
     fd_budget = np.zeros_like(iddot_fd)
     if fd_constant is not None:
@@ -466,17 +453,16 @@ def interaction_inequality_check(reports: Sequence[InteractionReport],
         d4 = np.abs(I[4:] - 4 * I[3:-1] + 6 * I[2:-2] - 4 * I[1:-3] + I[:-4]) / dt ** 4
         est = 2.0 * float(d4.max()) / 12.0 * dt ** 2
         fd_budget = np.maximum(fd_budget, est)
-    tol = np.maximum(rel_tol * np.abs(I[1:-1]), fd_budget)
+    tol = np.maximum(INEQUALITY_REL_TOL * np.abs(I[1:-1]), fd_budget)
 
     margins = iddot_fd - rhs[1:-1]
     ok2 = bool((margins >= -tol).all())
 
-    idot_cd = (I[2:] - I[:-2]) / (2.0 * dt)
-    idot_gap = float(np.abs(idot_cd - idots[1:-1]).max())
+    idot_gap = float(np.abs(central_difference(ts, I) - idots[1:-1]).max())
 
     lhs_int = float(idots[-1] - idots[0])
     rhs_int = float(np.trapezoid(rhs, ts))
-    tol_int = float(tol.max() * (ts[-1] - ts[0]) + rel_tol * np.abs(I).max())
+    tol_int = float(tol.max() * (ts[-1] - ts[0]) + INEQUALITY_REL_TOL * np.abs(I).max())
     ok_int = lhs_int >= rhs_int - tol_int
 
     mono = None

@@ -159,14 +159,10 @@ def current(state: SystemState, mu: int) -> list[ScalarField]:
     return [ScalarField(np.imag(conj * g.values), state.grid, PHYSICAL) for g in grads]
 
 
-def total_current(state: SystemState,
-                  gradients: list[list[np.ndarray]] | None = None) -> list[np.ndarray]:
-    """sum_mu j_mu per axis, as plain arrays.  ``gradients`` are the
-    components' spectral gradients when the caller already has them
-    (``Snapshot.grads``)."""
+def total_current(state: SystemState, gradients: list[list[np.ndarray]]) -> list[np.ndarray]:
+    """sum_mu j_mu per axis, as plain arrays, from the components' spectral
+    gradients ``gradients[mu][a]`` (``Snapshot.grads``)."""
     g = state.grid
-    if gradients is None:
-        gradients = [[gc.values for gc in spectral_gradient(f)] for f in state.fields]
     out = [np.zeros(g.shape) for _ in range(g.d)]
     for f, grads in zip(state.fields, gradients):
         conj = np.conj(f.values)

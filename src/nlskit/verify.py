@@ -14,6 +14,9 @@ at whole stride blocks counted from step 0, so the first
 StepParams.n_snapshots snapshots of a longer run are bitwise those of a run
 that stops at the shorter t_final.  Only the dt/2 trajectory is run by the
 calibration.
+
+Every finite difference is morawetz.central_difference or
+second_difference, the formulas of the interaction inequality check.
 """
 
 from __future__ import annotations
@@ -28,8 +31,13 @@ from .evolve import StepParams, evolve
 # interaction_report is unused here; perfbench/tests checks that the tracer
 # rebinds this binding of it (ROADMAP item 1 retires that check)
 from .morawetz import (InteractionReport, MorawetzWeight,  # noqa: F401
-                       interaction_inequality_check, interaction_report)
+                       central_difference, interaction_inequality_check,
+                       interaction_report, second_difference)
 from .system import SystemState
+
+FD_SAFETY = 2.0  # factor on the dt^2 constants that calibrate_fd_constants fits
+ABS_FLOOR_FIRST = 1e-8   # check_identities' absolute floors on the first- and
+ABS_FLOOR_SECOND = 1e-6  # second-difference tolerances
 
 
 def _column(name: str) -> property:
@@ -68,29 +76,25 @@ class TrajectorySeries:
 
 def collect_series(state0: SystemState, params: StepParams,
                    smooth_weight: MorawetzWeight,
-                   interaction_weight: MorawetzWeight | None,
-                   center=None) -> TrajectorySeries:
+                   interaction_weight: MorawetzWeight | None) -> TrajectorySeries:
     """Run params from state0 into a collector with the virial columns
     (Vddot included), the interaction reports when a weight is given, and
     no L^q, accumulator or Strichartz columns."""
     collector = DiagnosticsCollector(state0.coupling, state0.grid, CollectorOptions(
         weight=smooth_weight, vddot=True, interaction=interaction_weight,
-        center=center, lq_values=(), accumulators=False))
+        lq_values=(), accumulators=False))
     evolve(state0, params, collector)
     return TrajectorySeries(collector, len(collector.records))
 
 
 def fd_gap_first(times: np.ndarray, series: np.ndarray, formula: np.ndarray) -> np.ndarray:
     """|central difference of series - formula| at interior snapshots."""
-    dt = times[1] - times[0]
-    cd = (series[2:] - series[:-2]) / (2.0 * dt)
-    return np.abs(cd - formula[1:-1])
+    return np.abs(central_difference(times, series) - formula[1:-1])
 
 
 def fd_gap_second(times: np.ndarray, series: np.ndarray, formula: np.ndarray) -> np.ndarray:
-    dt = times[1] - times[0]
-    cd2 = (series[2:] - 2.0 * series[1:-1] + series[:-2]) / dt ** 2
-    return np.abs(cd2 - formula[1:-1])
+    """|second difference of series - formula| at interior snapshots."""
+    return np.abs(second_difference(times, series) - formula[1:-1])
 
 
 @dataclass
@@ -105,15 +109,14 @@ class FdConstants:
 
 def calibrate_fd_constants(coarse: TrajectorySeries, state0: SystemState,
                            params: StepParams, smooth_weight: MorawetzWeight,
-                           interaction_weight: MorawetzWeight | None,
-                           center=None, safety: float = 2.0) -> FdConstants:
+                           interaction_weight: MorawetzWeight | None) -> FdConstants:
     """Fit gap = C dt_s^2 on the window params.t_final at (dt, dt/2).
 
     coarse is the dt trajectory of params from state0 (the caller's, often a
     prefix of a longer run); the dt/2 trajectory is run here with params'
     other fields (dealias included) and twice its stride, so both sample the
     same snapshot times.  Returns the larger of the two extrapolations per
-    identity, times a safety factor, so the calibrated tolerance is an upper
+    identity, times FD_SAFETY, so the calibrated tolerance is an upper
     envelope of the pure finite-difference error of this configuration.
     Raises ValueError if coarse does not sample params' snapshot times.
     """
@@ -128,8 +131,7 @@ def calibrate_fd_constants(coarse: TrajectorySeries, state0: SystemState,
             f"{params.dt * params.snapshot_stride})")
     fine = replace(params, dt=params.dt / 2, snapshot_stride=2 * params.snapshot_stride)
     gaps = []
-    for tr in (coarse, collect_series(state0, fine, smooth_weight, interaction_weight,
-                                      center)):
+    for tr in (coarse, collect_series(state0, fine, smooth_weight, interaction_weight)):
         dts = tr.dt_snapshot
         g1 = fd_gap_first(tr.times, tr.V, tr.Vdot).max() / dts ** 2
         g2 = fd_gap_second(tr.times, tr.V, tr.Vddot).max() / dts ** 2
@@ -137,11 +139,11 @@ def calibrate_fd_constants(coarse: TrajectorySeries, state0: SystemState,
             I = np.array([r.I for r in tr.reports])
             Id = np.array([r.Idot for r in tr.reports])
             gi = fd_gap_first(tr.times, I, Id).max() / dts ** 2
-            gii = np.abs((I[2:] - 2 * I[1:-1] + I[:-2]) / dts ** 2).max() / max(dts, 1.0)
+            gii = np.abs(second_difference(tr.times, I)).max() / max(dts, 1.0)
         else:
             gi, gii = 0.0, 0.0
         gaps.append((g1, g2, gi, gii))
-    pick = [float(safety * max(a, b)) for a, b in zip(*gaps)]
+    pick = [float(FD_SAFETY * max(a, b)) for a, b in zip(*gaps)]
     return FdConstants(c_vdot=pick[0], c_vddot=pick[1], c_idot=pick[2], c_iddot=pick[3])
 
 
@@ -160,23 +162,21 @@ class IdentityCheckResult:
     integrated_ok: bool | None
 
 
-def check_identities(series: TrajectorySeries, constants: FdConstants,
-                     abs_floor_first: float = 1e-8,
-                     abs_floor_second: float = 1e-6) -> IdentityCheckResult:
+def check_identities(series: TrajectorySeries, constants: FdConstants) -> IdentityCheckResult:
     """Assert dV/dt, d2V/dt2 and dI/dt identities at calibrated tolerances,
     plus the interaction convexity inequality in both forms."""
     dts = series.dt_snapshot
     vdot_gap = float(fd_gap_first(series.times, series.V, series.Vdot).max())
-    vdot_tol = constants.c_vdot * dts ** 2 + abs_floor_first
+    vdot_tol = constants.c_vdot * dts ** 2 + ABS_FLOOR_FIRST
     vddot_gap = float(fd_gap_second(series.times, series.V, series.Vddot).max())
-    vddot_tol = constants.c_vddot * dts ** 2 + abs_floor_second
+    vddot_tol = constants.c_vddot * dts ** 2 + ABS_FLOOR_SECOND
 
     idot_gap = idot_tol = idot_ok = ineq_ok = int_ok = None
     if series.reports:
         check = interaction_inequality_check(series.reports,
                                              fd_constant=constants.c_iddot)
         idot_gap = check.idot_fd_gap
-        idot_tol = constants.c_idot * dts ** 2 + abs_floor_first
+        idot_tol = constants.c_idot * dts ** 2 + ABS_FLOOR_FIRST
         idot_ok = idot_gap <= idot_tol
         ineq_ok = check.second_difference_ok
         int_ok = check.integrated_ok

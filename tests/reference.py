@@ -24,7 +24,12 @@ of each spectral derivative of rho.  The production
 interaction_report integrates dI/dt by parts (one padded transform of
 div j) and sums |k|^2 K_hat |rho_hat|^2 for the gradient term; the two
 forms agree to rounding on resolved states, and their gap is discretisation
-error that falls as the grid is refined.  virial_meshes_reference builds
+error that falls as the grid is refined.
+
+fractional_gradient_pairing_reference is the single-time spectral form of
+the |x-y| gradient pairing (2 ||dx rho||^2 in d = 1, 2 pi
+||(-Lap)^{1/4} rho||^2 in d = 2), an independent check of the reciprocal-
+kernel route of morawetz.gradient_pairing.  virial_meshes_reference builds
 the virial radius and direction meshes afresh, as before they were cached.
 
 apply_multiplier applies a radial spectral multiplier m(|k|) to one field;
@@ -39,7 +44,8 @@ import numpy as np
 
 from nlskit.evolve import MIN_MODULUS, NanAbortError, StepParams, _nonlinear_exponents
 from nlskit.grid import (PHYSICAL, SPECTRAL, GridSpec, RadialKernel, ScalarField, _kernel_hat,
-                         inverse_transform, kernel_inner_product, padded_geometry, padded_rfft)
+                         inverse_transform, kernel_inner_product, mode_numbers, padded_geometry,
+                         padded_rfft)
 from nlskit.scattering import WaveOperatorDivergence, WaveOperatorResult
 from nlskit.system import CouplingSpec, Snapshot, SystemState, state_from_arrays
 
@@ -76,6 +82,37 @@ def gradient_pairing_reference(snap: Snapshot, kernel: RadialKernel) -> float:
         ga_hat = padded_rfft(g, ga)
         total += kernel_inner_product(g, ga_hat, ga_hat, kernel)
     return total
+
+
+def fractional_gradient_pairing_reference(state: SystemState | Snapshot) -> float:
+    """sum intint Lap_x psi grad m . grad m for the |x-y| weight in its
+    fractional form: d = 1: 2 ||dx rho||^2 from the spectrum of rho;
+    d = 2: 2 pi ||(-Lap)^{1/4} rho||^2.
+
+    In d = 2, |k| has a conical point at k = 0: the k-lattice is refined 8x
+    by zero padding (a half-spectrum of its own, not the 2x box of
+    grid.padded_rfft) and |k| is averaged over the origin cell, so the
+    quadrature reaches the 1e-6 identity tolerance.  Not derived in d = 3.
+    """
+    snap = Snapshot.of(state)
+    g = snap.state.grid
+    if g.d == 1:
+        c = snap.rho_spectrum
+        return 2.0 * g.box_volume * float(np.sum(g.k_squared * np.abs(c) ** 2))
+    if g.d != 2:
+        raise ValueError("the fractional form is only derived in d = 1, 2")
+    pad = 8
+    n = pad * g.m
+    dk = math.pi / (pad * g.l)
+    chat = np.fft.rfftn(snap.rho, s=(n, n), axes=(0, 1)) / n ** 2
+    sq = chat.real ** 2 + chat.imag ** 2
+    j0, j1 = mode_numbers(n)[:, None], np.arange(n // 2 + 1, dtype=float)
+    k_modulus = dk * np.sqrt(j0 * j0 + j1 * j1)
+    weights = np.full(n // 2 + 1, 2.0)  # Hermitian pairs, as PaddedGeometry.weights
+    weights[0] = weights[-1] = 1.0
+    total = float(np.sum(weights * k_modulus * sq))
+    total += 0.3825979 * dk * float(sq[0, 0])  # cell average of |k| over the origin cell
+    return 2.0 * math.pi * (pad * 2.0 * g.l) ** 2 * total
 
 
 def virial_meshes_reference(grid: GridSpec, center) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -477,6 +477,46 @@ def test_cli_scatter_free_run(tmp_path):
     assert np.abs(prof[0].values - 0.5 * np.exp(-x ** 2 / 2)).max() < 1e-9
 
 
+_SMALL_D1 = ["--d", "1", "--grid-m", "64", "--box-l", "8"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--wave-t", "0.01", "--wave-dt", "0.05"],
+     "wave-op needs at least 2 time nodes: wave_t = 0.01 gives 1 at wave_dt = 0.05"),
+    (["--wave-max-iter", "0"], "wave_max_iter must be >= 1, got 0"),
+], ids=["one-node", "no-iteration"])
+def test_cli_wave_op_refuses_an_empty_iteration(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    assert main(["wave-op", *_SMALL_D1, *flags, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nlskit: invalid configuration") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--t-final", "0.05", "--scatter-window", "1"], "scatter_window must be >= 2, got 1"),
+    (["--t-final", "0.05", "--scatter-window", "-1"], "scatter_window must be >= 2, got -1"),
+    (["--t-final", "0"], "scatter needs at least 2 snapshots: t_final = 0.0 gives 1"),
+], ids=["window-1", "window-negative", "one-snapshot"])
+def test_cli_scatter_refuses_fewer_than_two_snapshots(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    assert main(["scatter", *_SMALL_D1, "--dt", "0.01", "--snapshot-stride", "1",
+                 *flags, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nlskit: invalid configuration") and message in err
+    assert not out.exists()
+
+
+def test_cli_out_dir_naming_a_file_is_a_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main(["simulate", *_SMALL_D1, "--t-final", "0.01", "--out-dir", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nlskit: invalid configuration") and "out_dir: cannot create" in err
+    assert "Traceback" not in err
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_cli_gn_check_deterministic(tmp_path):
     args = ["gn-check", "--d", "1", "--grid-m", "128", "--box-l", "8",
             "--gn-count", "25", "--gn-variant", "cubic",

@@ -18,7 +18,8 @@ from nlskit.morawetz import ERF_SMOOTHED, SpacetimeAccumulators, _virial_meshes
 from nlskit.system import Snapshot
 
 from conftest import gaussian, single_state
-from reference import gradient_pairing_reference, idot_reference, virial_meshes_reference
+from reference import (fractional_gradient_pairing_reference, gradient_pairing_reference,
+                       idot_reference, virial_meshes_reference)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -214,8 +215,8 @@ def test_interaction_unsupported_weight_rejected(grid1d):
 
 def test_gradient_pairing_identity_d1(grid1d):
     st = single_state(gaussian(grid1d, amp=0.8), p=1.0)
-    a = gradient_pairing(st, "kernel")
-    b = gradient_pairing(st, "fractional")
+    a = gradient_pairing(st)
+    b = fractional_gradient_pairing_reference(st)
     assert abs(a - b) < 1e-10 * abs(b)
 
 
@@ -223,17 +224,9 @@ def test_gradient_pairing_identity_d2():
     grid = GridSpec(2, 128, 12.0)
     cpl = CouplingSpec(1, np.array([[1.0]]), 1.0, 2)
     st = SystemState(0.0, (gaussian(grid),), cpl)
-    a = gradient_pairing(st, "kernel")
-    b = gradient_pairing(st, "fractional")
+    a = gradient_pairing(st)
+    b = fractional_gradient_pairing_reference(st)
     assert abs(a - b) < 1e-6 * abs(b)
-
-
-def test_gradient_pairing_d3_unchecked():
-    grid = GridSpec(3, 24, 6.0)
-    cpl = CouplingSpec(1, np.array([[1.0]]), 1.0, 3)
-    st = SystemState(0.0, (gaussian(grid),), cpl)
-    with pytest.raises(NotImplementedError):
-        gradient_pairing(st, "fractional")
 
 
 def test_interaction_d3_delta_collapse_consistency(grid3d):

@@ -190,6 +190,9 @@ def _validate(c: dict, problems: list[str]):
     need("scatter_window", c["scatter_window"] >= 2, ">= 2")
     need("gn_count", c["gn_count"] >= 1, ">= 1")
     need("gn_alpha", c["gn_alpha"] >= 1, ">= 1")
+    need("tol", c["tol"] > 0, "> 0")
+    need("mass_drift_tol", c["mass_drift_tol"] >= 0, ">= 0")
+    need("energy_drift_tol", c["energy_drift_tol"] >= 0, ">= 0")
 
     # cross-field rules (only when the pieces parsed cleanly)
     if problems:

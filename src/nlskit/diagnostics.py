@@ -42,7 +42,7 @@ class CollectorOptions:
 
 class DiagnosticsCollector:
     """Evolution sink: builds one record per snapshot and owns the running
-    accumulators.  Records are plain dicts keyed by the fixed column list."""
+    accumulators.  Records are plain dicts; their keys, in order, are the CSV header."""
 
     def __init__(self, coupling, grid: GridSpec, options: CollectorOptions | None = None):
         self.coupling = coupling
@@ -56,25 +56,11 @@ class DiagnosticsCollector:
         self.strichartz = (StrichartzAccumulator(self.opts.strichartz_pair)
                            if self.opts.strichartz_pair is not None else None)
         self.max_boundary_fraction = 0.0
-        self.columns = self._columns()
 
-    def _columns(self) -> list[str]:
-        cols = ["t"]
-        cols += [f"mass_{mu + 1}" for mu in range(self.coupling.n)]
-        cols += ["kinetic", "potential", "energy_total"]
-        cols += [f"l{q:g}_total" for q in self.opts.lq_values]
-        if self.cube_mass:
-            cols.append("sup_cube_mass")
-        if self.opts.weight is not None:
-            cols += ["V", "Vdot", "Vddot"] if self.opts.vddot else ["V", "Vdot"]
-        if self.opts.interaction is not None:
-            cols += ["I", "Idot", "N_term", "rhs_lower"]
-        if self.accumulators is not None:
-            cols += [f"acc_{name}" for name in self.accumulators.names]
-        if self.strichartz is not None:
-            cols.append("strichartz")
-        cols.append("boundary_mass_fraction")
-        return cols
+    @property
+    def columns(self) -> list[str]:
+        """The first record's keys (evolve calls the sink at step 0)."""
+        return list(self.records[0])
 
     def __call__(self, state: SystemState):
         snap = Snapshot(state)  # pieces shared by this snapshot's observables

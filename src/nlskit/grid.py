@@ -13,7 +13,8 @@ correction, so the coefficient ``c_k`` of a field ``f`` satisfies
     f(x) = sum_k c_k exp(i k.x),        c_0 = mean(f),
 
 and Parseval reads ``h^d sum_m |f_m|^2 = (2L)^d sum_k |c_k|^2``.  Every
-unpadded complex transform in the package is one ``transform`` call (one
+inverse of this convention (values, gradient, Laplacian) is one ``synthesize``
+call; every unpadded complex transform is one ``transform`` call (one
 in-place ``numpy.fft`` pass per axis, batched over leading axes; the inverse
 applies its 1/M^d once, after the first pass, as pocketfft's ``ifftn`` does,
 so both directions equal ``fftn``/``ifftn`` bit for bit); every ``j`` comes
@@ -284,22 +285,22 @@ def inverse_transform(f: ScalarField) -> ScalarField:
     """Spectral -> physical; exact inverse of forward_transform."""
     if f.space != SPECTRAL:
         raise GridUsageError("inverse_transform expects a spectral-space field")
-    g = f.grid
-    vals = transform(g, f.values * g._phase, inverse=True)
-    vals *= g.npoints
-    return ScalarField(vals, g, PHYSICAL)
+    return ScalarField(synthesize(f.grid, f.values, 1.0), f.grid, PHYSICAL)
+
+
+def synthesize(grid: GridSpec, coeffs: np.ndarray, multiplier: complex | np.ndarray) -> np.ndarray:
+    """Physical values with coefficients multiplier * coeffs (1.0, i k_a or
+    -|k|^2), batched over the leading axes of ``coeffs``."""
+    out = transform(grid, multiplier * coeffs * grid._phase, inverse=True)
+    out *= grid.npoints
+    return out
 
 
 def spectral_gradient(f: ScalarField) -> list[ScalarField]:
     """Gradient components as physical-space fields (multiplier i k_a)."""
     g = f.grid
     c = f.to_spectral().values
-    out = []
-    for k in g.k_mesh:
-        comp = transform(g, (1j * k) * c * g._phase, inverse=True)
-        comp *= g.npoints
-        out.append(ScalarField(comp, g, PHYSICAL))
-    return out
+    return [ScalarField(synthesize(g, c, 1j * k), g, PHYSICAL) for k in g.k_mesh]
 
 
 # ---------------------------------------------------------------------------
@@ -480,27 +481,19 @@ def _analytic_reciprocal_hat(grid: GridSpec) -> np.ndarray:
 
 # Keyed on the kernel itself: the key holds its profile callable, so the
 # callable stays alive (and its identity unique) while the entry exists.
-_KERNEL_HAT_CACHE: dict[tuple[GridSpec, RadialKernel], np.ndarray] = {}
-
-
+@lru_cache(maxsize=32)
 def _kernel_hat(grid: GridSpec, kernel: RadialKernel) -> np.ndarray:
     """Real half-spectrum of the kernel on the doubled box.  The sampled
     kernel is even, so its transform is real up to rounding."""
-    key = (grid, kernel)
-    hat = _KERNEL_HAT_CACHE.get(key)
-    if hat is None:
-        if kernel.transform == "analytic":
-            if kernel.kind != "reciprocal":
-                raise ValueError("analytic transform implemented for the reciprocal kernel only")
-            # continuum transform vs index-space DFT: hat_DFT = hat_cont / h^d
-            hat = _analytic_reciprocal_hat(grid) / grid.cell_volume
-        else:
-            vals = kernel.evaluate(padded_geometry(grid).radius(), grid.h, grid.d)
-            hat = padded_rfft(grid, vals).real.copy()
-        hat.setflags(write=False)
-        if len(_KERNEL_HAT_CACHE) > 32:
-            _KERNEL_HAT_CACHE.clear()
-        _KERNEL_HAT_CACHE[key] = hat
+    if kernel.transform == "analytic":
+        if kernel.kind != "reciprocal":
+            raise ValueError("analytic transform implemented for the reciprocal kernel only")
+        # continuum transform vs index-space DFT: hat_DFT = hat_cont / h^d
+        hat = _analytic_reciprocal_hat(grid) / grid.cell_volume
+    else:
+        vals = kernel.evaluate(padded_geometry(grid).radius(), grid.h, grid.d)
+        hat = padded_rfft(grid, vals).real.copy()
+    hat.setflags(write=False)
     return hat
 
 
@@ -514,12 +507,9 @@ def kernel_inner_product(grid: GridSpec, f_hat: np.ndarray, g_hat: np.ndarray,
     half-spectrum sum with no inverse transform.  It equals
     h^d sum_x f convolve_radial_kernel(g).
     """
-    geo = padded_geometry(grid)
     cross = f_hat.real * g_hat.real          # Re conj(f) g
     cross += f_hat.imag * g_hat.imag
-    cross *= _kernel_hat(grid, kernel)
-    cross *= geo.weights
-    return grid.cell_volume ** 2 / geo.npoints * float(np.sum(cross))
+    return _weighted_sum(grid, cross, kernel)
 
 
 def kernel_gradient_product(grid: GridSpec, f_hat: np.ndarray, kernel: RadialKernel) -> float:
@@ -534,9 +524,15 @@ def kernel_gradient_product(grid: GridSpec, f_hat: np.ndarray, kernel: RadialKer
     sq = f_hat.real * f_hat.real
     sq += f_hat.imag * f_hat.imag
     sq *= sum(k * k for k in geo.odd_k_axes)  # not cached: a stored |k|^2 raised peak RSS
-    sq *= _kernel_hat(grid, kernel)
-    sq *= geo.weights
-    return grid.cell_volume ** 2 / geo.npoints * float(np.sum(sq))
+    return _weighted_sum(grid, sq, kernel)
+
+
+def _weighted_sum(grid: GridSpec, values: np.ndarray, kernel: RadialKernel) -> float:
+    """h^(2d)/N sum_k K_k values_k over the padded modes; scales ``values`` in place."""
+    geo = padded_geometry(grid)
+    values *= _kernel_hat(grid, kernel)
+    values *= geo.weights
+    return grid.cell_volume ** 2 / geo.npoints * float(np.sum(values))
 
 
 def _pad_forward(f: ScalarField) -> np.ndarray:

@@ -320,16 +320,15 @@ def gradient_pairing(state: SystemState | Snapshot) -> float:
 def interaction_report(state: SystemState | Snapshot, weight: MorawetzWeight) -> InteractionReport:
     """I, dI/dt, the nonlinear term and the convexity lower bound for d2I/dt2.
 
-    All double integrals are kernel pairings on the padded half-spectra.
-    dI/dt is taken by parts, -4 int (div j)(K * rho) with the Snapshot's
-    div_current, so it pairs one padded transform with rho_hat whatever d is.
-    Delta parts of the |x-y| weight (Lap psi in d = 1, Lap^2 psi in d = 3)
-    are collapsed to single integrals analytically.  The gradient term is
-    gradient_pairing.
+    The weight picks one kernel K (|z| or the erf profile); I = <rho, K * rho>
+    and dI/dt = -4 int (div j)(K * rho) (by parts, with the Snapshot's
+    div_current) are then kernel pairings on the padded half-spectra.  Only N
+    and the gradient term branch: erf pairs its Gaussian mollifier; for |x-y|
+    the delta parts (Lap psi in d = 1, Lap^2 psi in d = 3) are collapsed to
+    single integrals analytically and the gradient term is gradient_pairing.
     """
     snap = Snapshot.of(state)
     g = snap.state.grid
-    c = snap.state.coupling
     vol = g.cell_volume
     rho = snap.rho
     t = snap.state.t
@@ -339,55 +338,43 @@ def interaction_report(state: SystemState | Snapshot, weight: MorawetzWeight) ->
         return InteractionReport(t=t, weight=weight.label, I=weight.value * m * m,
                                  Idot=0.0, N_term=0.0, gradient_term=0.0,
                                  rhs_lower=0.0, rhs_lower_alt=0.0)
+    if weight.kind == ERF_SMOOTHED and g.d != 1:
+        raise ValueError("the erf-smoothed weight is provided for d = 1 only; "
+                         + _SUPPORTED)
+    if weight.kind not in (ABS_DISTANCE, ERF_SMOOTHED):
+        raise ValueError(f"weight kind {weight.kind!r} with d = {g.d} is not supported "
+                         f"by interaction_report; " + _SUPPORTED)
 
-    P = snap.P
-    p = c.p
-    if weight.kind == ABS_DISTANCE:
-        abs_kernel = RadialKernel.abs_distance()
-        rho_hat = snap.rho_hat  # shared by every rho pairing below
-        I = kernel_inner_product(g, rho_hat, rho_hat, abs_kernel)
-        Idot = -4.0 * kernel_inner_product(g, padded_rfft(g, snap.div_current), rho_hat,
-                                           abs_kernel)
-        if g.d == 1:
-            N = (8.0 * p / (p + 1.0)) * vol * float(np.sum(P * rho))
-            grad_term = 2.0 * gradient_pairing(snap)
-            return InteractionReport(t=t, weight=weight.label, I=I, Idot=Idot,
-                                     N_term=N, gradient_term=grad_term,
-                                     rhs_lower=grad_term + N)
-        lap_coeff = float(g.d - 1)  # Lap |z| = (d-1)/|z|
-        N = (4.0 * p / (p + 1.0)) * lap_coeff * kernel_inner_product(
-            g, padded_rfft(g, P), rho_hat, RadialKernel.reciprocal())
+    kernel = (RadialKernel.abs_distance() if weight.kind == ABS_DISTANCE else
+              RadialKernel.from_profile(weight.profile,
+                                        origin_value=float(weight.profile(np.asarray(0.0)))))
+    rho_hat = snap.rho_hat  # shared by every rho pairing below
+    I = kernel_inner_product(g, rho_hat, rho_hat, kernel)
+    Idot = -4.0 * kernel_inner_product(g, padded_rfft(g, snap.div_current), rho_hat, kernel)
+
+    p = snap.state.coupling.p
+    alt = None
+    if weight.kind == ERF_SMOOTHED:
+        delta_eps = RadialKernel.gaussian_delta(weight.eps)
+        N = (8.0 * p / (p + 1.0)) * kernel_inner_product(g, padded_rfft(g, snap.P), rho_hat,
+                                                         delta_eps)
+        grad_term = 4.0 * kernel_gradient_product(g, rho_hat, delta_eps)
+    else:
         grad_term = 2.0 * gradient_pairing(snap)
-        alt = None
+        if g.d == 1:
+            N = (8.0 * p / (p + 1.0)) * vol * float(np.sum(snap.P * rho))
+        else:
+            lap_coeff = float(g.d - 1)  # Lap |z| = (d-1)/|z|
+            N = (4.0 * p / (p + 1.0)) * lap_coeff * kernel_inner_product(
+                g, padded_rfft(g, snap.P), rho_hat, RadialKernel.reciprocal())
         if g.d == 3:
             # Lap^2 |z| = Lap (2/|z|) = -8 pi delta, so the delta collapse of
             # -2 intint m m Lap^2 psi is 16 pi int rho^2 (twice the Newtonian
             # constant: the inner Laplacian of |z| already carries the 2).
             alt = 16.0 * math.pi * vol * float(np.sum(rho * rho)) + N
-        return InteractionReport(t=t, weight=weight.label, I=I, Idot=Idot,
-                                 N_term=N, gradient_term=grad_term,
-                                 rhs_lower=grad_term + N, rhs_lower_alt=alt)
-
-    if weight.kind == ERF_SMOOTHED:
-        if g.d != 1:
-            raise ValueError("the erf-smoothed weight is provided for d = 1 only; "
-                             + _SUPPORTED)
-        prof_kernel = RadialKernel.from_profile(weight.profile,
-                                                origin_value=float(weight.profile(np.asarray(0.0))))
-        delta_eps = RadialKernel.gaussian_delta(weight.eps)
-        rho_hat = snap.rho_hat
-        I = kernel_inner_product(g, rho_hat, rho_hat, prof_kernel)
-        Idot = -4.0 * kernel_inner_product(g, padded_rfft(g, snap.div_current), rho_hat,
-                                           prof_kernel)
-        N = (8.0 * p / (p + 1.0)) * kernel_inner_product(g, padded_rfft(g, P), rho_hat,
-                                                         delta_eps)
-        grad_term = 4.0 * kernel_gradient_product(g, rho_hat, delta_eps)
-        return InteractionReport(t=t, weight=weight.label, I=I, Idot=Idot,
-                                 N_term=N, gradient_term=grad_term,
-                                 rhs_lower=grad_term + N)
-
-    raise ValueError(f"weight kind {weight.kind!r} with d = {g.d} is not supported "
-                     f"by interaction_report; " + _SUPPORTED)
+    return InteractionReport(t=t, weight=weight.label, I=I, Idot=Idot,
+                             N_term=N, gradient_term=grad_term,
+                             rhs_lower=grad_term + N, rhs_lower_alt=alt)
 
 
 # ---------------------------------------------------------------------------

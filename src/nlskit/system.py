@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (GridSpec, ScalarField, PHYSICAL, SPECTRAL, cube_sup_l2,
-                   forward_transform, padded_rfft, spectral_gradient, transform)
+from .grid import (GridSpec, ScalarField, PHYSICAL, cube_sup_l2, forward_transform,
+                   padded_rfft, spectral_gradient, synthesize)
 
 
 def critical_exponent(d: int) -> float:
@@ -186,7 +186,7 @@ class Snapshot:
       grads      spectral gradients of each component from its spectrum, grads[mu][a]
       current    total current sum_mu Im(conj(u_mu) grad u_mu), per axis
       div_current  its divergence sum_mu Im(conj(u_mu) Lap u_mu), each Lap u_mu
-                 from the component spectrum by one inverse transform
+                 from the component spectrum by one grid.synthesize
       rho_grads  real spectral gradient of rho from its spectrum, per axis
                  (d = 1 only: the delta collapse and grad_density_sq)
       m_hats     padded half-spectra of the m_mu (grid.padded_rfft)
@@ -230,8 +230,7 @@ class Snapshot:
         return out
 
     def _gradient(self, spectrum: np.ndarray) -> list[np.ndarray]:
-        return [gc.values for gc in
-                spectral_gradient(ScalarField(spectrum, self.state.grid, SPECTRAL))]
+        return [synthesize(self.state.grid, spectrum, 1j * k) for k in self.state.grid.k_mesh]
 
     @cached_property
     def grads(self) -> list[list[np.ndarray]]:
@@ -246,9 +245,7 @@ class Snapshot:
         g = self.state.grid
         out = np.zeros(g.shape)
         for f, c in zip(self.state.fields, self.spectra):
-            lap = transform(g, -g.k_squared * c * g._phase, inverse=True)
-            lap *= g.npoints
-            out += np.imag(np.conj(f.values) * lap)
+            out += np.imag(np.conj(f.values) * synthesize(g, c, -g.k_squared))
         return out
 
     @cached_property

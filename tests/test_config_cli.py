@@ -207,8 +207,11 @@ def test_cli_d3_reruns_byte_identical(tmp_path, experiment):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     if experiment == "simulate":
         assert code == 0
-        csv1 = (out1 / "diagnostics.csv").read_bytes()
-        assert b"acc_recip_self" in csv1 and b",I," in csv1
+        header = (out1 / "diagnostics.csv").read_text().splitlines()[0].split(",")
+        assert header == ["t", "mass_1", "mass_2", "kinetic", "potential", "energy_total",
+                          "l4_total", "V", "Vdot", "I", "Idot", "N_term",
+                          "rhs_lower", "acc_l4", "acc_recip_self", "strichartz",
+                          "boundary_mass_fraction"]
     if experiment == "verify-identities":
         header = (out1 / "diagnostics.csv").read_text().splitlines()[0].split(",")
         assert header == ["t", "mass_1", "mass_2", "kinetic", "potential", "energy_total",
@@ -502,6 +505,22 @@ def test_cli_scatter_refuses_fewer_than_two_snapshots(tmp_path, capsys, flags, m
     out = tmp_path / "out"
     assert main(["scatter", *_SMALL_D1, "--dt", "0.01", "--snapshot-stride", "1",
                  *flags, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nlskit: invalid configuration") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, flags, message", [
+    ("wave-op", ["--wave-t", "0.5", "--tol", "-1"], "tol must be > 0, got -1.0"),
+    ("simulate", ["--t-final", "0.01", "--mass-drift-tol", "-1"],
+     "mass_drift_tol must be >= 0, got -1.0"),
+    ("simulate", ["--t-final", "0.01", "--energy-drift-tol", "nan"],
+     "energy_drift_tol must be >= 0, got nan"),
+], ids=["tol", "mass_drift_tol", "energy_drift_tol"])
+def test_cli_refuses_a_tolerance_out_of_range(tmp_path, capsys, experiment, flags, message):
+    # refused before the run, not reported as a failed check after it
+    out = tmp_path / "out"
+    assert main([experiment, *_SMALL_D1, *flags, "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("nlskit: invalid configuration") and message in err
     assert not out.exists()

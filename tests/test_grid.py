@@ -8,8 +8,9 @@ from nlskit import (GridSpec, GridUsageError, RadialKernel, ScalarField,
                     convolve_kernel_gradient, convolve_radial_kernel,
                     field_from_function, forward_transform, inverse_transform,
                     spectral_gradient)
-from nlskit.grid import (h1_norms, kernel_gradient_product, kernel_inner_product,
-                         padded_geometry, padded_rfft, transform)
+from nlskit.grid import (_kernel_hat, h1_norms, kernel_gradient_product,
+                         kernel_inner_product, padded_geometry, padded_rfft, synthesize,
+                         transform)
 
 from conftest import gaussian, random_field
 from reference import apply_multiplier, kernel_axis_pairing_reference
@@ -106,6 +107,25 @@ def test_transforms_equal_scipy_fft_bit_for_bit(grid, n):
         assert np.array_equal(padded_rfft(grid, values), scipy.fft.rfftn(values, s=padded_shape))
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("grid", [GridSpec(1, 100, 8.0), GridSpec(2, 32, 8.0),
+                                  GridSpec(3, 16, 6.0)], ids=lambda g: f"d{g.d}-m{g.m}")
+def test_synthesize_is_the_per_component_inverse_bit_for_bit(grid, n):
+    # one call on a stack of n spectra equals, field by field, the
+    # inverse_transform, spectral_gradient and inline Laplacian it replaced
+    rng = np.random.default_rng(20 * grid.d + n)
+    coeffs = np.stack([random_field(grid, rng).to_spectral().values for _ in range(n)])
+    fields = [ScalarField(c, grid, "spectral") for c in coeffs]
+    for f, values in zip(fields, synthesize(grid, coeffs, 1.0)):
+        assert np.array_equal(values, inverse_transform(f).values)
+    for a, k in enumerate(grid.k_mesh):
+        for f, values in zip(fields, synthesize(grid, coeffs, 1j * k)):
+            assert np.array_equal(values, spectral_gradient(f)[a].values)
+    for c, values in zip(coeffs, synthesize(grid, coeffs, -grid.k_squared)):
+        lap = transform(grid, -grid.k_squared * c * grid._phase, inverse=True) * grid.npoints
+        assert np.array_equal(values, lap)
+
+
 def test_wrong_representation_rejected(grid1d):
     f = gaussian(grid1d)
     with pytest.raises(GridUsageError):
@@ -176,7 +196,7 @@ def test_multiplier_fractional_eigenfunction(grid1d):
 
 def test_multiplier_rejects_nonfinite(grid1d):
     f = gaussian(grid1d)
-    with pytest.raises(ValueError, match="k ="):
+    with pytest.raises(ValueError, match="k ="), np.errstate(divide="ignore"):
         apply_multiplier(f, lambda k: 1.0 / k, name="inverse modulus")
 
 
@@ -265,6 +285,18 @@ def test_profile_kernels_created_and_freed_in_turn_get_their_own_transform(grid1
             stale += 1
         del kernel
     assert stale == 0
+
+
+def test_kernel_hat_cache_serves_one_read_only_array_until_evicted(grid1d):
+    kernel = RadialKernel.gaussian_delta(0.3)
+    hat = _kernel_hat(grid1d, kernel)
+    assert _kernel_hat(grid1d, kernel) is hat
+    assert not hat.flags.writeable
+    for i in range(32):  # the cache holds 32 transforms
+        _kernel_hat(grid1d, RadialKernel.gaussian_delta(0.31 + 0.01 * i))
+    again = _kernel_hat(grid1d, kernel)
+    assert again is not hat and not again.flags.writeable
+    assert np.array_equal(again, hat)
 
 
 _PAIRING_KERNELS = {

@@ -46,7 +46,6 @@ class DiagnosticsCollector:
 
     def __init__(self, coupling, grid: GridSpec, options: CollectorOptions | None = None):
         self.coupling = coupling
-        self.grid = grid
         self.opts = options or CollectorOptions()
         self.records: list[dict] = []
         self.reports = []            # InteractionReport per snapshot

@@ -18,9 +18,9 @@ call; every unpadded complex transform is one ``transform`` call (one
 in-place ``numpy.fft`` pass per axis, batched over leading axes; the inverse
 applies its 1/M^d once, after the first pass, as pocketfft's ``ifftn`` does,
 so both directions equal ``fftn``/``ifftn`` bit for bit); every ``j`` comes
-from ``mode_numbers``.  ``numpy.fft`` is the package's one FFT library;
-special functions are imported on first use, in the two functions that need
-them (``_analytic_reciprocal_hat`` and ``morawetz.MorawetzWeight.erf_smoothed``).
+from ``mode_numbers``.  ``numpy`` is the package's one runtime dependency
+and ``numpy.fft`` its one FFT library; the one special function beyond
+``math`` is ``_integral_of_j0``, a quadrature for the d = 2 analytic kernel.
 
 Free-space convolutions (used for the bilinear interaction weights) zero-pad
 the box by a factor of two per axis and multiply by the transform of the
@@ -446,25 +446,48 @@ def padded_rfft(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _integral_of_j0(x: np.ndarray) -> np.ndarray:
+    """Lambda(x) = int_0^x J0 for x >= 0, elementwise, from
+
+        Lambda(x) = (1/pi) int_0^pi sin(x sin t) / sin t dt.
+
+    The integrand is analytic and pi-periodic, so the n-node midpoint rule
+    converges exponentially once 2n exceeds x (Bessel orders above x carry
+    no weight): n = floor(max x) // 2 + 64 nodes.  Each distinct value of x
+    is evaluated once, in blocks of 512 values, so the scratch stays about
+    512 n floats."""
+    xs, where = np.unique(x, return_inverse=True)
+    n = int(xs[-1]) // 2 + 64
+    sines = np.sin((np.arange(n) + 0.5) * (math.pi / n))
+    weights = 1.0 / (n * sines)
+    lam = np.empty(xs.size)
+    for start in range(0, xs.size, 512):
+        block = np.multiply.outer(xs[start:start + 512], sines)
+        np.sin(block, out=block)
+        block *= weights
+        lam[start:start + 512] = block.sum(axis=1)
+    return lam[where].reshape(np.shape(x))
+
+
 def _analytic_reciprocal_hat(grid: GridSpec) -> np.ndarray:
     """Transform of 1/r truncated to the disc r < R, with R = 2L.
 
     d = 2:  K_hat(k) = 2 pi Lambda(R k) / k,   Lambda(x) = int_0^x J0
     d = 3:  K_hat(k) = 4 pi (1 - cos(R k)) / k^2
 
+    In d = 2, Lambda is ``_integral_of_j0``: the midpoint rule on
+    (1/pi) int_0^pi sin(x sin t)/sin t dt with floor(max R k) // 2 + 64
+    nodes, evaluated on the distinct values of R k.
+
     R = 2L is the largest radius whose periodic images (period 4L after
     padding) stay clear of the admissible displacement range; data must be
     supported inside the ball of radius ~L for spectral accuracy, which the
     boundary-mass monitor enforces anyway.
     """
-    from scipy.special import j0, j1, struve
-
     km = padded_geometry(grid).k_modulus
     R = 2.0 * grid.l
     if grid.d == 2:
-        # Lambda(x) = x J0 + (pi x/2)(J1 H0 - J0 H1), stable at every x
-        x = R * km
-        lam = x * j0(x) + (math.pi / 2.0) * x * (j1(x) * struve(0, x) - j0(x) * struve(1, x))
+        lam = _integral_of_j0(R * km)
         with np.errstate(divide="ignore", invalid="ignore"):
             hat = np.where(km > 0, 2.0 * math.pi * lam / np.where(km > 0, km, 1.0), 0.0)
         hat[km == 0] = 2.0 * math.pi * R

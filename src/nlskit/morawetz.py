@@ -125,8 +125,7 @@ class MorawetzWeight:
         spacing, otherwise the mollifier is unresolved."""
         if eps <= 0:
             raise ValueError("smoothing width must be positive")
-        from scipy.special import erf  # on first use: importing scipy is slow
-
+        erf = np.vectorize(math.erf, otypes=[float])  # numpy has no erf
         s = math.sqrt(math.pi)
 
         def profile(r):

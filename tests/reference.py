@@ -32,6 +32,10 @@ the |x-y| gradient pairing (2 ||dx rho||^2 in d = 1, 2 pi
 kernel route of morawetz.gradient_pairing.  virial_meshes_reference builds
 the virial radius and direction meshes afresh, as before they were cached.
 
+integral_of_j0_reference is Lambda(x) = int_0^x J0 in its Bessel/Struve
+closed form from scipy.special, which grid._integral_of_j0 (a numpy
+quadrature) must match.
+
 apply_multiplier applies a radial spectral multiplier m(|k|) to one field;
 the package has no caller of it, and the tests use it to check the
 transform conventions.
@@ -41,6 +45,7 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import j0, j1, struve
 
 from nlskit.evolve import MIN_MODULUS, NanAbortError, StepParams, _nonlinear_exponents
 from nlskit.grid import (PHYSICAL, SPECTRAL, GridSpec, RadialKernel, ScalarField, _kernel_hat,
@@ -62,6 +67,12 @@ def kernel_axis_pairing_reference(grid: GridSpec, f_hat: np.ndarray, g_hat: np.n
     cross *= _kernel_hat(grid, kernel)
     cross *= geo.weights
     return grid.cell_volume ** 2 / geo.npoints * float(np.sum(cross))
+
+
+def integral_of_j0_reference(x: np.ndarray) -> np.ndarray:
+    """Lambda(x) = int_0^x J0 = x J0 + (pi x/2)(J1 H0 - J0 H1), with the
+    Struve functions H0, H1."""
+    return x * j0(x) + (math.pi / 2.0) * x * (j1(x) * struve(0, x) - j0(x) * struve(1, x))
 
 
 def idot_reference(snap: Snapshot, kernel: RadialKernel) -> float:

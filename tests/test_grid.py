@@ -8,12 +8,12 @@ from nlskit import (GridSpec, GridUsageError, RadialKernel, ScalarField,
                     convolve_kernel_gradient, convolve_radial_kernel,
                     field_from_function, forward_transform, inverse_transform,
                     spectral_gradient)
-from nlskit.grid import (_kernel_hat, h1_norms, kernel_gradient_product,
+from nlskit.grid import (_integral_of_j0, _kernel_hat, h1_norms, kernel_gradient_product,
                          kernel_inner_product, padded_geometry, padded_rfft, synthesize,
                          transform)
 
 from conftest import gaussian, random_field
-from reference import apply_multiplier, kernel_axis_pairing_reference
+from reference import apply_multiplier, integral_of_j0_reference, kernel_axis_pairing_reference
 
 
 def test_gridspec_validation():
@@ -308,6 +308,19 @@ _PAIRING_KERNELS = {
                                                       origin_value=1.0),
 }
 _PAIRING_GRIDS = {1: GridSpec(1, 128, 8.0), 2: GridSpec(2, 32, 8.0), 3: GridSpec(3, 16, 8.0)}
+
+
+@pytest.mark.parametrize("grid", [GridSpec(2, 128, 12.0), _PAIRING_GRIDS[2]],
+                         ids=["verify-d2", "pairing"])
+def test_integral_of_j0_matches_the_bessel_struve_oracle(grid):
+    # Lambda(R |k|) on every half-spectrum mode of the d = 2 analytic kernel
+    x = 2.0 * grid.l * padded_geometry(grid).k_modulus
+    lam = _integral_of_j0(x)
+    assert lam.shape == x.shape
+    assert np.abs(lam - integral_of_j0_reference(x)).max() <= 1e-11
+    assert _integral_of_j0(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    hat = _kernel_hat(grid, RadialKernel.reciprocal(transform="analytic"))
+    assert hat[0, 0] == 2.0 * math.pi * (2.0 * grid.l) / grid.cell_volume
 
 
 def _supported_pair(grid, seed):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.special
 
 from nlskit import (CouplingSpec, GridSpec, MorawetzWeight, ScalarField,
                     StepParams, SystemState, admissible_pair,
@@ -62,6 +63,17 @@ def test_erf_weight_consistency():
     # smooths |r| from above (to rounding) with O(eps) error
     assert (w.profile(r) >= r - 1e-12).all()
     assert np.abs(w.profile(r) - r).max() < 0.3
+    assert w.convexity_ok()
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.5])
+def test_erf_weight_matches_the_scipy_erf_oracle(eps):
+    w = MorawetzWeight.erf_smoothed(eps)
+    r = np.linspace(0.0, 16.0, 8193)
+    erf = scipy.special.erf(r / eps)
+    profile = r * erf + (eps / SQRT_PI) * np.exp(-((r / eps) ** 2))
+    assert np.abs(w.profile(r) - profile).max() <= 4.5e-16
+    assert np.abs(w.d1(r) - erf).max() <= 4.5e-16
     assert w.convexity_ok()
 
 

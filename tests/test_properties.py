@@ -3,7 +3,8 @@ padded half-spectra included), the free flow, the nonlinear substep, the
 Strang step, the symmetry of the stepper (bit for bit in the nonlinear
 substep) and of the wave operator under permuting components, the running
 time integral and the GN ratio's invariances over random dimensions, grids,
-times and data."""
+times and data, and the quadrature of the d = 2 analytic kernel against
+its Bessel/Struve closed form."""
 
 import math
 
@@ -18,8 +19,10 @@ from nlskit import (CouplingSpec, GridSpec, ScalarField, StepParams, energy, evo
                     forward_transform, gn_ratio, inverse_transform, linear_substep,
                     mass, nonlinear_substep, state_from_arrays, strang_step, total_mass,
                     wave_operator)
-from nlskit.grid import padded_geometry, padded_rfft, transform
+from nlskit.grid import _integral_of_j0, padded_geometry, padded_rfft, transform
 from nlskit.system import RunningIntegral
+
+from reference import integral_of_j0_reference
 
 # points per axis by dimension: small enough for many examples per test
 M_BY_D = {1: 64, 2: 16, 3: 8}
@@ -240,3 +243,11 @@ def test_running_integral_windows_add_up_to_the_total(samples, frac):
     tm = t0 + frac * (t1 - t0)
     split = acc.increment_over(t0, tm) + acc.increment_over(tm, t1)
     assert math.isclose(split, acc.total, rel_tol=0.0, abs_tol=tol)
+
+
+@PROPERTY
+@given(st.lists(st.floats(0.0, 2000.0), min_size=1, max_size=64))
+def test_integral_of_j0_matches_the_bessel_struve_oracle(values):
+    # the node count follows the largest x, so smaller ones ride along
+    x = np.array(values)
+    assert np.abs(_integral_of_j0(x) - integral_of_j0_reference(x)).max() <= 1e-11

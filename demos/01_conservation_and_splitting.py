@@ -19,8 +19,8 @@ grid = GridSpec(d=1, m=512, l=32.0)
 beta = np.array([[1.0, 0.5], [0.5, 1.0]])
 coupling = CouplingSpec(2, beta, p=2.0, d=1)
 x = grid.x_mesh[0]
-u1 = ScalarField(0.4 * np.exp(-x ** 2 / 50) * np.exp(0.05j * x), grid, "physical")
-u2 = ScalarField(0.3 * np.exp(-x ** 2 / 50) * np.exp(-0.05j * x), grid, "physical")
+u1 = ScalarField(0.4 * np.exp(-x ** 2 / 50) * np.exp(0.05j * x), grid)
+u2 = ScalarField(0.3 * np.exp(-x ** 2 / 50) * np.exp(-0.05j * x), grid)
 state = SystemState(0.0, (u1, u2), coupling)
 
 e0 = energy(state).total

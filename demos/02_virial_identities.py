@@ -21,8 +21,8 @@ grid = GridSpec(d=1, m=512, l=32.0)
 coupling = CouplingSpec(2, np.array([[1.0, 0.5], [0.5, 1.0]]), p=2.0, d=1)
 x = grid.x_mesh[0]
 state = SystemState(0.0, (
-    ScalarField(0.4 * np.exp(-x ** 2 / 50) * np.exp(0.05j * x), grid, "physical"),
-    ScalarField(0.3 * np.exp(-x ** 2 / 50) * np.exp(-0.05j * x), grid, "physical"),
+    ScalarField(0.4 * np.exp(-x ** 2 / 50) * np.exp(0.05j * x), grid),
+    ScalarField(0.3 * np.exp(-x ** 2 / 50) * np.exp(-0.05j * x), grid),
 ), coupling)
 
 weight = MorawetzWeight.quadratic()

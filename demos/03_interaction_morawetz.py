@@ -24,8 +24,8 @@ grid = GridSpec(d=1, m=512, l=32.0)
 coupling = CouplingSpec(2, np.array([[1.0, 0.5], [0.5, 1.0]]), p=1.0, d=1)
 x = grid.x_mesh[0]
 state = SystemState(0.0, (
-    ScalarField(0.7 * np.exp(-x ** 2 / 8) * np.exp(0.3j * x), grid, "physical"),
-    ScalarField(0.5 * np.exp(-(x - 2.0) ** 2 / 8), grid, "physical"),
+    ScalarField(0.7 * np.exp(-x ** 2 / 8) * np.exp(0.3j * x), grid),
+    ScalarField(0.5 * np.exp(-(x - 2.0) ** 2 / 8), grid),
 ), coupling)
 
 weight = MorawetzWeight.abs_distance()

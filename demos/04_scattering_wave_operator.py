@@ -19,7 +19,7 @@ from nlskit import (CouplingSpec, GridSpec, ScalarField, StepParams,
 grid = GridSpec(d=1, m=1024, l=256.0)
 coupling = CouplingSpec(1, np.array([[1.0]]), p=2.0, d=1)
 x = grid.x_mesh[0]
-profile = [ScalarField(0.2 * np.exp(-x ** 2 / 2), grid, "physical")]
+profile = [ScalarField(0.2 * np.exp(-x ** 2 / 2), grid)]
 T = 20.0
 
 print("constructing the initial datum from the asymptotic profile ...")
@@ -28,7 +28,7 @@ print(f"  converged: {res.converged} after {res.iterations} iterations")
 print(f"  residuals: {['%.2e' % r for r in res.residuals]}")
 print(f"  truncation-tail surrogate: {res.tail_estimate:.2e}")
 u0 = res.state0
-gap0 = ScalarField(u0.fields[0].values - profile[0].values, grid, "physical")
+gap0 = ScalarField(u0.fields[0].values - profile[0].values, grid)
 print(f"  H1 distance of w(0) from the profile (the nonlinear dressing): "
       f"{gap0.h1_norm():.3e}")
 
@@ -40,7 +40,7 @@ evolve(u0, StepParams(dt=5e-3, t_final=T, snapshot_stride=800),
 out = asymptotic_profile(snaps, tol=1e-3)
 print(f"  snapshot times: {[s.t for s in snaps]}")
 print(f"  Cauchy residuals: {['%.2e' % r[2] for r in out.residuals]}")
-recovered = ScalarField(out.profile[0].values - profile[0].values, grid, "physical")
+recovered = ScalarField(out.profile[0].values - profile[0].values, grid)
 print(f"  recovered profile H1 gap: {recovered.h1_norm():.2e}")
 print(f"  profile mass vs conserved trajectory mass: relative mismatch "
       f"{out.mass_mismatch:.1e}")

@@ -17,8 +17,7 @@ grid = GridSpec(d=1, m=4096, l=409.6)
 coupling = CouplingSpec(1, np.array([[1.0]]), p=2.0, d=1)
 x = grid.x_mesh[0]
 sigma, chirp, amp = 6.0, 0.25, 0.2
-u = ScalarField(amp * np.exp(-x ** 2 / (2 * sigma ** 2)) * np.exp(-1j * chirp * x ** 2),
-                grid, "physical")
+u = ScalarField(amp * np.exp(-x ** 2 / (2 * sigma ** 2)) * np.exp(-1j * chirp * x ** 2), grid)
 state = SystemState(0.0, (u,), coupling)
 
 acc = SpacetimeAccumulators(coupling)

@@ -10,12 +10,10 @@ iteration, and stress-tests the cube-localized interpolation inequalities
 on seeded corpora.
 """
 
-from .grid import (GridSpec, ScalarField, RadialKernel, GridUsageError,
-                   field_from_function, forward_transform, inverse_transform,
-                   spectral_gradient,
-                   convolve_radial_kernel, convolve_kernel_gradient, cube_sup_l2)
+from .grid import (GridSpec, ScalarField, RadialKernel, field_from_function,
+                   forward_transform, cube_sup_l2)
 from .system import (CouplingSpec, SystemState, EnergyReport, LqReport,
-                     Snapshot, state_from_arrays, current, mass, total_mass,
+                     Snapshot, state_from_arrays, mass, total_mass,
                      energy, lq_norm, h1_norm, sup_cube_mass,
                      boundary_mass_fraction, BOUNDARY_MASS_LIMIT)
 from .evolve import (StepParams, NanAbortError, linear_substep,

@@ -99,10 +99,10 @@ def _virial_weight(cfg: RunConfig) -> MorawetzWeight | None:
 
 
 def _interaction_weight(cfg: RunConfig) -> MorawetzWeight | None:
-    """The bilinear weight; erf exists in d = 1 only and falls back to |x|."""
+    """The bilinear weight (the config allows erf in d = 1 only)."""
     if cfg.interaction_weight == "none":
         return None
-    if cfg.interaction_weight == "erf" and cfg.d == 1:
+    if cfg.interaction_weight == "erf":
         return MorawetzWeight.erf_smoothed(cfg.weight_eps)
     if cfg.interaction_weight == "constant":
         return MorawetzWeight.constant()

@@ -180,12 +180,12 @@ def _validate(c: dict, problems: list[str]):
     need("n_components", c["n_components"] >= 1, ">= 1")
     need("p", c["p"] > 0, "> 0")
     need("dt", 0 < c["dt"] < math.inf, "> 0 and finite")
-    need("t_final", c["t_final"] >= 0, ">= 0")
-    need("fd_calibration_t", c["fd_calibration_t"] >= 0, ">= 0")
+    need("t_final", 0 <= c["t_final"] < math.inf, ">= 0 and finite")
+    need("fd_calibration_t", 0 <= c["fd_calibration_t"] < math.inf, ">= 0 and finite")
     need("snapshot_stride", c["snapshot_stride"] >= 1, ">= 1")
     need("weight_eps", c["weight_eps"] > 0, "> 0")
     need("wave_dt", c["wave_dt"] > 0, "> 0")
-    need("wave_t", c["wave_t"] > 0, "> 0")
+    need("wave_t", 0 < c["wave_t"] < math.inf, "> 0 and finite")
     need("wave_max_iter", c["wave_max_iter"] >= 1, ">= 1")
     need("scatter_window", c["scatter_window"] >= 2, ">= 2")
     need("gn_count", c["gn_count"] >= 1, ">= 1")
@@ -195,6 +195,12 @@ def _validate(c: dict, problems: list[str]):
     need("energy_drift_tol", c["energy_drift_tol"] >= 0, ">= 0")
 
     # cross-field rules (only when the pieces parsed cleanly)
+    if problems:
+        return
+    for key, step in (("t_final", "dt"), ("fd_calibration_t", "dt"), ("wave_t", "wave_dt")):
+        need(key, math.isfinite(c[key] / c[step]), f"finite in steps of {step} = {c[step]!r}")
+    need("interaction_weight", c["interaction_weight"] != "erf" or c["d"] == 1,
+         f"one of {tuple(w for w in CHOICES['interaction_weight'] if w != 'erf')} in d = {c['d']}")
     if problems:
         return
     cfg = RunConfig(**c)

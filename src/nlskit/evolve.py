@@ -55,8 +55,10 @@ class StepParams:
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_final < 0:
-            raise ValueError(f"t_final must be >= 0, got {self.t_final}")
+        if not 0 <= self.t_final < math.inf:
+            raise ValueError(f"t_final must be >= 0 and finite, got {self.t_final}")
+        if not math.isfinite(self.t_final / self.dt):
+            raise ValueError(f"t_final / dt must be finite, got {self.t_final} / {self.dt}")
         if self.snapshot_stride < 1:
             raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
 

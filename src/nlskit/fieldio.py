@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, PHYSICAL
+from .grid import GridSpec, ScalarField
 
 MAGIC = b"NLSF"
 VERSION = 1
@@ -37,7 +37,7 @@ def write_fields(path, grid: GridSpec, fields) -> None:
     fields = list(fields)
     payload = np.empty((len(fields), grid.npoints, 2), dtype="<f8")
     for i, f in enumerate(fields):
-        vals = np.asarray(f.to_physical().values, dtype=complex).reshape(-1)
+        vals = np.asarray(f.values, dtype=complex).reshape(-1)
         payload[i, :, 0] = vals.real
         payload[i, :, 1] = vals.imag
     header = _HEADER.pack(MAGIC, VERSION, ord("<"), grid.d, grid.m,
@@ -67,5 +67,5 @@ def read_fields(path) -> tuple[GridSpec, list[ScalarField]]:
     out = []
     for i in range(n):
         vals = (payload[i, :, 0] + 1j * payload[i, :, 1]).reshape(grid.shape)
-        out.append(ScalarField(vals, grid, PHYSICAL))
+        out.append(ScalarField(vals, grid))
     return grid, out

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, PHYSICAL, cube_sup_l2, mode_numbers, transform
+from .grid import GridSpec, ScalarField, cube_sup_l2, mode_numbers, transform
 
 MAIN = "main"
 CUBIC = "cubic"
@@ -52,7 +52,7 @@ def gn_ratio(fields: tuple[ScalarField, ...] | list[ScalarField], variant: str) 
     fields = tuple(fields)
     if not fields:
         raise ValueError("need at least one component")
-    density = sum(np.abs(f.to_physical().values) ** 2 for f in fields)
+    density = sum(np.abs(f.values) ** 2 for f in fields)
     if not density.any():
         raise ValueError("the ratio is undefined for identically zero input")
     return _ratio(fields, variant, cube_sup_l2(fields[0].grid, density))
@@ -96,7 +96,7 @@ def _band_limited(grid: GridSpec, alpha: int, rng: np.random.Generator) -> tuple
         coef *= env * keep
         vals = transform(grid, coef, inverse=True)
         vals *= grid.m ** (grid.d / 2)
-        out.append(ScalarField(vals, grid, PHYSICAL))
+        out.append(ScalarField(vals, grid))
     return tuple(out)
 
 
@@ -112,8 +112,7 @@ def _bumps(grid: GridSpec, alpha: int, rng: np.random.Generator) -> tuple[Scalar
         amp = rng.uniform(0.3, 2.0)
         width = rng.uniform(0.4, 2.5)
         center = rng.uniform(-0.4 * grid.l, 0.4 * grid.l, size=grid.d)
-        out.append(ScalarField(_gaussian_bump(grid, amp, width, center).astype(complex),
-                               grid, PHYSICAL))
+        out.append(ScalarField(_gaussian_bump(grid, amp, width, center).astype(complex), grid))
     return tuple(out)
 
 
@@ -128,7 +127,7 @@ def _bump_trains(grid: GridSpec, alpha: int, rng: np.random.Generator) -> tuple[
             center = rng.uniform(-0.6 * grid.l, 0.6 * grid.l, size=grid.d)
             phase = rng.uniform(0.0, 2.0 * math.pi)
             vals += np.exp(1j * phase) * _gaussian_bump(grid, amp, width, center)
-        out.append(ScalarField(vals, grid, PHYSICAL))
+        out.append(ScalarField(vals, grid))
     return tuple(out)
 
 

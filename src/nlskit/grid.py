@@ -1,4 +1,4 @@
-"""Periodic spectral grid, Fourier transforms, and free-space convolutions.
+"""Periodic spectral grid, Fourier transforms, and free-space kernel pairings.
 
 Conventions
 -----------
@@ -22,15 +22,14 @@ from ``mode_numbers``.  ``numpy`` is the package's one runtime dependency
 and ``numpy.fft`` its one FFT library; the one special function beyond
 ``math`` is ``_integral_of_j0``, a quadrature for the d = 2 analytic kernel.
 
-Free-space convolutions (used for the bilinear interaction weights) zero-pad
-the box by a factor of two per axis and multiply by the transform of the
-kernel restricted to the doubled box, so periodic images cannot contaminate
-results for data supported well inside the original box.  Singular kernels
-are truncated: the value assigned to the ``r = 0`` cell is the exact average
-of the kernel over one grid cell (closed form per dimension).
-
-Scalar pairings ``int f (K * g) dx`` of real data never go back to physical
-space: by Parseval on the doubled box they are weighted sums of
+Free-space pairings ``int f (K * g) dx`` of real data (the bilinear
+interaction weights) zero-pad the box by a factor of two per axis and use the
+transform of the kernel restricted to the doubled box, so periodic images
+cannot contaminate results for data supported well inside the original box.
+Singular kernels are truncated: the value assigned to the ``r = 0`` cell is
+the exact average of the kernel over one grid cell (closed form per
+dimension).  The pairings never go back to physical space: by Parseval on
+the doubled box they are weighted sums of
 ``conj(f_hat) K_hat g_hat`` over real-to-complex half-spectra
 (``kernel_inner_product``); the gradient pairing
 ``sum_a int d_a f (K * d_a f)`` is the sum of ``|k|^2 K_hat |f_hat|^2``
@@ -48,9 +47,6 @@ from typing import Callable
 
 import numpy as np
 
-PHYSICAL = "physical"
-SPECTRAL = "spectral"
-
 # Cell averages over the unit cell [-1/2, 1/2)^d (scaled by h at use site):
 #   int 1/r over the centered unit square  = 4 ln(1 + sqrt 2)
 #   int 1/r over the centered unit cube    = 3 ln(2 + sqrt 3) - pi/2
@@ -60,10 +56,6 @@ _RECIP_CELL_AVG = {2: 4.0 * math.log(1.0 + math.sqrt(2.0)),
 _ABS_CELL_AVG = {1: 0.25,
                  2: (math.sqrt(2.0) + math.log(1.0 + math.sqrt(2.0))) / 6.0,
                  3: 0.48029598}
-
-
-class GridUsageError(ValueError):
-    """Raised when an operation is applied to a field in the wrong representation."""
 
 
 @lru_cache(maxsize=32)
@@ -187,50 +179,36 @@ class GridSpec:
 
 @dataclass
 class ScalarField:
-    """One complex scalar field on a grid, in physical or spectral representation."""
+    """One complex scalar field: its values at the grid points."""
 
     values: np.ndarray
     grid: GridSpec
-    space: str = PHYSICAL
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
         if self.values.shape != self.grid.shape:
             raise ValueError(
                 f"field shape {self.values.shape} does not match grid {self.grid.shape}")
-        if self.space not in (PHYSICAL, SPECTRAL):
-            raise ValueError(f"unknown representation {self.space!r}")
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.values.copy(), self.grid, self.space)
-
-    def to_spectral(self) -> "ScalarField":
-        return self if self.space == SPECTRAL else forward_transform(self)
-
-    def to_physical(self) -> "ScalarField":
-        return self if self.space == PHYSICAL else inverse_transform(self)
 
     def l2_norm(self) -> float:
-        """L2 norm under the grid quadrature (equal in both representations)."""
-        if self.space == PHYSICAL:
-            return math.sqrt(self.grid.cell_volume * float(np.sum(np.abs(self.values) ** 2)))
-        return math.sqrt(self.grid.box_volume * float(np.sum(np.abs(self.values) ** 2)))
+        """L2 norm under the grid quadrature."""
+        return math.sqrt(self.grid.cell_volume * float(np.sum(np.abs(self.values) ** 2)))
 
     def h1_norm(self) -> float:
         """Inhomogeneous Sobolev norm, ||f||^2 = sum_k (1+|k|^2) |c_k|^2 (2L)^d."""
-        return float(h1_norms(self.grid, self.to_spectral().values))
+        return float(h1_norms(self.grid, forward_transform(self)))
 
     def lq_norm(self, q: float) -> float:
         """L^q norm by grid quadrature; q = inf returns the max modulus."""
-        a = np.abs(self.to_physical().values)
+        a = np.abs(self.values)
         if math.isinf(q):
             return float(a.max(initial=0.0))
         return float((self.grid.cell_volume * np.sum(a ** q)) ** (1.0 / q))
 
 
 def field_from_function(grid: GridSpec, fn: Callable[..., np.ndarray]) -> ScalarField:
-    """Sample fn(x_1, ..., x_d) on the grid into a physical-space field."""
-    return ScalarField(np.asarray(fn(*grid.x_mesh), dtype=complex), grid, PHYSICAL)
+    """Sample fn(x_1, ..., x_d) on the grid into a field."""
+    return ScalarField(np.asarray(fn(*grid.x_mesh), dtype=complex), grid)
 
 
 def transform(grid: GridSpec, values: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -271,21 +249,13 @@ def h1_norms(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     return np.sqrt(grid.box_volume * sums)
 
 
-def forward_transform(f: ScalarField) -> ScalarField:
-    """Physical -> spectral; coefficient of exp(i k.x), DC entry equals the mean."""
-    if f.space != PHYSICAL:
-        raise GridUsageError("forward_transform expects a physical-space field")
+def forward_transform(f: ScalarField) -> np.ndarray:
+    """The coefficients c_k of exp(i k.x) in f; c_0 is the mean of f and
+    ``synthesize(f.grid, c, 1.0)`` gives the values back."""
     g = f.grid
     coeff = transform(g, f.values.astype(complex))
     coeff *= g._phase / g.npoints
-    return ScalarField(coeff, g, SPECTRAL)
-
-
-def inverse_transform(f: ScalarField) -> ScalarField:
-    """Spectral -> physical; exact inverse of forward_transform."""
-    if f.space != SPECTRAL:
-        raise GridUsageError("inverse_transform expects a spectral-space field")
-    return ScalarField(synthesize(f.grid, f.values, 1.0), f.grid, PHYSICAL)
+    return coeff
 
 
 def synthesize(grid: GridSpec, coeffs: np.ndarray, multiplier: complex | np.ndarray) -> np.ndarray:
@@ -296,26 +266,19 @@ def synthesize(grid: GridSpec, coeffs: np.ndarray, multiplier: complex | np.ndar
     return out
 
 
-def spectral_gradient(f: ScalarField) -> list[ScalarField]:
-    """Gradient components as physical-space fields (multiplier i k_a)."""
-    g = f.grid
-    c = f.to_spectral().values
-    return [ScalarField(synthesize(g, c, 1j * k), g, PHYSICAL) for k in g.k_mesh]
-
-
 # ---------------------------------------------------------------------------
-# Free-space convolution with radial kernels on the doubled box
+# Free-space pairings with radial kernels on the doubled box
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RadialKernel:
-    """Radial convolution kernel K(|z|) with a fixed regularization at z = 0.
+    """Radial kernel K(|z|) with a fixed regularization at z = 0.
 
     kind:
       'reciprocal'     K(r) = 1/r          (d = 2, 3)
       'absdistance'    K(r) = r
       'gaussian_delta' K(r) = exp(-(r/eps)^2) / (eps sqrt(pi))   (d = 1 mollifier)
-      'profile'        user radial callable
+      'profile'        user radial callable, K(0) = profile(0)
 
     transform:
       'grid'      FFT of the kernel sampled on the doubled box, origin cell
@@ -328,7 +291,6 @@ class RadialKernel:
     kind: str
     param: float = 0.0
     profile: Callable[[np.ndarray], np.ndarray] | None = None
-    origin_value: float | None = None
     transform: str = "grid"
 
     @staticmethod
@@ -346,9 +308,8 @@ class RadialKernel:
         return RadialKernel("gaussian_delta", param=eps)
 
     @staticmethod
-    def from_profile(fn: Callable[[np.ndarray], np.ndarray],
-                     origin_value: float | None = None) -> "RadialKernel":
-        return RadialKernel("profile", profile=fn, origin_value=origin_value)
+    def from_profile(fn: Callable[[np.ndarray], np.ndarray]) -> "RadialKernel":
+        return RadialKernel("profile", profile=fn)
 
     def evaluate(self, r: np.ndarray, h: float, d: int) -> np.ndarray:
         """Kernel values on a displacement-radius mesh with the origin cell fixed."""
@@ -368,10 +329,7 @@ class RadialKernel:
             return np.exp(-((r / eps) ** 2)) / (eps * math.sqrt(math.pi))
         if self.kind == "profile":
             vals = np.asarray(self.profile(np.where(r > 0, r, 1.0)), dtype=float).copy()
-            origin = self.origin_value
-            if origin is None:
-                origin = float(self.profile(np.asarray(0.0)))
-            vals[r == 0] = origin
+            vals[r == 0] = float(self.profile(np.asarray(0.0)))
             if not np.isfinite(vals).all():
                 raise ValueError("radial profile produced non-finite kernel values")
             return vals
@@ -527,8 +485,9 @@ def kernel_inner_product(grid: GridSpec, f_hat: np.ndarray, g_hat: np.ndarray,
 
     By Parseval on the doubled box this is h^(2d)/N sum_k conj(f_k) K_k g_k
     over the N padded modes, evaluated as the weighted real part of the
-    half-spectrum sum with no inverse transform.  It equals
-    h^d sum_x f convolve_radial_kernel(g).
+    half-spectrum sum with no inverse transform.  It equals h^d sum_x f (K * g)
+    with the padded physical-space convolution K * g, the oracle of
+    tests/reference.py.
     """
     cross = f_hat.real * g_hat.real          # Re conj(f) g
     cross += f_hat.imag * g_hat.imag
@@ -556,50 +515,6 @@ def _weighted_sum(grid: GridSpec, values: np.ndarray, kernel: RadialKernel) -> f
     values *= _kernel_hat(grid, kernel)
     values *= geo.weights
     return grid.cell_volume ** 2 / geo.npoints * float(np.sum(values))
-
-
-def _pad_forward(f: ScalarField) -> np.ndarray:
-    """Padded half-spectrum of a real field: the input side of a convolution."""
-    vals = f.to_physical().values
-    if np.iscomplexobj(vals):
-        if np.abs(vals.imag).max(initial=0.0) > 1e-12 * max(1.0, np.abs(vals.real).max(initial=0.0)):
-            raise ValueError("convolution input must be real-valued")
-        vals = vals.real
-    return padded_rfft(f.grid, vals)
-
-
-def _convolve_hat(grid: GridSpec, spectrum: np.ndarray) -> np.ndarray:
-    """Finish a padded convolution from its half-spectrum and restrict to
-    the original box."""
-    conv = np.fft.irfftn(spectrum, s=padded_geometry(grid).shape, axes=range(grid.d))
-    return conv[(slice(0, grid.m),) * grid.d] * grid.cell_volume
-
-
-def convolve_radial_kernel(f: ScalarField, kernel: RadialKernel) -> ScalarField:
-    """Free-space convolution (K * f)(x) = int K(|x-y|) f(y) dy for real f.
-
-    Computed by zero-padding to [-2L, 2L)^d with the truncated kernel, so the
-    result is the genuine free-space convolution for data supported in the
-    original box (no periodic images).
-    """
-    g = f.grid
-    spec = _pad_forward(f) * _kernel_hat(g, kernel)
-    return ScalarField(_convolve_hat(g, spec), g, PHYSICAL)
-
-
-def convolve_kernel_gradient(f: ScalarField, kernel: RadialKernel) -> list[ScalarField]:
-    """Components of grad (K * f) = (grad K) * f, evaluated by spectral
-    differentiation of the padded kernel transform.
-
-    Using the exact spectral derivative of the same discrete kernel makes the
-    continuity-equation identities hold on the grid to rounding (instead of
-    inheriting an O(h^2) mismatch between independently sampled K and grad K).
-    """
-    g = f.grid
-    spec = _pad_forward(f) * _kernel_hat(g, kernel)
-    odd = padded_geometry(g).odd_k_axes
-    return [ScalarField(_convolve_hat(g, (1j * odd[a]) * spec), g, PHYSICAL)
-            for a in range(g.d)]
 
 
 def cube_sup_l2(grid: GridSpec, density: np.ndarray) -> float:

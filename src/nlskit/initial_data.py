@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, PHYSICAL, transform
+from .grid import GridSpec, ScalarField, transform
 from .system import CouplingSpec, SystemState
 
 FAMILIES = ("gaussian", "multi-bump", "plane-modulated", "random-band-limited")
@@ -101,7 +101,7 @@ def build_initial_state(grid: GridSpec, coupling: CouplingSpec,
         for mu in range(n):
             vals = _gaussian_component(grid, amps[mu], widths[mu], centers[mu],
                                        velocities[mu], chirps[mu])
-            fields.append(ScalarField(vals, grid, PHYSICAL))
+            fields.append(ScalarField(vals, grid))
 
     elif spec.family == "multi-bump":
         nb = len(spec.bump_amplitudes)
@@ -114,13 +114,13 @@ def build_initial_state(grid: GridSpec, coupling: CouplingSpec,
             for b in range(nb):
                 vals += _gaussian_component(grid, b_amps[b], b_widths[b],
                                             b_centers[b], b_vels[b], 0.0)
-            fields.append(ScalarField(amps[mu] * vals, grid, PHYSICAL))
+            fields.append(ScalarField(amps[mu] * vals, grid))
 
     elif spec.family == "plane-modulated":
         for mu in range(n):
             k = _snap_wavenumber(grid, velocities[mu])
             phase = sum(kk * x for kk, x in zip(k, grid.x_mesh))
-            fields.append(ScalarField(amps[mu] * np.exp(1j * phase), grid, PHYSICAL))
+            fields.append(ScalarField(amps[mu] * np.exp(1j * phase), grid))
 
     else:  # random-band-limited
         children = np.random.SeedSequence(spec.seed).spawn(n)
@@ -134,6 +134,6 @@ def build_initial_state(grid: GridSpec, coupling: CouplingSpec,
             peak = np.abs(vals).max()
             if peak > 0:
                 vals *= amps[mu] / peak
-            fields.append(ScalarField(vals, grid, PHYSICAL))
+            fields.append(ScalarField(vals, grid))
 
     return SystemState(0.0, tuple(fields), coupling)

@@ -345,8 +345,7 @@ def interaction_report(state: SystemState | Snapshot, weight: MorawetzWeight) ->
                          f"by interaction_report; " + _SUPPORTED)
 
     kernel = (RadialKernel.abs_distance() if weight.kind == ABS_DISTANCE else
-              RadialKernel.from_profile(weight.profile,
-                                        origin_value=float(weight.profile(np.asarray(0.0)))))
+              RadialKernel.from_profile(weight.profile))
     rho_hat = snap.rho_hat  # shared by every rho pairing below
     I = kernel_inner_product(g, rho_hat, rho_hat, kernel)
     Idot = -4.0 * kernel_inner_product(g, padded_rfft(g, snap.div_current), rho_hat, kernel)

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import ScalarField, PHYSICAL, h1_norms, spectral_gradient, transform
+from .grid import ScalarField, h1_norms, transform
 from .system import (CouplingSpec, RunningIntegral, Snapshot, SystemState, mass,
                      state_from_arrays)
 from .evolve import NanAbortError, _nonlinear_exponents, linear_substep
@@ -86,13 +86,11 @@ def admissible_pair(p: float, d: int) -> StrichartzPair:
     return pair
 
 
-def w1r_norm(f: ScalarField, r: float, grads: list[np.ndarray] | None = None) -> float:
+def w1r_norm(f: ScalarField, r: float, grads: list[np.ndarray]) -> float:
     """W^{1,r} norm, (||f||_r^r + || |grad f| ||_r^r)^{1/r}; max-based at r = inf.
-    ``grads`` are the spectral gradient components of f when the caller has them."""
-    if grads is None:
-        grads = [g.values for g in spectral_gradient(f)]
+    ``grads`` are the spectral gradient components of f (``Snapshot.grads``)."""
     gmag = np.sqrt(sum(np.abs(g) ** 2 for g in grads))
-    a = np.abs(f.to_physical().values)
+    a = np.abs(f.values)
     if math.isinf(r):
         return float(max(a.max(initial=0.0), gmag.max(initial=0.0)))
     vol = f.grid.cell_volume
@@ -148,7 +146,7 @@ def asymptotic_profile(states: Sequence[SystemState], direction: int = +1,
     vs = [linear_substep(s, -s.t) for s in order]
     residuals = []
     for (sa, va), (sb, vb) in zip(zip(order, vs), zip(order[1:], vs[1:])):
-        gap = sum(ScalarField(b.values - a.values, grid, PHYSICAL).h1_norm()
+        gap = sum(ScalarField(b.values - a.values, grid).h1_norm()
                   for a, b in zip(va.fields, vb.fields))
         residuals.append((sa.t, sb.t, gap))
     last = residuals[-1][2]
@@ -229,7 +227,7 @@ def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
         raise ValueError("truncation time must cover at least one step")
     back = np.exp(1j * dt * grid.k_squared)  # E
     W = np.empty((n_nodes, coupling.n) + grid.shape, dtype=complex)
-    W[-1] = [f.to_physical().values for f in profile]
+    W[-1] = [f.values for f in profile]
     transform(grid, W[-1])
     W[-1] *= np.exp(-1j * (n_nodes - 1) * dt * grid.k_squared)
     for i in range(n_nodes - 2, -1, -1):  # the free trajectory

@@ -21,8 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (GridSpec, ScalarField, PHYSICAL, cube_sup_l2, forward_transform,
-                   padded_rfft, spectral_gradient, synthesize)
+from .grid import GridSpec, ScalarField, cube_sup_l2, forward_transform, padded_rfft, synthesize
 
 
 def critical_exponent(d: int) -> float:
@@ -114,7 +113,7 @@ class CouplingSpec:
 
 @dataclass(frozen=True, eq=False)
 class SystemState:
-    """Time t plus the N component fields (physical representation)."""
+    """Time t plus the N component fields."""
 
     t: float
     fields: tuple[ScalarField, ...]
@@ -128,8 +127,6 @@ class SystemState:
         for f in fields:
             if f.grid != grid:
                 raise ValueError("all component fields must share one grid")
-            if f.space != PHYSICAL:
-                raise ValueError("state fields must be stored in physical space")
         object.__setattr__(self, "fields", fields)
 
     @property
@@ -141,22 +138,13 @@ class SystemState:
 
 
 def state_from_arrays(t: float, arrays, coupling: CouplingSpec, grid: GridSpec) -> SystemState:
-    fields = tuple(ScalarField(np.asarray(a, dtype=complex), grid, PHYSICAL) for a in arrays)
+    fields = tuple(ScalarField(np.asarray(a, dtype=complex), grid) for a in arrays)
     return SystemState(t, fields, coupling)
 
 
 def _check_index(state: SystemState, mu: int):
     if not 0 <= mu < state.coupling.n:
         raise IndexError(f"component index {mu} out of range [0, {state.coupling.n})")
-
-
-def current(state: SystemState, mu: int) -> list[ScalarField]:
-    """Current j = Im(conj(u) grad u), one real field per axis."""
-    _check_index(state, mu)
-    u = state.fields[mu]
-    grads = spectral_gradient(u)
-    conj = np.conj(u.values)
-    return [ScalarField(np.imag(conj * g.values), state.grid, PHYSICAL) for g in grads]
 
 
 def total_current(state: SystemState, gradients: list[list[np.ndarray]]) -> list[np.ndarray]:
@@ -178,7 +166,7 @@ class Snapshot:
     Snapshot, which is built for one state and dropped with it.  Every
     unpadded forward transform of a snapshot is one of the spectra below:
 
-      spectra    per-component spectra c_k (grid.forward_transform values)
+      spectra    per-component spectra c_k (grid.forward_transform)
       m          per-component densities |u_mu|^2
       rho        total density sum_mu m_mu
       rho_spectrum  spectrum of rho (d = 1 and 2 diagnostics only)
@@ -203,7 +191,7 @@ class Snapshot:
 
     @cached_property
     def spectra(self) -> list[np.ndarray]:
-        return [forward_transform(f).values for f in self.state.fields]
+        return [forward_transform(f) for f in self.state.fields]
 
     @cached_property
     def m(self) -> list[np.ndarray]:
@@ -215,7 +203,7 @@ class Snapshot:
 
     @cached_property
     def rho_spectrum(self) -> np.ndarray:
-        return forward_transform(ScalarField(self.rho, self.state.grid, PHYSICAL)).values
+        return forward_transform(ScalarField(self.rho, self.state.grid))
 
     @cached_property
     def P(self) -> np.ndarray:

@@ -35,8 +35,7 @@ def gaussian(grid, amp=1.0, width=1.0, center=None, velocity=None, chirp=0.0):
     velocity = np.zeros(grid.d) if velocity is None else np.asarray(velocity, float)
     sq = sum((x - c) ** 2 for x, c in zip(grid.x_mesh, center))
     ph = sum(v * (x - c) for v, x, c in zip(velocity, grid.x_mesh, center))
-    return ScalarField(amp * np.exp(-sq / (2.0 * width ** 2) + 1j * (ph - chirp * sq)),
-                       grid, "physical")
+    return ScalarField(amp * np.exp(-sq / (2.0 * width ** 2) + 1j * (ph - chirp * sq)), grid)
 
 
 def single_state(field, p=1.0, beta=1.0):
@@ -61,4 +60,4 @@ def random_field(grid, rng, band=None):
         for a in mesh:
             coef = np.where(np.abs(a) <= band, coef, 0.0)
     vals = np.fft.ifftn(coef) * grid.m ** (grid.d / 2)
-    return ScalarField(vals, grid, "physical")
+    return ScalarField(vals, grid)

@@ -36,6 +36,14 @@ integral_of_j0_reference is Lambda(x) = int_0^x J0 in its Bessel/Struve
 closed form from scipy.special, which grid._integral_of_j0 (a numpy
 quadrature) must match.
 
+convolve_radial_kernel and convolve_kernel_gradient are the free-space
+convolutions K * g and (d_a K) * g in physical space: g zero-padded to the
+doubled box, multiplied by the kernel's cached half-spectrum (and i k_a),
+transformed back and restricted to the original box.  The package pairs
+densities without returning to physical space (grid.kernel_inner_product,
+grid.kernel_gradient_product); h^d sum_x f (K * g) from these convolutions
+is the oracle those pairings, and kernel_axis_pairing_reference, must match.
+
 apply_multiplier applies a radial spectral multiplier m(|k|) to one field;
 the package has no caller of it, and the tests use it to check the
 transform conventions.
@@ -48,9 +56,9 @@ import numpy as np
 from scipy.special import j0, j1, struve
 
 from nlskit.evolve import MIN_MODULUS, NanAbortError, StepParams, _nonlinear_exponents
-from nlskit.grid import (PHYSICAL, SPECTRAL, GridSpec, RadialKernel, ScalarField, _kernel_hat,
-                         inverse_transform, kernel_inner_product, mode_numbers, padded_geometry,
-                         padded_rfft)
+from nlskit.grid import (GridSpec, RadialKernel, ScalarField, _kernel_hat, forward_transform,
+                         kernel_inner_product, mode_numbers, padded_geometry, padded_rfft,
+                         synthesize)
 from nlskit.scattering import WaveOperatorDivergence, WaveOperatorResult
 from nlskit.system import CouplingSpec, Snapshot, SystemState, state_from_arrays
 
@@ -67,6 +75,49 @@ def kernel_axis_pairing_reference(grid: GridSpec, f_hat: np.ndarray, g_hat: np.n
     cross *= _kernel_hat(grid, kernel)
     cross *= geo.weights
     return grid.cell_volume ** 2 / geo.npoints * float(np.sum(cross))
+
+
+def _pad_forward(f: ScalarField) -> np.ndarray:
+    """Padded half-spectrum of a real field: the input side of a convolution."""
+    vals = f.values
+    if np.iscomplexobj(vals):
+        if np.abs(vals.imag).max(initial=0.0) > 1e-12 * max(1.0, np.abs(vals.real).max(initial=0.0)):
+            raise ValueError("convolution input must be real-valued")
+        vals = vals.real
+    return padded_rfft(f.grid, vals)
+
+
+def _convolve_hat(grid: GridSpec, spectrum: np.ndarray) -> np.ndarray:
+    """Finish a padded convolution from its half-spectrum and restrict to
+    the original box."""
+    conv = np.fft.irfftn(spectrum, s=padded_geometry(grid).shape, axes=range(grid.d))
+    return conv[(slice(0, grid.m),) * grid.d] * grid.cell_volume
+
+
+def convolve_radial_kernel(f: ScalarField, kernel: RadialKernel) -> ScalarField:
+    """Free-space convolution (K * f)(x) = int K(|x-y|) f(y) dy for real f.
+
+    Computed by zero-padding to [-2L, 2L)^d with the truncated kernel, so the
+    result is the genuine free-space convolution for data supported in the
+    original box (no periodic images).
+    """
+    g = f.grid
+    spec = _pad_forward(f) * _kernel_hat(g, kernel)
+    return ScalarField(_convolve_hat(g, spec), g)
+
+
+def convolve_kernel_gradient(f: ScalarField, kernel: RadialKernel) -> list[ScalarField]:
+    """Components of grad (K * f) = (grad K) * f, evaluated by spectral
+    differentiation of the padded kernel transform.
+
+    Using the exact spectral derivative of the same discrete kernel makes the
+    continuity-equation identities hold on the grid to rounding (instead of
+    inheriting an O(h^2) mismatch between independently sampled K and grad K).
+    """
+    g = f.grid
+    spec = _pad_forward(f) * _kernel_hat(g, kernel)
+    odd = padded_geometry(g).odd_k_axes
+    return [ScalarField(_convolve_hat(g, (1j * odd[a]) * spec), g) for a in range(g.d)]
 
 
 def integral_of_j0_reference(x: np.ndarray) -> np.ndarray:
@@ -138,8 +189,7 @@ def virial_meshes_reference(grid: GridSpec, center) -> tuple[np.ndarray, list[np
 
 def apply_multiplier(f: ScalarField, multiplier: Callable[[np.ndarray], np.ndarray],
                      name: str = "multiplier") -> ScalarField:
-    """Apply a radial spectral multiplier m(|k|) and return a field in the
-    same representation as the input.
+    """The field whose coefficients are m(|k|) c_k, where c_k are those of f.
 
     The callable receives the |k| mesh; for multipliers singular at k = 0 the
     caller must patch the origin (e.g. with np.where) before returning.
@@ -153,9 +203,7 @@ def apply_multiplier(f: ScalarField, multiplier: Callable[[np.ndarray], np.ndarr
         raise ValueError(
             f"{name} is not finite at k = {kvec} (grid index {idx}); "
             "singular multipliers must be patched at the offending wavenumbers")
-    spec = f.to_spectral()
-    out = ScalarField(spec.values * m, g, SPECTRAL)
-    return out if f.space == SPECTRAL else inverse_transform(out)
+    return ScalarField(synthesize(g, forward_transform(f), m), g)
 
 
 def nonlinear_exponents_reference(arrays: list[np.ndarray], coupling: CouplingSpec,
@@ -255,7 +303,7 @@ def wave_operator_reference(profile: Sequence[ScalarField], coupling: CouplingSp
     n_nodes = int(round(t_max / dt)) + 1
     if n_nodes < 2:
         raise ValueError("truncation time must cover at least one step")
-    prof = [np.asarray(f.to_physical().values, dtype=complex) for f in profile]
+    prof = [np.asarray(f.values, dtype=complex) for f in profile]
 
     # free trajectory exp(i t Lap) w0+ sampled on the node times
     mult = np.exp(-1j * grid.k_squared * dt)
@@ -300,7 +348,7 @@ def wave_operator_reference(profile: Sequence[ScalarField], coupling: CouplingSp
                 h_next = h_here
             # node 0 is sampled and the recursion carries every later node into
             # it, so a non-finite value anywhere makes a sampled gap non-finite
-            gaps = [sum(ScalarField(new[i, mu] - w[i, mu], grid, PHYSICAL).h1_norm()
+            gaps = [sum(ScalarField(new[i, mu] - w[i, mu], grid).h1_norm()
                         for mu in range(coupling.n))
                     for i in range(0, n_nodes, max(1, n_nodes // 64))]
             if not all(math.isfinite(g) for g in gaps):
@@ -322,7 +370,7 @@ def wave_operator_reference(profile: Sequence[ScalarField], coupling: CouplingSp
             message = (f"fixed point did not reach tol = {tol} within {max_iter} "
                        "iterations; residual history attached")
 
-    tail = dt * sum(ScalarField(h, grid, PHYSICAL).h1_norm()
+    tail = dt * sum(ScalarField(h, grid).h1_norm()
                     for h in nonlinearity(w[-1], (n_nodes - 1) * dt))
     state0 = state_from_arrays(0.0, [w[0, mu] for mu in range(coupling.n)],
                                coupling, grid)

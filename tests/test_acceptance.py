@@ -45,8 +45,8 @@ def _crit1_state():
     cpl = CouplingSpec(2, beta, 2.0, 1)
     x = grid.x_mesh[0]
     w2 = 2.0 * 5.0 ** 2
-    u1 = ScalarField(0.40 * np.exp(-x ** 2 / w2) * np.exp(0.05j * x), grid, "physical")
-    u2 = ScalarField(0.30 * np.exp(-x ** 2 / w2) * np.exp(-0.05j * x), grid, "physical")
+    u1 = ScalarField(0.40 * np.exp(-x ** 2 / w2) * np.exp(0.05j * x), grid)
+    u2 = ScalarField(0.30 * np.exp(-x ** 2 / w2) * np.exp(-0.05j * x), grid)
     return SystemState(0.0, (u1, u2), cpl)
 
 
@@ -162,7 +162,7 @@ def d3_reports():
     grid = GridSpec(3, 48, 12.0)
     cpl = CouplingSpec(1, np.array([[1.0]]), 1.0, 3)
     r2 = sum(a ** 2 for a in grid.x_mesh)
-    f = ScalarField(np.exp(-r2 / (2.0 * 1.5 ** 2)).astype(complex), grid, "physical")
+    f = ScalarField(np.exp(-r2 / (2.0 * 1.5 ** 2)).astype(complex), grid)
     st = SystemState(0.0, (f,), cpl)
     reports, boundary = [], [0.0]
 
@@ -200,8 +200,7 @@ def decay_run():
     cpl = CouplingSpec(1, np.array([[1.0]]), 2.0, 1)
     x = grid.x_mesh[0]
     sigma, chirp, amp = 6.0, 0.25, 0.2   # focuses near t = 1, then disperses
-    u = ScalarField(amp * np.exp(-x ** 2 / (2 * sigma ** 2)) * np.exp(-1j * chirp * x ** 2),
-                    grid, "physical")
+    u = ScalarField(amp * np.exp(-x ** 2 / (2 * sigma ** 2)) * np.exp(-1j * chirp * x ** 2), grid)
     st = SystemState(0.0, (u,), cpl)
     acc = SpacetimeAccumulators(cpl)
     data = {"l4": {}, "l2": {}, "boundary": 0.0}
@@ -246,7 +245,7 @@ def test_criterion_08_scattering_round_trip():
     grid = GridSpec(1, 2560, 640.0)
     cpl = CouplingSpec(1, np.array([[1.0]]), 2.0, 1)
     x = grid.x_mesh[0]
-    prof = [ScalarField(0.2 * np.exp(-x ** 2 / 2), grid, "physical")]
+    prof = [ScalarField(0.2 * np.exp(-x ** 2 / 2), grid)]
     res = wave_operator(prof, cpl, t_max=60.0, dt=0.05, tol=1e-6, max_iter=30)
     ratios = [b / a for a, b in zip(res.residuals, res.residuals[1:])]
     geometric = all(r < 1.0 for r in ratios)
@@ -255,7 +254,7 @@ def test_criterion_08_scattering_round_trip():
     evolve(res.state0, StepParams(dt=2e-3, t_final=60.0, snapshot_stride=5000),
            lambda s: snaps.append(s) if s.t > 39.9 else None)
     out = asymptotic_profile(snaps, tol=1e-3)
-    gap = ScalarField(out.profile[0].values - prof[0].values, grid, "physical")
+    gap = ScalarField(out.profile[0].values - prof[0].values, grid)
     h1_gap = gap.h1_norm()
     ok = (res.converged and res.iterations <= 30 and geometric
           and out.converged and h1_gap < 5e-3 and out.mass_mismatch < 1e-6)
@@ -280,15 +279,14 @@ def test_criterion_09_free_flow_exactness(d, m):
     grid = GridSpec(d, m, 32.0)
     cpl = CouplingSpec(1, np.array([[0.0]]), 2.0, d)
     sq = sum(a ** 2 for a in grid.x_mesh)
-    st = SystemState(0.0, (ScalarField(np.exp(-sq / 2).astype(complex),
-                                       grid, "physical"),), cpl)
+    st = SystemState(0.0, (ScalarField(np.exp(-sq / 2).astype(complex), grid),), cpl)
     snaps = []
     final = evolve(st, StepParams(dt=5e-3, t_final=2.0, snapshot_stride=100),
                    snaps.append)
     diff = final.fields[0].values - _free_gaussian(grid, 2.0)
     l2 = math.sqrt(grid.cell_volume * float(np.sum(np.abs(diff) ** 2)))
     out = asymptotic_profile(snaps[1:], tol=1e-8)
-    pgap = ScalarField(out.profile[0].values - st.fields[0].values, grid, "physical")
+    pgap = ScalarField(out.profile[0].values - st.fields[0].values, grid)
     h1 = pgap.h1_norm()
     ok = l2 < 1e-8 and out.converged and h1 < 1e-10
     report(9, f"free-flow exactness d={d}", ok,
@@ -337,9 +335,9 @@ def test_criterion_11_gn_corpus(variant, d):
     frozen = FROZEN_SUPS[(variant, d)]
     sample = generate_sample(grid, 1, "band-limited", np.random.default_rng(3))
     base = gn_ratio(sample, variant)
-    scaled = gn_ratio([ScalarField(2.0 * f.values, grid, "physical")
+    scaled = gn_ratio([ScalarField(2.0 * f.values, grid)
                        for f in sample], variant)
-    moved = gn_ratio([ScalarField(np.roll(f.values, 8, axis=0), grid, "physical")
+    moved = gn_ratio([ScalarField(np.roll(f.values, 8, axis=0), grid)
                       for f in sample], variant)
     ok = (np.isfinite(rep.ratios).all()
           and np.array_equal(rep.ratios, rep2.ratios)

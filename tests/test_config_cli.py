@@ -536,6 +536,50 @@ def test_cli_out_dir_naming_a_file_is_a_config_error(tmp_path, capsys):
     assert taken.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("experiment, flags, message", [
+    ("simulate", ["--t-final", "inf"], "t_final must be >= 0 and finite, got inf"),
+    ("simulate", ["--dt", "1e-320"], "t_final must be finite in steps of dt = 1e-320, got 1.0"),
+    ("wave-op", ["--wave-t", "inf"], "wave_t must be > 0 and finite, got inf"),
+    ("wave-op", ["--wave-dt", "1e-320"],
+     "wave_t must be finite in steps of wave_dt = 1e-320, got 20.0"),
+    ("verify-identities", ["--fd-calibration-t", "inf"],
+     "fd_calibration_t must be >= 0 and finite, got inf"),
+], ids=["t_final", "dt", "wave_t", "wave_dt", "fd_calibration_t"])
+def test_cli_refuses_a_non_finite_time_horizon(tmp_path, capsys, experiment, flags, message):
+    # each used to end in an OverflowError traceback (int of an infinite float)
+    out = tmp_path / "out"
+    assert main([experiment, *_SMALL_D1, *flags, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nlskit: invalid configuration")
+    assert [line for line in err.splitlines() if line.startswith("  - ")] == [f"  - {message}"]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_final, dt, message", [
+    (math.inf, 0.01, "t_final must be >= 0 and finite"),
+    (math.nan, 0.01, "t_final must be >= 0 and finite"),
+    (1.0, 1e-320, "t_final / dt must be finite"),
+], ids=["inf", "nan", "tiny-dt"])
+def test_step_params_refuse_a_non_finite_step_count(t_final, dt, message):
+    with pytest.raises(ValueError, match=message):
+        StepParams(dt=dt, t_final=t_final)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cli_refuses_the_erf_interaction_weight_outside_d1(tmp_path, capsys, d):
+    # it used to pair |x - y| while summary.json echoed "erf"
+    out = tmp_path / "out"
+    assert main(["simulate", "--d", str(d), "--grid-m", "16", "--box-l", "4",
+                 "--interaction-weight", "erf", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nlskit: invalid configuration")
+    assert ("interaction_weight must be one of ('none', 'absdistance', 'constant') "
+            f"in d = {d}, got 'erf'") in err
+    assert not out.exists()
+    assert parse_config(None, {"interaction_weight": "erf"}).interaction_weight == "erf"
+
+
 def test_cli_gn_check_deterministic(tmp_path):
     args = ["gn-check", "--d", "1", "--grid-m", "128", "--box-l", "8",
             "--gn-count", "25", "--gn-variant", "cubic",

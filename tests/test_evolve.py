@@ -66,7 +66,7 @@ def test_linear_substep_free_gaussian(grid1d):
 
 def test_nonlinear_substep_constant_field(grid1d):
     c = 0.8 - 0.3j
-    st = single_state(ScalarField(np.full(grid1d.shape, c), grid1d, "physical"), p=1.0)
+    st = single_state(ScalarField(np.full(grid1d.shape, c), grid1d), p=1.0)
     tau = 0.6
     out = nonlinear_substep(st, tau)
     expected = c * np.exp(-1j * tau * abs(c) ** 2)
@@ -77,7 +77,7 @@ def test_nonlinear_substep_constant_field(grid1d):
 
 def test_nonlinear_substep_zero_component_invariant(grid1d):
     u1 = gaussian(grid1d, amp=0.9)
-    zero = ScalarField(np.zeros(grid1d.shape, complex), grid1d, "physical")
+    zero = ScalarField(np.zeros(grid1d.shape, complex), grid1d)
     cpl = CouplingSpec(2, np.array([[1.0, 0.4], [0.4, 1.0]]), 1.0, 1)
     st = SystemState(0.0, (u1, zero), cpl)
     out = nonlinear_substep(st, 0.5)
@@ -96,7 +96,7 @@ def test_nonlinear_substep_subunit_power_handles_zeros(grid1d):
     # decoupled p < 1: |u|^{p-1} is singular at zeros; the flow stays finite
     vals = gaussian(grid1d).values.copy()
     vals[::7] = 0.0
-    st = single_state(ScalarField(vals, grid1d, "physical"), p=0.5)
+    st = single_state(ScalarField(vals, grid1d), p=0.5)
     out = nonlinear_substep(st, 0.3)
     assert np.isfinite(out.fields[0].values).all()
     assert np.abs(out.fields[0].values[::7]).max() == 0.0
@@ -160,7 +160,7 @@ def test_evolve_symmetric_components_stay_equal(grid1d):
     u = gaussian(grid1d, amp=0.7)
     beta = np.array([[1.0, 0.5], [0.5, 1.0]])
     cpl = CouplingSpec(2, beta, 1.0, 1)
-    st = SystemState(0.0, (u, u.copy()), cpl)
+    st = SystemState(0.0, (u, ScalarField(u.values.copy(), grid1d)), cpl)
     out = evolve(st, StepParams(dt=2e-3, t_final=1.0, snapshot_stride=100))
     diff = np.abs(out.fields[0].values - out.fields[1].values).max()
     assert diff < 1e-10
@@ -174,7 +174,7 @@ def test_evolve_component_permutation_equivariance(grid1d):
     st = SystemState(0.0, (u1, u2), CouplingSpec(2, beta, 1.0, 1))
     out = evolve(st, params)
     perm = np.array([[2.0, 0.3], [0.3, 1.0]])
-    st_p = SystemState(0.0, (u2.copy(), u1.copy()), CouplingSpec(2, perm, 1.0, 1))
+    st_p = SystemState(0.0, (u2, u1), CouplingSpec(2, perm, 1.0, 1))
     out_p = evolve(st_p, params)
     assert np.abs(out.fields[0].values - out_p.fields[1].values).max() < 1e-12
     assert np.abs(out.fields[1].values - out_p.fields[0].values).max() < 1e-12
@@ -204,7 +204,7 @@ def test_evolve_dealias_keeps_conservation(grid1d):
 
 def test_evolve_nan_abort(grid1d):
     bad = np.full(grid1d.shape, np.inf + 0j)
-    st = single_state(ScalarField(bad, grid1d, "physical"))
+    st = single_state(ScalarField(bad, grid1d))
     with pytest.raises(NanAbortError) as err:
         evolve(st, StepParams(dt=1e-3, t_final=0.1))
     assert err.value.t == st.t
@@ -220,7 +220,7 @@ def test_evolve_nan_abort(grid1d):
 
 
 def test_rk4_zero_state(grid1d):
-    st = single_state(ScalarField(np.zeros(grid1d.shape, complex), grid1d, "physical"))
+    st = single_state(ScalarField(np.zeros(grid1d.shape, complex), grid1d))
     out = rk4_reference_step(st, 1e-3)
     assert np.abs(out.fields[0].values).max() == 0.0
 

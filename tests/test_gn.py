@@ -27,7 +27,7 @@ def test_gaussian_ratio_frozen_regression():
 
 def test_scaling_invariance(grid1d):
     f = gaussian(grid1d, amp=0.7, width=1.3)
-    doubled = ScalarField(2.0 * f.values, grid1d, "physical")
+    doubled = ScalarField(2.0 * f.values, grid1d)
     for variant in ("main", "cubic"):
         assert abs(gn_ratio((f,), variant) - gn_ratio((doubled,), variant)) \
             < 1e-10 * gn_ratio((f,), variant)
@@ -35,7 +35,7 @@ def test_scaling_invariance(grid1d):
 
 def test_translation_invariance(grid1d):
     f = gaussian(grid1d, amp=0.9)
-    moved = ScalarField(np.roll(f.values, 24), grid1d, "physical")
+    moved = ScalarField(np.roll(f.values, 24), grid1d)
     for variant in ("main", "cubic"):
         a, b = gn_ratio((f,), variant), gn_ratio((moved,), variant)
         assert abs(a - b) < 1e-8 * a
@@ -43,13 +43,13 @@ def test_translation_invariance(grid1d):
 
 def test_zero_component_contributes_nothing(grid1d):
     f = gaussian(grid1d, amp=0.8)
-    zero = ScalarField(np.zeros(grid1d.shape, complex), grid1d, "physical")
+    zero = ScalarField(np.zeros(grid1d.shape, complex), grid1d)
     assert math.isclose(gn_ratio((f, zero), "main"), gn_ratio((f,), "main"),
                         rel_tol=1e-13)
 
 
 def test_zero_input_rejected(grid1d):
-    zero = ScalarField(np.zeros(grid1d.shape, complex), grid1d, "physical")
+    zero = ScalarField(np.zeros(grid1d.shape, complex), grid1d)
     with pytest.raises(ValueError, match="zero"):
         gn_ratio((zero,), "main")
 
@@ -73,7 +73,7 @@ def test_spread_mass_lowers_cube_sup_and_tightens_localization(grid1d):
     one = gaussian(grid1d, amp=1.0, width=0.2)
     two = ScalarField((gaussian(grid1d, amp=1.0, width=0.2, center=[-6.0]).values
                        + gaussian(grid1d, amp=1.0, width=0.2, center=[6.0]).values)
-                      / math.sqrt(2.0), grid1d, "physical")
+                      / math.sqrt(2.0), grid1d)
     sup_one = cube_sup_l2(grid1d, np.abs(one.values) ** 2)
     sup_two = cube_sup_l2(grid1d, np.abs(two.values) ** 2)
     assert math.isclose(one.l2_norm(), two.l2_norm(), rel_tol=1e-12)
@@ -97,7 +97,7 @@ def test_corpus_translated_copies_share_ratio(grid1d):
     base = generate_sample(grid1d, 1, "bumps", np.random.default_rng(3))[0]
     vals = []
     for shift in (0, 8, 40, 96):
-        moved = ScalarField(np.roll(base.values, shift), grid1d, "physical")
+        moved = ScalarField(np.roll(base.values, shift), grid1d)
         vals.append(gn_ratio((moved,), "cubic"))
     assert max(vals) - min(vals) < 1e-8 * vals[0]
 

@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from nlskit import (GridSpec, GridUsageError, RadialKernel, ScalarField,
-                    convolve_kernel_gradient, convolve_radial_kernel,
-                    field_from_function, forward_transform, inverse_transform,
-                    spectral_gradient)
+from nlskit import GridSpec, RadialKernel, ScalarField, field_from_function, forward_transform
 from nlskit.grid import (_integral_of_j0, _kernel_hat, h1_norms, kernel_gradient_product,
                          kernel_inner_product, padded_geometry, padded_rfft, synthesize,
                          transform)
 
 from conftest import gaussian, random_field
-from reference import apply_multiplier, integral_of_j0_reference, kernel_axis_pairing_reference
+from reference import (apply_multiplier, convolve_kernel_gradient, convolve_radial_kernel,
+                       integral_of_j0_reference, kernel_axis_pairing_reference)
+
+
+def gradient(f):
+    """d_a f per axis, as the runs take it: synthesize with i k_a from the
+    coefficients (Snapshot.grads)."""
+    return [synthesize(f.grid, forward_transform(f), 1j * k) for k in f.grid.k_mesh]
 
 
 def test_gridspec_validation():
@@ -32,8 +36,8 @@ def test_gridspec_validation():
 
 
 def test_constant_maps_to_dc_mode(grid1d):
-    f = ScalarField(np.full(grid1d.shape, 1.0 + 0.0j), grid1d, "physical")
-    c = f.to_spectral().values
+    f = ScalarField(np.full(grid1d.shape, 1.0 + 0.0j), grid1d)
+    c = forward_transform(f)
     assert abs(c[0] - 1.0) < 1e-12
     assert np.abs(c[1:]).max() < 1e-12
 
@@ -41,7 +45,7 @@ def test_constant_maps_to_dc_mode(grid1d):
 def test_plane_wave_single_coefficient(grid1d):
     k1 = math.pi / grid1d.l
     f = field_from_function(grid1d, lambda x: np.exp(1j * k1 * x))
-    c = f.to_spectral().values
+    c = forward_transform(f)
     assert abs(c[1] - 1.0) < 1e-12
     others = np.abs(np.delete(c, 1))
     assert others.max() < 1e-12
@@ -50,7 +54,7 @@ def test_plane_wave_single_coefficient(grid1d):
 def test_gaussian_spectrum_matches_transform(grid1d):
     # coefficients of exp(ikx) scale the closed-form transform by 1/(2L)
     f = gaussian(grid1d)
-    c = f.to_spectral().values
+    c = forward_transform(f)
     k = grid1d.axis_wavenumbers
     closed = math.sqrt(2.0 * math.pi) * np.exp(-k ** 2 / 2.0)
     assert np.abs(2 * grid1d.l * c - closed).max() < 1e-8
@@ -61,10 +65,12 @@ def test_round_trip_and_parseval(d, m, l):
     grid = GridSpec(d, max(m, 8), l)
     rng = np.random.default_rng(7)
     f = random_field(grid, rng)
-    back = f.to_spectral().to_physical()
+    c = forward_transform(f)
+    back = synthesize(grid, c, 1.0)
     scale = np.abs(f.values).max()
-    assert np.abs(back.values - f.values).max() < 1e-12 * scale
-    assert math.isclose(f.l2_norm(), f.to_spectral().l2_norm(), rel_tol=1e-12)
+    assert np.abs(back - f.values).max() < 1e-12 * scale
+    spectral = math.sqrt(grid.box_volume * float(np.sum(np.abs(c) ** 2)))
+    assert math.isclose(f.l2_norm(), spectral, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1, 256, 16.0), GridSpec(2, 100, 8.0),
@@ -75,7 +81,7 @@ def test_h1_norm_is_the_batched_norm_bit_for_bit(grid):
     # gives M^d times the norm, whatever the half-box phase
     rng = np.random.default_rng(grid.d)
     fields = [random_field(grid, rng) for _ in range(3)]
-    coeffs = np.stack([f.to_spectral().values for f in fields])
+    coeffs = np.stack([forward_transform(f) for f in fields])
     batched = h1_norms(grid, coeffs)
     assert batched.shape == (3,)
     for f, c, norm in zip(fields, coeffs, batched):
@@ -111,41 +117,32 @@ def test_transforms_equal_scipy_fft_bit_for_bit(grid, n):
 @pytest.mark.parametrize("grid", [GridSpec(1, 100, 8.0), GridSpec(2, 32, 8.0),
                                   GridSpec(3, 16, 6.0)], ids=lambda g: f"d{g.d}-m{g.m}")
 def test_synthesize_is_the_per_component_inverse_bit_for_bit(grid, n):
-    # one call on a stack of n spectra equals, field by field, the
-    # inverse_transform, spectral_gradient and inline Laplacian it replaced
+    # one call on a stack of n spectra equals, spectrum by spectrum, the
+    # single-spectrum values and gradient and the inline Laplacian
     rng = np.random.default_rng(20 * grid.d + n)
-    coeffs = np.stack([random_field(grid, rng).to_spectral().values for _ in range(n)])
-    fields = [ScalarField(c, grid, "spectral") for c in coeffs]
-    for f, values in zip(fields, synthesize(grid, coeffs, 1.0)):
-        assert np.array_equal(values, inverse_transform(f).values)
-    for a, k in enumerate(grid.k_mesh):
-        for f, values in zip(fields, synthesize(grid, coeffs, 1j * k)):
-            assert np.array_equal(values, spectral_gradient(f)[a].values)
+    coeffs = np.stack([forward_transform(random_field(grid, rng)) for _ in range(n)])
+    for c, values in zip(coeffs, synthesize(grid, coeffs, 1.0)):
+        assert np.array_equal(values, synthesize(grid, c, 1.0))
+    for k in grid.k_mesh:
+        for c, values in zip(coeffs, synthesize(grid, coeffs, 1j * k)):
+            assert np.array_equal(values, synthesize(grid, c, 1j * k))
     for c, values in zip(coeffs, synthesize(grid, coeffs, -grid.k_squared)):
         lap = transform(grid, -grid.k_squared * c * grid._phase, inverse=True) * grid.npoints
         assert np.array_equal(values, lap)
 
 
-def test_wrong_representation_rejected(grid1d):
-    f = gaussian(grid1d)
-    with pytest.raises(GridUsageError):
-        forward_transform(f.to_spectral())
-    with pytest.raises(GridUsageError):
-        inverse_transform(f)
-
-
 def test_gradient_constant_and_sine(grid1d):
-    const = ScalarField(np.full(grid1d.shape, 2.0 + 1.0j), grid1d, "physical")
-    assert np.abs(spectral_gradient(const)[0].values).max() < 1e-12
+    const = ScalarField(np.full(grid1d.shape, 2.0 + 1.0j), grid1d)
+    assert np.abs(gradient(const)[0]).max() < 1e-12
     k = math.pi / grid1d.l
     s = field_from_function(grid1d, lambda x: np.sin(k * x).astype(complex))
-    dx = spectral_gradient(s)[0].values
+    dx = gradient(s)[0]
     assert np.abs(dx - k * np.cos(k * grid1d.x_mesh[0])).max() < 1e-12
 
 
 def test_gradient_gaussian(grid1d):
     f = gaussian(grid1d)
-    dx = spectral_gradient(f)[0].values
+    dx = gradient(f)[0]
     x = grid1d.x_mesh[0]
     assert np.abs(dx - (-x) * np.exp(-x ** 2 / 2)).max() < 1e-8
 
@@ -155,9 +152,9 @@ def test_gradient_leibniz_band_limited(grid1d):
     m = grid1d.m
     f = random_field(grid1d, rng, band=m // 6 - 1)
     g = random_field(grid1d, rng, band=m // 6 - 1)
-    prod = ScalarField(f.values * g.values, grid1d, "physical")
-    lhs = spectral_gradient(prod)[0].values
-    rhs = f.values * spectral_gradient(g)[0].values + g.values * spectral_gradient(f)[0].values
+    prod = ScalarField(f.values * g.values, grid1d)
+    lhs = gradient(prod)[0]
+    rhs = f.values * gradient(g)[0] + g.values * gradient(f)[0]
     scale = np.abs(rhs).max()
     assert np.abs(lhs - rhs).max() < 1e-10 * scale
 
@@ -170,11 +167,11 @@ def test_gradient_leibniz_decaying_envelope(grid1d):
     env = np.where(np.abs(j) <= m // 3, np.exp(-(j / (m / 16)) ** 2), 0.0)
     def mk():
         coef = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * env
-        return ScalarField(np.fft.ifftn(coef) * math.sqrt(m), grid1d, "physical")
+        return ScalarField(np.fft.ifftn(coef) * math.sqrt(m), grid1d)
     f, g = mk(), mk()
-    prod = ScalarField(f.values * g.values, grid1d, "physical")
-    lhs = spectral_gradient(prod)[0].values
-    rhs = f.values * spectral_gradient(g)[0].values + g.values * spectral_gradient(f)[0].values
+    prod = ScalarField(f.values * g.values, grid1d)
+    lhs = gradient(prod)[0]
+    rhs = f.values * gradient(g)[0] + g.values * gradient(f)[0]
     assert np.abs(lhs - rhs).max() < 1e-8 * np.abs(rhs).max()
 
 
@@ -201,11 +198,11 @@ def test_multiplier_rejects_nonfinite(grid1d):
 
 
 # ---------------------------------------------------------------------------
-# Free-space convolution
+# Free-space convolution (the oracle of the pairings, tests/reference.py)
 # ---------------------------------------------------------------------------
 
 def test_convolve_zero_is_zero(grid2d):
-    z = ScalarField(np.zeros(grid2d.shape), grid2d, "physical")
+    z = ScalarField(np.zeros(grid2d.shape), grid2d)
     out = convolve_radial_kernel(z, RadialKernel.reciprocal())
     assert np.abs(out.values).max() == 0.0
 
@@ -215,7 +212,7 @@ def test_convolve_newtonian_point_mass():
     grid = GridSpec(3, 96, 6.0)
     sig = 0.25
     f = field_from_function(grid, lambda x, y, z: np.exp(-(x * x + y * y + z * z) / (2 * sig ** 2)))
-    f = ScalarField(f.values.real / (grid.cell_volume * f.values.real.sum()), grid, "physical")
+    f = ScalarField(f.values.real / (grid.cell_volume * f.values.real.sum()), grid)
     pot = convolve_radial_kernel(f, RadialKernel.reciprocal())
     r = np.sqrt(sum(a ** 2 for a in grid.x_mesh))
     sel = (r > 4 * sig) & (r < 0.5 * grid.l)
@@ -227,7 +224,7 @@ def test_convolve_absdistance_point_mass():
     grid = GridSpec(3, 96, 6.0)
     sig = 0.1
     f = field_from_function(grid, lambda x, y, z: np.exp(-(x * x + y * y + z * z) / (2 * sig ** 2)))
-    f = ScalarField(f.values.real / (grid.cell_volume * f.values.real.sum()), grid, "physical")
+    f = ScalarField(f.values.real / (grid.cell_volume * f.values.real.sum()), grid)
     out = convolve_radial_kernel(f, RadialKernel.abs_distance())
     r = np.sqrt(sum(a ** 2 for a in grid.x_mesh))
     sel = (r > 2.0) & (r < 0.6 * grid.l)
@@ -238,15 +235,15 @@ def test_convolve_linear_and_translation_equivariant(grid1d):
     rng = np.random.default_rng(11)
     x = grid1d.x_mesh[0]
     supp = np.exp(-x ** 2 / 4)  # supported well inside the box
-    a = ScalarField(supp * rng.standard_normal(grid1d.shape), grid1d, "physical")
-    b = ScalarField(supp * rng.standard_normal(grid1d.shape), grid1d, "physical")
+    a = ScalarField(supp * rng.standard_normal(grid1d.shape), grid1d)
+    b = ScalarField(supp * rng.standard_normal(grid1d.shape), grid1d)
     k = RadialKernel.abs_distance()
-    lhs = convolve_radial_kernel(ScalarField(2 * a.values + 3 * b.values, grid1d, "physical"), k)
+    lhs = convolve_radial_kernel(ScalarField(2 * a.values + 3 * b.values, grid1d), k)
     rhs = 2 * convolve_radial_kernel(a, k).values + 3 * convolve_radial_kernel(b, k).values
     assert np.abs(lhs.values - rhs).max() < 1e-10 * np.abs(rhs).max()
 
     shift = 12  # cells
-    shifted = ScalarField(np.roll(a.values, shift), grid1d, "physical")
+    shifted = ScalarField(np.roll(a.values, shift), grid1d)
     conv_shifted = convolve_radial_kernel(shifted, k)
     expected = np.roll(convolve_radial_kernel(a, k).values, shift)
     # equivariance holds away from the wrapped sliver: compare the central half
@@ -257,7 +254,7 @@ def test_convolve_linear_and_translation_equivariant(grid1d):
 
 def test_convolve_reciprocal_rejected_in_1d(grid1d):
     f = gaussian(grid1d)
-    f = ScalarField(np.abs(f.values) ** 2, grid1d, "physical")
+    f = ScalarField(np.abs(f.values) ** 2, grid1d)
     with pytest.raises(ValueError, match="d = 1"):
         convolve_radial_kernel(f, RadialKernel.reciprocal())
 
@@ -272,12 +269,11 @@ def test_profile_kernels_created_and_freed_in_turn_get_their_own_transform(grid1
     # A new profile callable can take the memory of a freed one; a kernel
     # transform cached on the callable's id would then be served stale.
     x = grid1d.x_mesh[0]
-    f = ScalarField(np.exp(-x ** 2 / 2.0), grid1d, "physical")
+    f = ScalarField(np.exp(-x ** 2 / 2.0), grid1d)
     stale = 0
     for i in range(200):
         width = 0.5 + 0.01 * i
-        kernel = RadialKernel.from_profile(lambda r, w=width: np.exp(-(r / w) ** 2),
-                                           origin_value=1.0)
+        kernel = RadialKernel.from_profile(lambda r, w=width: np.exp(-(r / w) ** 2))
         got = convolve_radial_kernel(f, kernel).values
         # the exact convolution of two Gaussians, sampled at the origin
         expected = math.sqrt(math.pi) * width / math.sqrt(1.0 + width ** 2 / 2.0)
@@ -304,8 +300,7 @@ _PAIRING_KERNELS = {
     "reciprocal_grid": lambda: RadialKernel.reciprocal(),
     "reciprocal_analytic": lambda: RadialKernel.reciprocal(transform="analytic"),
     "gaussian_delta": lambda: RadialKernel.gaussian_delta(0.4),
-    "from_profile": lambda: RadialKernel.from_profile(lambda r: np.exp(-r) / (1.0 + r),
-                                                      origin_value=1.0),
+    "from_profile": lambda: RadialKernel.from_profile(lambda r: np.exp(-r) / (1.0 + r)),
 }
 _PAIRING_GRIDS = {1: GridSpec(1, 128, 8.0), 2: GridSpec(2, 32, 8.0), 3: GridSpec(3, 16, 8.0)}
 
@@ -343,7 +338,7 @@ def test_kernel_inner_product_matches_convolution(d, name):
     f, g = _supported_pair(grid, seed=10 * d + len(name))
     f_hat, g_hat = padded_rfft(grid, f), padded_rfft(grid, g)
     vol = grid.cell_volume
-    gf = ScalarField(g, grid, "physical")
+    gf = ScalarField(g, grid)
 
     conv = convolve_radial_kernel(gf, kernel).values
     expected = vol * float(np.sum(f * conv))
@@ -415,7 +410,7 @@ def test_convolve_kernel_gradient_matches_complex_transform_route(d):
     padded[(slice(0, grid.m),) * d] = f
     fhat = np.fft.fftn(padded)
     k = (math.pi / (2.0 * grid.l)) * j
-    got = convolve_kernel_gradient(ScalarField(f, grid, "physical"), kernel)
+    got = convolve_kernel_gradient(ScalarField(f, grid), kernel)
     for a in range(d):
         ka = k.reshape((-1,) + (1,) * (d - 1 - a))
         ref = np.fft.ifftn(fhat * (1j * ka) * hat)[(slice(0, grid.m),) * d].real

@@ -97,7 +97,7 @@ def test_virial_second_moment(grid1d):
 
 
 def test_virial_zero_state(grid1d):
-    st = single_state(ScalarField(np.zeros(grid1d.shape, complex), grid1d, "physical"))
+    st = single_state(ScalarField(np.zeros(grid1d.shape, complex), grid1d))
     w = MorawetzWeight.quadratic()
     assert virial_V(st, w) == 0.0
     assert virial_Vdot(st, w) == 0.0
@@ -158,8 +158,7 @@ def test_interaction_constant_weight(grid1d):
 
 def test_interaction_zero_state(grid1d):
     cpl = CouplingSpec(1, np.array([[1.0]]), 1.0, 1)
-    st = SystemState(0.0, (ScalarField(np.zeros(grid1d.shape, complex),
-                                       grid1d, "physical"),), cpl)
+    st = SystemState(0.0, (ScalarField(np.zeros(grid1d.shape, complex), grid1d),), cpl)
     rep = interaction_report(st, MorawetzWeight.abs_distance())
     assert rep.I == 0.0 and rep.Idot == 0.0 and rep.N_term == 0.0
 
@@ -169,8 +168,7 @@ def test_interaction_nonnegative_and_translation_invariant(grid1d):
     rep = interaction_report(st, MorawetzWeight.abs_distance())
     assert rep.I > 0.0
     shift = 16  # two length units
-    moved = single_state(ScalarField(np.roll(st.fields[0].values, shift),
-                                     grid1d, "physical"))
+    moved = single_state(ScalarField(np.roll(st.fields[0].values, shift), grid1d))
     rep2 = interaction_report(moved, MorawetzWeight.abs_distance())
     assert abs(rep.I - rep2.I) < 1e-8 * rep.I
 
@@ -193,7 +191,7 @@ def test_interaction_nterm_component_exchange_symmetry(grid1d):
     cpl = CouplingSpec(2, beta, 1.0, 1)
     st = SystemState(0.0, (u1, u2), cpl)
     rep = interaction_report(st, MorawetzWeight.abs_distance())
-    swapped = SystemState(0.0, (u2.copy(), u1.copy()),
+    swapped = SystemState(0.0, (u2, u1),
                           CouplingSpec(2, beta[::-1, ::-1].copy(), 1.0, 1))
     rep2 = interaction_report(swapped, MorawetzWeight.abs_distance())
     assert math.isclose(rep.N_term, rep2.N_term, rel_tol=1e-13)
@@ -393,8 +391,7 @@ def _per_axis_form_gaps(snap, weight):
     g = snap.state.grid
     rep = interaction_report(snap, weight)
     if weight.kind == ERF_SMOOTHED:
-        kernel = RadialKernel.from_profile(
-            weight.profile, origin_value=float(weight.profile(np.asarray(0.0))))
+        kernel = RadialKernel.from_profile(weight.profile)
         grad = 4.0 * gradient_pairing_reference(snap, RadialKernel.gaussian_delta(weight.eps))
     else:
         kernel = RadialKernel.abs_distance()
@@ -513,8 +510,7 @@ def test_inequality_requires_uniform_spacing(grid1d):
 
 def test_accumulators_zero_state(grid1d):
     cpl = CouplingSpec(1, np.array([[1.0]]), 1.0, 1)
-    st = SystemState(0.0, (ScalarField(np.zeros(grid1d.shape, complex),
-                                       grid1d, "physical"),), cpl)
+    st = SystemState(0.0, (ScalarField(np.zeros(grid1d.shape, complex), grid1d),), cpl)
     acc = SpacetimeAccumulators(cpl)
     evolve(st, StepParams(dt=1e-2, t_final=0.1, snapshot_stride=2), acc.update)
     assert all(v == 0.0 for v in acc.totals.values())

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nlskit import (CouplingSpec, GridSpec, ScalarField, StepParams,
+from nlskit import (CouplingSpec, GridSpec, ScalarField, Snapshot, StepParams,
                     StrichartzAccumulator, SystemState, WaveOperatorDivergence,
                     admissible_pair, asymptotic_profile, evolve,
                     linear_substep, strang_step,
@@ -57,7 +57,7 @@ def test_admissible_pair_input_validation():
 def test_strichartz_zero_trajectory(grid1d):
     pair = admissible_pair(2.0, 1)
     acc = StrichartzAccumulator(pair)
-    zero = single_state(ScalarField(np.zeros(grid1d.shape, complex), grid1d, "physical"))
+    zero = single_state(ScalarField(np.zeros(grid1d.shape, complex), grid1d))
     for t in (0.0, 1.0, 2.0):
         acc.update(SystemState(t, zero.fields, zero.coupling))
     assert acc.value() == 0.0
@@ -70,7 +70,7 @@ def test_strichartz_constant_in_time(grid1d):
     T = 5.0
     for t in np.linspace(0.0, T, 11):
         acc.update(SystemState(t, st.fields, st.coupling))
-    s = sum(w1r_norm(f, pair.rf) for f in st.fields)
+    s = sum(w1r_norm(f, pair.rf, grads) for f, grads in zip(st.fields, Snapshot(st).grads))
     assert math.isclose(acc.value(), T ** (1.0 / pair.qf) * s, rel_tol=1e-12)
 
 
@@ -92,8 +92,9 @@ def test_strichartz_rejects_inadmissible_pair():
 
 def test_w1r_norm_sup_branch(grid1d):
     f = gaussian(grid1d)
+    grads = Snapshot(single_state(f)).grads[0]
     # max of |u| is 1 at the origin; max of |grad u| is e^{-1/2}
-    assert abs(w1r_norm(f, math.inf) - 1.0) < 1e-12
+    assert abs(w1r_norm(f, math.inf, grads) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +119,7 @@ def test_asymptotic_profile_free_run(grid1d):
 
 
 def test_asymptotic_profile_zero_state(grid1d):
-    zero = single_state(ScalarField(np.zeros(grid1d.shape, complex), grid1d, "physical"))
+    zero = single_state(ScalarField(np.zeros(grid1d.shape, complex), grid1d))
     snaps = [SystemState(t, zero.fields, zero.coupling) for t in (1.0, 2.0)]
     res = asymptotic_profile(snaps, tol=1e-8)
     assert res.converged
@@ -152,7 +153,7 @@ def test_asymptotic_profile_flags_nonconvergent_window(grid1d):
 
 def test_wave_operator_zero_profile(grid1d):
     cpl = CouplingSpec(1, np.array([[1.0]]), 2.0, 1)
-    zero = [ScalarField(np.zeros(grid1d.shape, complex), grid1d, "physical")]
+    zero = [ScalarField(np.zeros(grid1d.shape, complex), grid1d)]
     res = wave_operator(zero, cpl, t_max=2.0, dt=0.1, tol=1e-10)
     assert res.converged and res.iterations == 1
     assert np.abs(res.state0.fields[0].values).max() == 0.0
@@ -224,7 +225,7 @@ def test_wave_operator_roundtrip_small():
 
     evolve(state, params, sink)
     out = asymptotic_profile(snaps, tol=1e-2)
-    gap = ScalarField(out.profile[0].values - prof[0].values, grid, "physical")
+    gap = ScalarField(out.profile[0].values - prof[0].values, grid)
     assert gap.h1_norm() < 1e-2
     assert out.mass_mismatch < 1e-6
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlskit import (CouplingSpec, GridSpec, ScalarField, Snapshot, SystemState,
-                    boundary_mass_fraction, current, energy,
+                    boundary_mass_fraction, energy,
                     field_from_function, h1_norm, lq_norm, mass, sup_cube_mass,
                     total_mass)
 
@@ -47,15 +47,15 @@ def test_state_validation(grid1d):
     f = gaussian(grid1d)
     with pytest.raises(ValueError, match="expected 2"):
         SystemState(0.0, (f,), cpl)
-    with pytest.raises(ValueError, match="physical"):
-        SystemState(0.0, (f, f.to_spectral()), cpl)
+    with pytest.raises(ValueError, match="one grid"):
+        SystemState(0.0, (f, gaussian(GridSpec(1, 128, 16.0))), cpl)
 
 
 def test_density_examples(grid1d):
     st = single_state(gaussian(grid1d))
     d = Snapshot(st).m[0]
     assert np.abs(d - np.exp(-grid1d.x_mesh[0] ** 2)).max() < 1e-14
-    zero = single_state(ScalarField(np.zeros(grid1d.shape, complex), grid1d, "physical"))
+    zero = single_state(ScalarField(np.zeros(grid1d.shape, complex), grid1d))
     assert np.abs(Snapshot(zero).m[0]).max() == 0.0
     with pytest.raises(IndexError):
         mass(st, 1)
@@ -63,14 +63,14 @@ def test_density_examples(grid1d):
 
 def test_current_real_field_vanishes(grid1d):
     st = single_state(gaussian(grid1d))
-    assert np.abs(current(st, 0)[0].values).max() < 1e-10
+    assert np.abs(Snapshot(st).current[0]).max() < 1e-10
 
 
 def test_current_plane_wave(grid1d):
     k = 8 * math.pi / grid1d.l  # exact grid mode
     f = field_from_function(grid1d, lambda x: np.exp(1j * k * x))
     st = single_state(f)
-    j = current(st, 0)[0].values
+    j = Snapshot(st).current[0]
     assert np.abs(j - k).max() < 1e-10
 
 
@@ -78,7 +78,7 @@ def test_current_boosted_gaussian(grid1d):
     v = 0.8
     f = gaussian(grid1d, velocity=[v / 2])
     st = single_state(f)
-    j = current(st, 0)[0].values
+    j = Snapshot(st).current[0]
     expected = np.exp(-grid1d.x_mesh[0] ** 2) * (v / 2)
     assert np.abs(j - expected).max() < 1e-8
 
@@ -87,7 +87,7 @@ def test_mass_values(grid1d):
     st = single_state(gaussian(grid1d))
     assert abs(mass(st, 0) - SQRT_PI) < 1e-10
     c = 0.7 - 0.2j
-    cst = single_state(ScalarField(np.full(grid1d.shape, c), grid1d, "physical"))
+    cst = single_state(ScalarField(np.full(grid1d.shape, c), grid1d))
     assert math.isclose(mass(cst, 0), abs(c) ** 2 * 2 * grid1d.l, rel_tol=1e-14)
     # mass equals the L1 norm of the density by construction
     d = Snapshot(st).m[0]
@@ -107,7 +107,7 @@ def test_energy_sine_kinetic(grid1d):
 
 def test_energy_zero_component_reduces_to_single(grid1d):
     u1 = gaussian(grid1d, amp=0.8)
-    zero = ScalarField(np.zeros(grid1d.shape, complex), grid1d, "physical")
+    zero = ScalarField(np.zeros(grid1d.shape, complex), grid1d)
     beta = np.array([[1.0, 0.5], [0.5, 1.0]])
     cpl = CouplingSpec(2, beta, 2.0, 1)
     st = SystemState(0.0, (u1, zero), cpl)
@@ -132,7 +132,7 @@ def test_lq_norms(grid1d):
     assert abs(lq_norm(st, 4.0).aggregate - math.sqrt(math.pi / 2) ** 0.25) < 1e-10
     assert abs(lq_norm(st, math.inf).aggregate - 1.0) < 1e-14
     c = 0.5
-    cst = single_state(ScalarField(np.full(grid1d.shape, c + 0j), grid1d, "physical"))
+    cst = single_state(ScalarField(np.full(grid1d.shape, c + 0j), grid1d))
     assert math.isclose(lq_norm(cst, 4.0).aggregate,
                         (c ** 4 * 2 * grid1d.l) ** 0.25, rel_tol=1e-13)
     with pytest.raises(ValueError):
@@ -143,12 +143,12 @@ def test_sup_cube_mass(grid1d):
     # mass concentrated in one cell: the cube recovers the full L2 norm
     vals = np.zeros(grid1d.shape, complex)
     vals[100] = 3.0
-    st = single_state(ScalarField(vals, grid1d, "physical"))
+    st = single_state(ScalarField(vals, grid1d))
     f = st.fields[0]
     assert abs(sup_cube_mass(st) - f.l2_norm()) < 1e-12 * f.l2_norm()
     # broad constant field: each unit cube holds |c|^2 * 1
     c = 0.6
-    cst = single_state(ScalarField(np.full(grid1d.shape, c + 0j), grid1d, "physical"))
+    cst = single_state(ScalarField(np.full(grid1d.shape, c + 0j), grid1d))
     assert math.isclose(sup_cube_mass(cst), c, rel_tol=1e-12)
     assert sup_cube_mass(st) <= math.sqrt(total_mass(st)) * (1 + 1e-12)
 
@@ -156,11 +156,11 @@ def test_sup_cube_mass(grid1d):
 def test_sup_cube_mass_rejects_bad_grids():
     tiny = GridSpec(1, 8, 0.25)  # box smaller than the unit cube
     cpl = CouplingSpec(1, np.array([[1.0]]), 1.0, 1)
-    st = SystemState(0.0, (ScalarField(np.ones(8, complex), tiny, "physical"),), cpl)
+    st = SystemState(0.0, (ScalarField(np.ones(8, complex), tiny),), cpl)
     with pytest.raises(ValueError, match="unit cube"):
         sup_cube_mass(st)
     odd = GridSpec(1, 10, 3.5)  # h = 0.7 does not divide 1
-    st2 = SystemState(0.0, (ScalarField(np.ones(10, complex), odd, "physical"),), cpl)
+    st2 = SystemState(0.0, (ScalarField(np.ones(10, complex), odd),), cpl)
     with pytest.raises(ValueError, match="divide"):
         sup_cube_mass(st2)
 
@@ -168,9 +168,9 @@ def test_sup_cube_mass_rejects_bad_grids():
 def test_gauge_invariance(grid1d):
     f = gaussian(grid1d, amp=0.8, velocity=[0.4])
     st = single_state(f, p=1.5)
-    rot = single_state(ScalarField(np.exp(1.3j) * f.values, grid1d, "physical"), p=1.5)
+    rot = single_state(ScalarField(np.exp(1.3j) * f.values, grid1d), p=1.5)
     assert np.abs(Snapshot(st).m[0] - Snapshot(rot).m[0]).max() < 1e-12
-    assert np.abs(current(st, 0)[0].values - current(rot, 0)[0].values).max() < 1e-12
+    assert np.abs(Snapshot(st).current[0] - Snapshot(rot).current[0]).max() < 1e-12
     assert math.isclose(mass(st, 0), mass(rot, 0), rel_tol=1e-12)
     assert math.isclose(energy(st).total, energy(rot).total, rel_tol=1e-12)
     assert math.isclose(lq_norm(st, 4.0).aggregate, lq_norm(rot, 4.0).aggregate,

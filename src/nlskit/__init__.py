@@ -27,7 +27,7 @@ from .scattering import (StrichartzPair, StrichartzAccumulator,
                          WaveOperatorDivergence, admissible_pair, w1r_norm,
                          asymptotic_profile, wave_operator)
 from .gn import GNReport, gn_ratio, unlocalized_gn_ratio, corpus_sup_ratio, generate_sample
-from .initial_data import InitialDataSpec, build_initial_state
+from .initial_data import build_initial_state
 from .config import RunConfig, ConfigError, parse_config
 from .fieldio import write_fields, read_fields, FieldFileError
 

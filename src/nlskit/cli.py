@@ -12,7 +12,6 @@ on a NaN abort too), and binary field files for scatter/wave-op profiles.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import fields
@@ -25,7 +24,7 @@ from .evolve import NanAbortError, evolve
 from .fieldio import write_fields
 from .gn import corpus_sup_ratio
 from .grid import GridSpec
-from .initial_data import InitialDataSpec, build_initial_state
+from .initial_data import build_initial_state
 from .morawetz import MorawetzWeight
 from .scattering import (WaveOperatorDivergence, admissible_pair,
                          asymptotic_profile, wave_operator)
@@ -74,39 +73,18 @@ def _setup(cfg: RunConfig):
     try:
         grid = GridSpec(cfg.d, cfg.grid_m, cfg.box_l)
         coupling = _coupling(cfg)
-        spec = InitialDataSpec(family=cfg.family, amplitude=cfg.amplitude,
-                               width=cfg.width, center=cfg.center,
-                               velocity=cfg.velocity, chirp=cfg.chirp,
-                               bump_amplitudes=tuple(cfg.bump_amplitudes),
-                               bump_centers=tuple(cfg.bump_centers),
-                               bump_widths=tuple(cfg.bump_widths),
-                               bump_velocities=tuple(cfg.bump_velocities),
-                               seed=cfg.seed)
-        state0 = build_initial_state(grid, coupling, spec)
+        state0 = build_initial_state(grid, coupling, cfg)
     except ValueError as err:
         raise ConfigError([str(err)]) from err
     return grid, coupling, state0
 
 
-def _virial_weight(cfg: RunConfig) -> MorawetzWeight | None:
-    if cfg.weight == "none":
-        return None
-    if cfg.weight == "quadratic":
-        return MorawetzWeight.quadratic()
-    if cfg.weight == "erf":
-        return MorawetzWeight.erf_smoothed(cfg.weight_eps)
-    return MorawetzWeight.abs_distance()
-
-
-def _interaction_weight(cfg: RunConfig) -> MorawetzWeight | None:
-    """The bilinear weight (the config allows erf in d = 1 only)."""
-    if cfg.interaction_weight == "none":
-        return None
-    if cfg.interaction_weight == "erf":
-        return MorawetzWeight.erf_smoothed(cfg.weight_eps)
-    if cfg.interaction_weight == "constant":
-        return MorawetzWeight.constant()
-    return MorawetzWeight.abs_distance()
+def _weight(name: str, cfg: RunConfig) -> MorawetzWeight | None:
+    """The weight a `weight` or `interaction_weight` value names (the config
+    allows the erf interaction weight in d = 1 only)."""
+    return {"none": lambda: None, "quadratic": MorawetzWeight.quadratic,
+            "absdistance": MorawetzWeight.abs_distance, "constant": MorawetzWeight.constant,
+            "erf": lambda: MorawetzWeight.erf_smoothed(cfg.weight_eps)}[name]()
 
 
 def _collector(cfg: RunConfig, coupling, grid, keep_states: int = 0) -> DiagnosticsCollector:
@@ -116,8 +94,8 @@ def _collector(cfg: RunConfig, coupling, grid, keep_states: int = 0) -> Diagnost
         pair = cand if cand.admissible else None
     lq = tuple(dict.fromkeys((4.0, 2.0 * cfg.p + 2.0)))
     return DiagnosticsCollector(coupling, grid, CollectorOptions(
-        weight=_virial_weight(cfg), interaction=_interaction_weight(cfg), lq_values=lq,
-        accumulators=True, strichartz_pair=pair, keep_states=keep_states))
+        weight=_weight(cfg.weight, cfg), interaction=_weight(cfg.interaction_weight, cfg),
+        lq_values=lq, accumulators=True, strichartz_pair=pair, keep_states=keep_states))
 
 
 # Each runner writes its artifacts to the output directory and returns its
@@ -135,17 +113,12 @@ def run_simulate(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     first = collector.records[0]
     mass0 = sum(first[f"mass_{mu + 1}"] for mu in range(coupling.n))
     bound = mass0 + first["energy_total"]
-    checks = {
-        "mass_drift": {"value": collector.mass_drift(), "tol": cfg.mass_drift_tol,
-                       "pass": collector.mass_drift() <= cfg.mass_drift_tol},
-        "energy_drift": {"value": collector.energy_drift(), "tol": cfg.energy_drift_tol,
-                         "pass": collector.energy_drift() <= cfg.energy_drift_tol},
-        "boundary_mass": {"value": collector.max_boundary_fraction, "tol": BOUNDARY_MASS_LIMIT,
-                          "pass": collector.boundary_valid},
+    checks = {name: {"value": value, "tol": tol, "pass": value <= tol} for name, value, tol in (
+        ("mass_drift", collector.mass_drift(), cfg.mass_drift_tol),
+        ("energy_drift", collector.energy_drift(), cfg.energy_drift_tol),
+        ("boundary_mass", collector.max_boundary_fraction, BOUNDARY_MASS_LIMIT),
         # H1 control: sum ||u(t)||_H1^2 <= sum ||u(0)||_L2^2 + E(0)
-        "h1_bound": {"value": h1sq_T, "tol": bound * (1.0 + 1e-6) + 1e-12,
-                     "pass": h1sq_T <= bound * (1.0 + 1e-6) + 1e-12},
-    }
+        ("h1_bound", h1sq_T, bound * (1.0 + 1e-6) + 1e-12))}
     summary = {"admissibility": coupling.classification(),
                "t_final": final.t,
                "rows": len(collector.records),
@@ -163,10 +136,8 @@ def run_simulate(cfg: RunConfig, out: Path) -> tuple[dict, str]:
 
 def run_verify_identities(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     grid, coupling, state0 = _setup(cfg)
-    smooth = _virial_weight(cfg) or MorawetzWeight.quadratic()
-    if smooth.kind == "absdistance":
-        smooth = MorawetzWeight.quadratic()
-    inter = _interaction_weight(cfg)
+    smooth = _weight("erf" if cfg.weight == "erf" else "quadratic", cfg)
+    inter = _weight(cfg.interaction_weight, cfg)
 
     # calibrate over the full horizon: finite-difference constants can grow
     # along the trajectory, so short-window calibration underestimates them.
@@ -179,23 +150,8 @@ def run_verify_identities(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     constants = calibrate_fd_constants(trajectory.prefix(calibration.n_snapshots),
                                        state0, calibration, smooth, inter)
     series = trajectory.prefix(cfg.step_params().n_snapshots)
-    result = check_identities(series, constants)
-
+    checks = check_identities(series, constants)
     write_csv(series.records, series.collector.columns, out / "diagnostics.csv")
-
-    checks = {
-        "virial_first_identity": {"gap": result.vdot_gap,
-                                  "tol": result.vdot_tol,
-                                  "pass": result.vdot_ok},
-        "virial_second_identity": {"gap": result.vddot_gap,
-                                   "tol": result.vddot_tol,
-                                   "pass": result.vddot_ok},
-        "interaction_first_identity": {"gap": result.idot_gap,
-                                       "tol": result.idot_tol,
-                                       "pass": result.idot_ok},
-        "interaction_inequality": {"pass": result.inequality_ok},
-        "interaction_integrated": {"pass": result.integrated_ok},
-    }
     summary = {"admissibility": coupling.classification(),
                "fd_constants": vars(constants),
                "checks": checks}
@@ -270,7 +226,7 @@ def run_gn_check(cfg: RunConfig, out: Path) -> tuple[dict, str]:
            "sup_ratio": fmt17(report.sup_ratio),
            "median_ratio": fmt17(report.median_ratio),
            "ratios": [fmt17(v) for v in report.ratios]}
-    (out / "gn_report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_summary(doc, out / "gn_report.json")
     return {"sup_ratio": report.sup_ratio, "median_ratio": report.median_ratio}, ""
 
 

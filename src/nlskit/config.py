@@ -25,6 +25,7 @@ from .evolve import StepParams
 from .gn import GENERATORS, VARIANTS
 from .grid import GridSpec
 from .initial_data import FAMILIES
+from .scattering import node_count
 
 CHOICES: dict[str, tuple[str, ...]] = {
     "experiment": ("simulate", "verify-identities", "scatter", "wave-op", "gn-check"),
@@ -36,6 +37,10 @@ CHOICES: dict[str, tuple[str, ...]] = {
 }
 
 ENV_OUT_DIR = "NLSKIT_OUT_DIR"
+
+# bytes the diagnostics sink keeps per snapshot, at least: tracemalloc (CPython 3.11) gave 552
+# (verify-identities, d = 1, N = 1, no interaction weight) to 1428 (simulate, defaults)
+SNAPSHOT_BYTES = 512
 
 
 class ConfigError(ValueError):
@@ -183,7 +188,7 @@ def _validate(c: dict, problems: list[str]):
     need("t_final", 0 <= c["t_final"] < math.inf, ">= 0 and finite")
     need("fd_calibration_t", 0 <= c["fd_calibration_t"] < math.inf, ">= 0 and finite")
     need("snapshot_stride", c["snapshot_stride"] >= 1, ">= 1")
-    need("weight_eps", c["weight_eps"] > 0, "> 0")
+    need("weight_eps", 0 < c["weight_eps"] < math.inf, "> 0 and finite")
     need("wave_dt", c["wave_dt"] > 0, "> 0")
     need("wave_t", 0 < c["wave_t"] < math.inf, "> 0 and finite")
     need("wave_max_iter", c["wave_max_iter"] >= 1, ">= 1")
@@ -223,7 +228,7 @@ def _validate(c: dict, problems: list[str]):
     if cfg.experiment == "wave-op":
         # the wave operator holds one complex n_nodes x N x M^d node buffer,
         # and its quadrature needs a step between two nodes
-        n_nodes = int(round(cfg.wave_t / cfg.wave_dt)) + 1
+        n_nodes = node_count(cfg.wave_t, cfg.wave_dt)
         if n_nodes < 2:
             problems.append(f"wave-op needs at least 2 time nodes: wave_t = {cfg.wave_t} "
                             f"gives {n_nodes} at wave_dt = {cfg.wave_dt}")
@@ -234,6 +239,19 @@ def _validate(c: dict, problems: list[str]):
                 f"{n} components x {cfg.grid_m}^{cfg.d} points), more than the "
                 f"{memory / 2 ** 20:.1f} MiB of physical memory: "
                 "shorten wave_t, lengthen wave_dt or coarsen the grid")
+    elif cfg.experiment in ("simulate", "scatter", "verify-identities"):
+        # the sink keeps a record per snapshot; verify-identities' dt run covers both horizons
+        key = "t_final"
+        if cfg.experiment == "verify-identities" and cfg.fd_calibration_t > cfg.t_final:
+            key = "fd_calibration_t"
+        count = cfg.step_params(c[key]).n_snapshots
+        size, memory = count * SNAPSHOT_BYTES, _physical_memory()
+        if size > memory:
+            problems.append(
+                f"{cfg.experiment} needs at least {size / 2 ** 20:.3g} MiB of diagnostics "
+                f"records ({count:.3g} snapshots x {SNAPSHOT_BYTES} bytes), more than the "
+                f"{memory / 2 ** 20:.1f} MiB of physical memory: "
+                f"shorten {key}, lengthen dt or raise snapshot_stride")
     minimum = {}
     if cfg.experiment == "scatter":
         # the Cauchy test compares consecutive snapshots

@@ -303,8 +303,8 @@ class RadialKernel:
 
     @staticmethod
     def gaussian_delta(eps: float) -> "RadialKernel":
-        if eps <= 0:
-            raise ValueError("mollifier width must be positive")
+        if not 0 < eps < math.inf:
+            raise ValueError(f"mollifier width must be positive and finite, got {eps}")
         return RadialKernel("gaussian_delta", param=eps)
 
     @staticmethod

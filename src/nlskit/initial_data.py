@@ -12,6 +12,8 @@ A positive chirp focuses the packet near t = chirp / (4 (chirp^2 + 1/(4 w^4)))
 before it disperses ballistically, which is how strong transient L^q decay
 windows are produced.
 
+build_initial_state reads the initial-data keys of a RunConfig (family,
+amplitude, width, center, velocity, chirp, bump_* and seed) by attribute.
 All randomness derives from the run seed through SeedSequence spawning in
 component order.
 """
@@ -19,7 +21,6 @@ component order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,25 +55,6 @@ def _per_component_vector(value, n: int, d: int, name: str):
     raise ValueError(f"{name} must be a scalar, a {d}-vector, or {n} x {d}")
 
 
-@dataclass(frozen=True)
-class InitialDataSpec:
-    family: str = "gaussian"
-    amplitude: object = 1.0
-    width: object = 1.0
-    center: object = 0.0
-    velocity: object = 0.0
-    chirp: object = 0.0
-    bump_amplitudes: tuple = (1.0,)
-    bump_centers: tuple = (0.0,)
-    bump_widths: tuple = (1.0,)
-    bump_velocities: tuple = (0.0,)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-
-
 def _gaussian_component(grid: GridSpec, amp, width, center, velocity, chirp) -> np.ndarray:
     sq = sum((x - c) ** 2 for x, c in zip(grid.x_mesh, center))
     phase = sum(v * (x - c) for v, x, c in zip(velocity, grid.x_mesh, center))
@@ -87,43 +69,45 @@ def _snap_wavenumber(grid: GridSpec, k: np.ndarray) -> np.ndarray:
     return base * j
 
 
-def build_initial_state(grid: GridSpec, coupling: CouplingSpec,
-                        spec: InitialDataSpec) -> SystemState:
+def build_initial_state(grid: GridSpec, coupling: CouplingSpec, cfg) -> SystemState:
+    """The t = 0 state from the initial-data keys of cfg, a RunConfig;
+    ValueError for an unknown family or a value of the wrong shape."""
+    if cfg.family not in FAMILIES:
+        raise ValueError(f"family must be one of {FAMILIES}, got {cfg.family!r}")
     n, d = coupling.n, grid.d
-    amps = _per_component(spec.amplitude, n, "amplitude")
-    widths = _per_component(spec.width, n, "width")
-    centers = _per_component_vector(spec.center, n, d, "center")
-    velocities = _per_component_vector(spec.velocity, n, d, "velocity")
-    chirps = _per_component(spec.chirp, n, "chirp")
+    amps = _per_component(cfg.amplitude, n, "amplitude")
+    widths = _per_component(cfg.width, n, "width")
+    centers = _per_component_vector(cfg.center, n, d, "center")
+    velocities = _per_component_vector(cfg.velocity, n, d, "velocity")
+    chirps = _per_component(cfg.chirp, n, "chirp")
     fields = []
 
-    if spec.family == "gaussian":
+    if cfg.family == "gaussian":
         for mu in range(n):
             vals = _gaussian_component(grid, amps[mu], widths[mu], centers[mu],
                                        velocities[mu], chirps[mu])
             fields.append(ScalarField(vals, grid))
 
-    elif spec.family == "multi-bump":
-        nb = len(spec.bump_amplitudes)
-        b_centers = _per_component_vector(list(spec.bump_centers), nb, d, "bump_centers")
-        b_vels = _per_component_vector(list(spec.bump_velocities), nb, d, "bump_velocities")
-        b_widths = _per_component(list(spec.bump_widths), nb, "bump_widths")
-        b_amps = list(spec.bump_amplitudes)
+    elif cfg.family == "multi-bump":
+        nb = len(cfg.bump_amplitudes)
+        b_centers = _per_component_vector(list(cfg.bump_centers), nb, d, "bump_centers")
+        b_vels = _per_component_vector(list(cfg.bump_velocities), nb, d, "bump_velocities")
+        b_widths = _per_component(list(cfg.bump_widths), nb, "bump_widths")
         for mu in range(n):
             vals = np.zeros(grid.shape, dtype=complex)
             for b in range(nb):
-                vals += _gaussian_component(grid, b_amps[b], b_widths[b],
+                vals += _gaussian_component(grid, cfg.bump_amplitudes[b], b_widths[b],
                                             b_centers[b], b_vels[b], 0.0)
             fields.append(ScalarField(amps[mu] * vals, grid))
 
-    elif spec.family == "plane-modulated":
+    elif cfg.family == "plane-modulated":
         for mu in range(n):
             k = _snap_wavenumber(grid, velocities[mu])
             phase = sum(kk * x for kk, x in zip(k, grid.x_mesh))
             fields.append(ScalarField(amps[mu] * np.exp(1j * phase), grid))
 
     else:  # random-band-limited
-        children = np.random.SeedSequence(spec.seed).spawn(n)
+        children = np.random.SeedSequence(cfg.seed).spawn(n)
         for mu in range(n):
             rng = np.random.default_rng(children[mu])
             kappa = max(float(widths[mu]), 1e-6)

@@ -123,8 +123,8 @@ class MorawetzWeight:
         Gaussian mollifier 2 exp(-(r/eps)^2)/(eps sqrt(pi)), so eps -> 0
         recovers the |x - y| delta collapse.  Keep eps at or above the grid
         spacing, otherwise the mollifier is unresolved."""
-        if eps <= 0:
-            raise ValueError("smoothing width must be positive")
+        if not 0 < eps < math.inf:
+            raise ValueError(f"smoothing width must be positive and finite, got {eps}")
         erf = np.vectorize(math.erf, otypes=[float])  # numpy has no erf
         s = math.sqrt(math.pi)
 

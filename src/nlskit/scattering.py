@@ -190,6 +190,11 @@ class WaveOperatorResult:
     message: str = ""
 
 
+def node_count(t_max: float, dt: float) -> int:
+    """Nodes t_i = i dt of the wave operator's uniform time grid over [0, t_max]."""
+    return int(round(t_max / dt)) + 1
+
+
 def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
                   t_max: float, dt: float, tol: float = 1e-6,
                   max_iter: int = 30) -> WaveOperatorResult:
@@ -222,7 +227,7 @@ def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
     from concurrent.futures import ThreadPoolExecutor  # only wave-op runs start threads
 
     grid = profile[0].grid
-    n_nodes = int(round(t_max / dt)) + 1
+    n_nodes = node_count(t_max, dt)
     if n_nodes < 2:
         raise ValueError("truncation time must cover at least one step")
     back = np.exp(1j * dt * grid.k_squared)  # E

@@ -147,41 +147,30 @@ def calibrate_fd_constants(coarse: TrajectorySeries, state0: SystemState,
     return FdConstants(c_vdot=pick[0], c_vddot=pick[1], c_idot=pick[2], c_iddot=pick[3])
 
 
-@dataclass
-class IdentityCheckResult:
-    vdot_gap: float
-    vdot_tol: float
-    vdot_ok: bool
-    vddot_gap: float
-    vddot_tol: float
-    vddot_ok: bool
-    idot_gap: float | None
-    idot_tol: float | None
-    idot_ok: bool | None
-    inequality_ok: bool | None
-    integrated_ok: bool | None
-
-
-def check_identities(series: TrajectorySeries, constants: FdConstants) -> IdentityCheckResult:
-    """Assert dV/dt, d2V/dt2 and dI/dt identities at calibrated tolerances,
-    plus the interaction convexity inequality in both forms."""
+def check_identities(series: TrajectorySeries, constants: FdConstants) -> dict:
+    """The checks of summary.json: the dV/dt, d2V/dt2 and dI/dt identities
+    at calibrated tolerances, each {"gap", "tol", "pass"}, then the
+    interaction convexity inequality in both forms, each {"pass"}.  Without
+    interaction reports every interaction entry is None."""
     dts = series.dt_snapshot
-    vdot_gap = float(fd_gap_first(series.times, series.V, series.Vdot).max())
-    vdot_tol = constants.c_vdot * dts ** 2 + ABS_FLOOR_FIRST
-    vddot_gap = float(fd_gap_second(series.times, series.V, series.Vddot).max())
-    vddot_tol = constants.c_vddot * dts ** 2 + ABS_FLOOR_SECOND
 
-    idot_gap = idot_tol = idot_ok = ineq_ok = int_ok = None
+    def gap_check(gap, constant, floor):
+        tol = constant * dts ** 2 + floor
+        return {"gap": gap, "tol": tol, "pass": gap <= tol}
+
+    t, V = series.times, series.V
+    checks = {
+        "virial_first_identity": gap_check(float(fd_gap_first(t, V, series.Vdot).max()),
+                                           constants.c_vdot, ABS_FLOOR_FIRST),
+        "virial_second_identity": gap_check(float(fd_gap_second(t, V, series.Vddot).max()),
+                                            constants.c_vddot, ABS_FLOOR_SECOND),
+        "interaction_first_identity": {"gap": None, "tol": None, "pass": None},
+        "interaction_inequality": {"pass": None},
+        "interaction_integrated": {"pass": None}}
     if series.reports:
-        check = interaction_inequality_check(series.reports,
-                                             fd_constant=constants.c_iddot)
-        idot_gap = check.idot_fd_gap
-        idot_tol = constants.c_idot * dts ** 2 + ABS_FLOOR_FIRST
-        idot_ok = idot_gap <= idot_tol
-        ineq_ok = check.second_difference_ok
-        int_ok = check.integrated_ok
-    return IdentityCheckResult(
-        vdot_gap=vdot_gap, vdot_tol=vdot_tol, vdot_ok=vdot_gap <= vdot_tol,
-        vddot_gap=vddot_gap, vddot_tol=vddot_tol, vddot_ok=vddot_gap <= vddot_tol,
-        idot_gap=idot_gap, idot_tol=idot_tol, idot_ok=idot_ok,
-        inequality_ok=ineq_ok, integrated_ok=int_ok)
+        check = interaction_inequality_check(series.reports, fd_constant=constants.c_iddot)
+        checks["interaction_first_identity"] = gap_check(check.idot_fd_gap, constants.c_idot,
+                                                         ABS_FLOOR_FIRST)
+        checks["interaction_inequality"]["pass"] = check.second_difference_ok
+        checks["interaction_integrated"]["pass"] = check.integrated_ok
+    return checks

@@ -14,9 +14,10 @@ import scipy.fft
 import nlskit.cli
 import nlskit.config
 import nlskit.verify
-from nlskit import (ConfigError, CouplingSpec, GridSpec, InitialDataSpec, MorawetzWeight,
-                    build_initial_state, parse_config, read_fields, write_fields)
-from nlskit.cli import main
+from nlskit import (ConfigError, CouplingSpec, GridSpec, MorawetzWeight, RadialKernel,
+                    RunConfig, build_initial_state, interaction_report, parse_config,
+                    read_fields, virial_V, write_fields)
+from nlskit.cli import build_parser, main
 from nlskit.config import CHOICES, ENV_OUT_DIR, SCHEMA
 from nlskit.evolve import StepParams, evolve
 from nlskit.verify import calibrate_fd_constants, check_identities, collect_series
@@ -328,18 +329,10 @@ def test_cli_verify_identities_runs_two_trajectories(tmp_path, monkeypatch, wind
     constants = calibrate_fd_constants(coarse, state0, win, smooth, inter)  # runs dt/2
     series = collect_series(state0, StepParams(dt=0.01, t_final=0.2, snapshot_stride=5),
                             smooth, inter)
-    result = check_identities(series, constants)
 
     summary = json.loads((out / "summary.json").read_text())
     assert summary["fd_constants"] == vars(constants)
-    checks = summary["checks"]
-    for name, gap, tol, ok in (
-            ("virial_first_identity", result.vdot_gap, result.vdot_tol, result.vdot_ok),
-            ("virial_second_identity", result.vddot_gap, result.vddot_tol, result.vddot_ok),
-            ("interaction_first_identity", result.idot_gap, result.idot_tol, result.idot_ok)):
-        assert checks[name] == {"gap": gap, "tol": tol, "pass": ok}
-    assert checks["interaction_inequality"]["pass"] == result.inequality_ok
-    assert checks["interaction_integrated"]["pass"] == result.integrated_ok
+    assert summary["checks"] == check_identities(series, constants)
 
     with open(out / "diagnostics.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -580,6 +573,115 @@ def test_cli_refuses_the_erf_interaction_weight_outside_d1(tmp_path, capsys, d):
     assert parse_config(None, {"interaction_weight": "erf"}).interaction_weight == "erf"
 
 
+@pytest.mark.parametrize("flags", [
+    ["simulate", "--interaction-weight", "erf"],
+    ["simulate", "--weight", "erf", "--interaction-weight", "none"],
+    ["verify-identities", "--weight", "erf"],
+], ids=["simulate-interaction", "simulate-virial", "verify-identities"])
+def test_cli_refuses_an_infinite_weight_eps(tmp_path, capsys, flags):
+    # these used to end in a traceback, a run writing V = inf on every row,
+    # and RuntimeWarnings
+    out = tmp_path / "out"
+    assert main([flags[0], *_SMALL_D1, *flags[1:], "--weight-eps", "inf",
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nlskit: invalid configuration")
+    assert "weight_eps must be > 0 and finite, got inf" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1.0])
+def test_erf_weight_and_delta_kernel_refuse_a_width_that_is_not_positive_and_finite(eps):
+    with pytest.raises(ValueError, match="smoothing width must be positive and finite"):
+        MorawetzWeight.erf_smoothed(eps)
+    with pytest.raises(ValueError, match="mollifier width must be positive and finite"):
+        RadialKernel.gaussian_delta(eps)
+
+
+def _cli_config(args):
+    """parse_config of a command line, the way main builds it."""
+    ns = build_parser().parse_args(args)
+    overrides = {k: v for k, v in vars(ns).items()
+                 if k not in ("config", "experiment") and v is not None}
+    return parse_config(ns.config, {**overrides, "experiment": ns.experiment})
+
+
+def test_config_refuses_a_run_whose_records_exceed_memory(monkeypatch):
+    """parse_config alone: no run starts."""
+    for experiment, key in (("simulate", "t_final"), ("scatter", "t_final"),
+                            ("verify-identities", "t_final"),
+                            ("verify-identities", "fd_calibration_t")):
+        with pytest.raises(ConfigError, match=f"{experiment} needs at least .* MiB of "
+                           f"diagnostics records .* shorten {key},"):
+            parse_config(None, {"experiment": experiment, key: 1e300})
+    # every benchmark workload is accepted
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from workloads import N_SETS, WORKLOADS
+    for workload in WORKLOADS.values():
+        for k in range(N_SETS):
+            assert _cli_config(workload.cli_args(k)).experiment == workload.experiment
+    # 100 steps at stride 1 give 101 snapshots of at least 512 bytes each
+    run = {"dt": 0.01, "t_final": 1.0, "snapshot_stride": 1}
+    monkeypatch.setattr(nlskit.config, "_physical_memory", lambda: 101 * 512)
+    assert parse_config(None, run).t_final == 1.0
+    monkeypatch.setattr(nlskit.config, "_physical_memory", lambda: 101 * 512 - 1)
+    with pytest.raises(ConfigError, match=r"\(101 snapshots x 512 bytes\)"):
+        parse_config(None, run)
+
+
+_WEIGHT_RUN = ["--d", "1", "--grid-m", "64", "--box-l", "16", "--p", "1",
+               "--amplitude", "0.3", "--dt", "0.01", "--t-final", "0.1",
+               "--snapshot-stride", "5"]
+_WEIGHTS = {"quadratic": MorawetzWeight.quadratic(), "absdistance": MorawetzWeight.abs_distance(),
+            "erf": MorawetzWeight.erf_smoothed(0.5), "constant": MorawetzWeight.constant()}
+
+
+@pytest.mark.parametrize("interaction", CHOICES["interaction_weight"])
+@pytest.mark.parametrize("weight", CHOICES["weight"])
+def test_cli_simulate_with_every_weight_pair(tmp_path, weight, interaction):
+    """Each weight name writes its columns, from the weight it names."""
+    out = tmp_path / "out"
+    args = ["simulate", *_WEIGHT_RUN, "--weight", weight,
+            "--interaction-weight", interaction, "--out-dir", str(out)]
+    assert main(args) == 0
+    with open(out / "diagnostics.csv", newline="") as fh:
+        first = next(csv.DictReader(fh))
+    expected = (["V", "Vdot"] if weight != "none" else []) + (
+        ["I", "Idot", "N_term", "rhs_lower"] if interaction != "none" else [])
+    assert [c for c in first if c in ("V", "Vdot", "Vddot", "I", "Idot", "N_term",
+                                      "rhs_lower")] == expected
+    _, _, state0 = nlskit.cli._setup(_cli_config(args))
+    if weight != "none":
+        assert float(first["V"]) == virial_V(state0, _WEIGHTS[weight])
+    if interaction != "none":
+        assert float(first["I"]) == interaction_report(state0, _WEIGHTS[interaction]).I
+
+
+def _verify_outputs(out):
+    summary = json.loads((out / "summary.json").read_text())
+    return (out / "diagnostics.csv").read_bytes(), summary["fd_constants"], summary["checks"]
+
+
+@pytest.mark.parametrize("weight", ["none", "absdistance"])
+def test_cli_verify_identities_checks_a_non_smooth_weight_with_the_quadratic(tmp_path, weight):
+    for name in (weight, "quadratic"):
+        assert main(["verify-identities", *_VERIFY_D1, "--weight", name,
+                     "--out-dir", str(tmp_path / name)]) == 0
+    assert _verify_outputs(tmp_path / weight) == _verify_outputs(tmp_path / "quadratic")
+
+
+def test_cli_verify_identities_without_an_interaction_weight(tmp_path):
+    assert main(["verify-identities", *_VERIFY_D1, "--interaction-weight", "none",
+                 "--out-dir", str(tmp_path)]) == 0
+    checks = json.loads((tmp_path / "summary.json").read_text())["checks"]
+    assert checks["virial_first_identity"]["pass"] is True
+    assert checks["virial_second_identity"]["pass"] is True
+    assert checks["interaction_first_identity"] == {"gap": None, "tol": None, "pass": None}
+    assert checks["interaction_inequality"] == {"pass": None}
+    assert checks["interaction_integrated"] == {"pass": None}
+
+
 def test_cli_gn_check_deterministic(tmp_path):
     args = ["gn-check", "--d", "1", "--grid-m", "128", "--box-l", "8",
             "--gn-count", "25", "--gn-variant", "cubic",
@@ -629,7 +731,7 @@ def test_no_subcommand_calls_numpy_fft(tmp_path, no_scipy_fft, run):
 @pytest.mark.parametrize("d, m", [(1, 64), (2, 16), (3, 8)])
 def test_random_band_limited_data_does_not_call_numpy_fft(no_scipy_fft, d, m):
     state = build_initial_state(GridSpec(d, m, 4.0), CouplingSpec(2, np.eye(2), 1.0, d),
-                                InitialDataSpec(family="random-band-limited", seed=3))
+                                RunConfig(family="random-band-limited", seed=3))
     assert state.is_finite()
 
 

@@ -35,3 +35,22 @@ def _run(cwd, args):
     proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_module_table_names_exist():
+    """Every backticked bare identifier in a row of the README module table is
+    an attribute of that row's nlskit module(s)."""
+    import importlib
+    import re
+
+    readme = (ROOT / "README.md").read_text()
+    rows = [line for line in readme.splitlines() if line.startswith("| `nlskit")]
+    assert len(rows) >= 8
+    for row in rows:
+        # "\|" is a literal bar inside a cell (the morawetz row's \|x\|)
+        modules_cell, contents = re.split(r"(?<!\\)\|", row)[1:3]
+        modules = [importlib.import_module(m)
+                   for m in re.findall(r"`(nlskit(?:\.\w+)?)`", modules_cell)]
+        assert modules, row
+        for name in re.findall(r"`([A-Za-z_]\w*)`", contents):
+            assert any(hasattr(m, name) for m in modules), (modules_cell.strip(), name)

@@ -32,7 +32,7 @@ def sink(s):
 evolve(state, StepParams(dt=5e-3, t_final=16.0, snapshot_stride=20), sink)
 print()
 print(f"late-window share of the accumulator (t in [12, 16]): "
-      f"{acc.tail_fraction('power_2p4', 4.0):.2e}")
+      f"{acc.integrals['power_2p4'].tail_fraction(4.0):.2e}")
 
 print()
 print("seeded corpus of localized interpolation ratios (d = 1, both variants):")

@@ -153,7 +153,7 @@ def run_verify_identities(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     checks = check_identities(series, constants)
     write_csv(series.records, series.collector.columns, out / "diagnostics.csv")
     summary = {"admissibility": coupling.classification(),
-               "fd_constants": vars(constants),
+               "fd_constants": constants,
                "checks": checks}
     for name, c in checks.items():
         if c["pass"] is False:

@@ -41,6 +41,9 @@ ENV_OUT_DIR = "NLSKIT_OUT_DIR"
 # bytes the diagnostics sink keeps per snapshot, at least: tracemalloc (CPython 3.11) gave 552
 # (verify-identities, d = 1, N = 1, no interaction weight) to 1428 (simulate, defaults)
 SNAPSHOT_BYTES = 512
+# bytes gn-check keeps per corpus sample, at least: tracemalloc (CPython 3.11) gave 355 per
+# spawned SeedSequence and a run peak of 384 per sample at 4000 to 16000 samples
+GN_SAMPLE_BYTES = 360
 
 
 class ConfigError(ValueError):
@@ -221,10 +224,14 @@ def _validate(c: dict, problems: list[str]):
             problems.append("beta matrix must be symmetric")
         if (mat != np.diag(np.diag(mat))).any() and cfg.p < 1:
             problems.append(f"off-diagonal coupling requires p >= 1, got p = {cfg.p}")
+    records = None  # (what the run keeps, item count, item, bytes per item, remedy)
     if cfg.experiment == "gn-check":
         misfit = GridSpec(cfg.d, cfg.grid_m, cfg.box_l).unit_cube_problem()
         if misfit:
             problems.append(f"gn-check needs unit cubes on the grid: {misfit}")
+        # the corpus spawns every sample's seed and ratio slot before the first sample
+        records = ("per-sample records", cfg.gn_count, "samples", GN_SAMPLE_BYTES,
+                   "lower gn_count")
     if cfg.experiment == "wave-op":
         # the wave operator holds one complex n_nodes x N x M^d node buffer,
         # and its quadrature needs a step between two nodes
@@ -244,17 +251,20 @@ def _validate(c: dict, problems: list[str]):
         key = "t_final"
         if cfg.experiment == "verify-identities" and cfg.fd_calibration_t > cfg.t_final:
             key = "fd_calibration_t"
-        count = cfg.step_params(c[key]).n_snapshots
-        size, memory = count * SNAPSHOT_BYTES, _physical_memory()
+        records = ("diagnostics records", cfg.step_params(c[key]).n_snapshots, "snapshots",
+                   SNAPSHOT_BYTES, f"shorten {key}, lengthen dt or raise snapshot_stride")
+    if records:
+        what, count, item, each, remedy = records
+        size, memory = count * each, _physical_memory()
         if size > memory:
             problems.append(
-                f"{cfg.experiment} needs at least {size / 2 ** 20:.3g} MiB of diagnostics "
-                f"records ({count:.3g} snapshots x {SNAPSHOT_BYTES} bytes), more than the "
-                f"{memory / 2 ** 20:.1f} MiB of physical memory: "
-                f"shorten {key}, lengthen dt or raise snapshot_stride")
+                f"{cfg.experiment} needs at least {size / 2 ** 20:.3g} MiB of {what} "
+                f"({count:.3g} {item} x {each} bytes), more than the "
+                f"{memory / 2 ** 20:.1f} MiB of physical memory: {remedy}")
     minimum = {}
-    if cfg.experiment == "scatter":
-        # the Cauchy test compares consecutive snapshots
+    if cfg.experiment in ("simulate", "scatter"):
+        # scatter's Cauchy test compares consecutive snapshots, and simulate's
+        # drift and boundary checks compare the snapshots with t = 0
         minimum["t_final"] = (2, "")
     if cfg.experiment == "verify-identities":
         # the finite differences of the checks need an interior snapshot, and

@@ -75,47 +75,48 @@ CONVEXITY_R_MAX, CONVEXITY_SAMPLES = 100.0, 2048  # radii sampled by convexity_o
 INEQUALITY_REL_TOL = 1e-6  # relative floor of interaction_inequality_check's tolerances
 
 
+def _full(value: float) -> Callable:
+    return lambda r: np.full_like(np.asarray(r, dtype=float), value)
+
+
+_ZERO = _full(0.0)
+
+
 @dataclass(frozen=True, eq=False)
 class MorawetzWeight:
-    """Radial weight phi with its derivative data.
+    """Radial weight phi (profile) with its first to fourth radial
+    derivatives d1, d2, d3 and d4.
 
     kinds:
-      constant       phi = value (kills every derivative term)
-      absdistance    phi(r) = r; delta-bearing derivatives handled analytically
-      smoothradial   user profile with radial derivatives d1, d2 (and d3, d4
-                     when the bilaplacian term is needed)
+      constant       phi = value, every derivative zero
+      absdistance    phi(r) = r with its classical derivatives off r = 0; the
+                     delta parts at r = 0 are collapsed analytically by
+                     interaction_report and refused by virial_Vddot
+      smoothradial   phi(r) = r^2
       erf            erf-smoothed |r| with closed-form derivatives; d = 1 only
     """
 
     kind: str
+    profile: Callable
+    d1: Callable
+    d2: Callable
+    d3: Callable
+    d4: Callable
     value: float = 1.0
     eps: float = 0.0
-    profile: Callable | None = None
-    d1: Callable | None = None
-    d2: Callable | None = None
-    d3: Callable | None = None
-    d4: Callable | None = None
-    label: str = ""
 
     @staticmethod
     def constant(value: float = 1.0) -> "MorawetzWeight":
-        return MorawetzWeight(CONSTANT, value=value, label=f"constant({value})")
+        return MorawetzWeight(CONSTANT, _full(value), _ZERO, _ZERO, _ZERO, _ZERO, value=value)
 
     @staticmethod
     def abs_distance() -> "MorawetzWeight":
-        return MorawetzWeight(ABS_DISTANCE, label="|x|")
+        return MorawetzWeight(ABS_DISTANCE, lambda r: r, _full(1.0), _ZERO, _ZERO, _ZERO)
 
     @staticmethod
     def quadratic() -> "MorawetzWeight":
-        return MorawetzWeight(
-            SMOOTH_RADIAL,
-            profile=lambda r: r * r,
-            d1=lambda r: 2.0 * r,
-            d2=lambda r: np.full_like(np.asarray(r, dtype=float), 2.0),
-            d3=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-            d4=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-            label="|x|^2",
-        )
+        return MorawetzWeight(SMOOTH_RADIAL, lambda r: r * r, lambda r: 2.0 * r,
+                              _full(2.0), _ZERO, _ZERO)
 
     @staticmethod
     def erf_smoothed(eps: float) -> "MorawetzWeight":
@@ -143,13 +144,10 @@ class MorawetzWeight:
         def d4(r):
             return ((8.0 * r ** 2 / eps ** 5 - 4.0 / eps ** 3) / s) * np.exp(-((r / eps) ** 2))
 
-        return MorawetzWeight(ERF_SMOOTHED, eps=eps, profile=profile,
-                              d1=d1, d2=d2, d3=d3, d4=d4, label=f"erf({eps})")
+        return MorawetzWeight(ERF_SMOOTHED, profile, d1, d2, d3, d4, eps=eps)
 
     def convexity_ok(self) -> bool:
         """Sampled check that d2 >= 0 and d1/r >= 0 (radial convexity)."""
-        if self.kind in (CONSTANT, ABS_DISTANCE):
-            return True
         r = np.linspace(CONVEXITY_R_MAX / CONVEXITY_SAMPLES, CONVEXITY_R_MAX, CONVEXITY_SAMPLES)
         return bool((np.asarray(self.d2(r)) >= -1e-12).all()
                     and (np.asarray(self.d1(r)) / r >= -1e-12).all())
@@ -181,22 +179,16 @@ def virial_V(state: SystemState | Snapshot, weight: MorawetzWeight, center=None)
     """V = sum_mu int phi m_mu."""
     snap = Snapshot.of(state)
     g = snap.state.grid
-    rho = snap.rho
-    if weight.kind == CONSTANT:
-        return weight.value * g.cell_volume * float(rho.sum())
     r, _ = _virial_meshes(g, center)
-    phi = r if weight.kind == ABS_DISTANCE else np.asarray(weight.profile(r))
-    return g.cell_volume * float(np.sum(phi * rho))
+    return g.cell_volume * float(np.sum(np.asarray(weight.profile(r)) * snap.rho))
 
 
 def virial_Vdot(state: SystemState | Snapshot, weight: MorawetzWeight, center=None) -> float:
     """dV/dt = 2 sum_mu int j_mu . grad phi."""
     snap = Snapshot.of(state)
     g = snap.state.grid
-    if weight.kind == CONSTANT:
-        return 0.0
     r, dirs = _virial_meshes(g, center)
-    dphi = np.ones_like(r) if weight.kind == ABS_DISTANCE else np.asarray(weight.d1(r))
+    dphi = np.asarray(weight.d1(r))
     j = snap.current
     total = sum(np.sum(j[a] * dphi * dirs[a]) for a in range(g.d))
     return 2.0 * g.cell_volume * float(total)
@@ -238,9 +230,9 @@ def virial_Vddot(state: SystemState | Snapshot, weight: MorawetzWeight,
                  center=None) -> VirialSecond:
     """d2V/dt2 split into bilaplacian, hessian and nonlinear terms.
 
-    Requires a smooth weight; the abs-distance weight carries delta terms in
-    dimensions 1 and 3 and is rejected here -- use interaction_report, whose
-    delta parts are collapsed analytically.
+    The abs-distance weight carries delta terms in dimensions 1 and 3 that
+    its classical derivatives miss, and is rejected here -- use
+    interaction_report, whose delta parts are collapsed analytically.
     """
     if weight.kind == ABS_DISTANCE:
         raise ValueError(
@@ -250,11 +242,6 @@ def virial_Vddot(state: SystemState | Snapshot, weight: MorawetzWeight,
     snap = Snapshot.of(state)
     g = snap.state.grid
     c = snap.state.coupling
-    if weight.kind == CONSTANT:
-        return VirialSecond(0.0, 0.0, 0.0, 0.0)
-    if weight.d3 is None or weight.d4 is None:
-        raise ValueError("third and fourth radial derivatives are required "
-                         "for the bilaplacian term")
     r, dirs = _virial_meshes(g, center)
     d1 = np.asarray(weight.d1(r))
     d2 = np.asarray(weight.d2(r))
@@ -286,7 +273,6 @@ class InteractionReport:
     """Single-snapshot interaction quantities."""
 
     t: float
-    weight: str
     I: float
     Idot: float
     N_term: float
@@ -334,9 +320,8 @@ def interaction_report(state: SystemState | Snapshot, weight: MorawetzWeight) ->
 
     if weight.kind == CONSTANT:
         m = vol * float(rho.sum())
-        return InteractionReport(t=t, weight=weight.label, I=weight.value * m * m,
-                                 Idot=0.0, N_term=0.0, gradient_term=0.0,
-                                 rhs_lower=0.0, rhs_lower_alt=0.0)
+        return InteractionReport(t=t, I=weight.value * m * m, Idot=0.0, N_term=0.0,
+                                 gradient_term=0.0, rhs_lower=0.0, rhs_lower_alt=0.0)
     if weight.kind == ERF_SMOOTHED and g.d != 1:
         raise ValueError("the erf-smoothed weight is provided for d = 1 only; "
                          + _SUPPORTED)
@@ -370,8 +355,7 @@ def interaction_report(state: SystemState | Snapshot, weight: MorawetzWeight) ->
             # -2 intint m m Lap^2 psi is 16 pi int rho^2 (twice the Newtonian
             # constant: the inner Laplacian of |z| already carries the 2).
             alt = 16.0 * math.pi * vol * float(np.sum(rho * rho)) + N
-    return InteractionReport(t=t, weight=weight.label, I=I, Idot=Idot,
-                             N_term=N, gradient_term=grad_term,
+    return InteractionReport(t=t, I=I, Idot=Idot, N_term=N, gradient_term=grad_term,
                              rhs_lower=grad_term + N, rhs_lower_alt=alt)
 
 
@@ -390,6 +374,16 @@ def second_difference(times: np.ndarray, series: np.ndarray) -> np.ndarray:
     dt = times[1] - times[0]."""
     dt = times[1] - times[0]
     return (series[2:] - 2.0 * series[1:-1] + series[:-2]) / dt ** 2
+
+
+def fd_gap_first(times: np.ndarray, series: np.ndarray, formula: np.ndarray) -> np.ndarray:
+    """|central difference of series - formula| at interior snapshots."""
+    return np.abs(central_difference(times, series) - formula[1:-1])
+
+
+def fd_gap_second(times: np.ndarray, series: np.ndarray, formula: np.ndarray) -> np.ndarray:
+    """|second difference of series - formula| at interior snapshots."""
+    return np.abs(second_difference(times, series) - formula[1:-1])
 
 
 @dataclass
@@ -443,7 +437,7 @@ def interaction_inequality_check(reports: Sequence[InteractionReport],
     margins = iddot_fd - rhs[1:-1]
     ok2 = bool((margins >= -tol).all())
 
-    idot_gap = float(np.abs(central_difference(ts, I) - idots[1:-1]).max())
+    idot_gap = float(fd_gap_first(ts, I, idots).max())
 
     lhs_int = float(idots[-1] - idots[0])
     rhs_int = float(np.trapezoid(rhs, ts))
@@ -492,13 +486,6 @@ class SpacetimeAccumulators:
     def totals(self) -> dict[str, float]:
         return {name: acc.total for name, acc in self.integrals.items()}
 
-    @property
-    def history(self) -> list[tuple[float, dict[str, float]]]:
-        """(t, {name: integrand value}) for every update."""
-        samples = zip(*(acc.history for acc in self.integrals.values()))
-        return [(row[0][0], {name: v for name, (_, v) in zip(self.names, row)})
-                for row in samples]
-
     def _integrands(self, snap: Snapshot) -> dict[str, float]:
         state = snap.state
         g = state.grid
@@ -542,11 +529,3 @@ class SpacetimeAccumulators:
         vals = self._integrands(snap)
         for name in self.names:
             self.integrals[name].add(snap.state.t, vals[name])
-
-    def increment_over(self, t0: float, t1: float) -> dict[str, float]:
-        """Trapezoid contribution of the window [t0, t1] from the history."""
-        return {name: acc.increment_over(t0, t1) for name, acc in self.integrals.items()}
-
-    def tail_fraction(self, name: str, window: float) -> float:
-        """Fraction of the total accumulated over the final time window."""
-        return self.integrals[name].tail_fraction(window)

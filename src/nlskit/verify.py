@@ -15,8 +15,8 @@ StepParams.n_snapshots snapshots of a longer run are bitwise those of a run
 that stops at the shorter t_final.  Only the dt/2 trajectory is run by the
 calibration.
 
-Every finite difference is morawetz.central_difference or
-second_difference, the formulas of the interaction inequality check.
+Every gap is morawetz.fd_gap_first or fd_gap_second, built on the
+central_difference and second_difference of the interaction inequality check.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from .diagnostics import CollectorOptions, DiagnosticsCollector
 from .evolve import StepParams, evolve
 # interaction_report is unused here; perfbench/tests checks that the tracer
 # rebinds this binding of it (ROADMAP item 1 retires that check)
-from .morawetz import (InteractionReport, MorawetzWeight,  # noqa: F401
-                       central_difference, interaction_inequality_check,
-                       interaction_report, second_difference)
+from .morawetz import (InteractionReport, MorawetzWeight, fd_gap_first,  # noqa: F401
+                       fd_gap_second, interaction_inequality_check, interaction_report,
+                       second_difference)
 from .system import SystemState
 
 FD_SAFETY = 2.0  # factor on the dt^2 constants that calibrate_fd_constants fits
@@ -47,7 +47,8 @@ def _column(name: str) -> property:
 @dataclass
 class TrajectorySeries:
     """The first n snapshots of a collector run with the V, Vdot and Vddot
-    columns: a view of its records and interaction reports."""
+    columns (and I, Idot with an interaction weight): a view of its records
+    and interaction reports."""
 
     collector: DiagnosticsCollector
     n: int
@@ -56,6 +57,8 @@ class TrajectorySeries:
     V = _column("V")
     Vdot = _column("Vdot")
     Vddot = _column("Vddot")
+    I = _column("I")
+    Idot = _column("Idot")
 
     @property
     def records(self) -> list[dict]:
@@ -87,29 +90,9 @@ def collect_series(state0: SystemState, params: StepParams,
     return TrajectorySeries(collector, len(collector.records))
 
 
-def fd_gap_first(times: np.ndarray, series: np.ndarray, formula: np.ndarray) -> np.ndarray:
-    """|central difference of series - formula| at interior snapshots."""
-    return np.abs(central_difference(times, series) - formula[1:-1])
-
-
-def fd_gap_second(times: np.ndarray, series: np.ndarray, formula: np.ndarray) -> np.ndarray:
-    """|second difference of series - formula| at interior snapshots."""
-    return np.abs(second_difference(times, series) - formula[1:-1])
-
-
-@dataclass
-class FdConstants:
-    """Calibrated leading coefficients of the dt^2 finite-difference error."""
-
-    c_vdot: float
-    c_vddot: float
-    c_idot: float
-    c_iddot: float
-
-
 def calibrate_fd_constants(coarse: TrajectorySeries, state0: SystemState,
                            params: StepParams, smooth_weight: MorawetzWeight,
-                           interaction_weight: MorawetzWeight | None) -> FdConstants:
+                           interaction_weight: MorawetzWeight | None) -> dict[str, float]:
     """Fit gap = C dt_s^2 on the window params.t_final at (dt, dt/2).
 
     coarse is the dt trajectory of params from state0 (the caller's, often a
@@ -117,7 +100,9 @@ def calibrate_fd_constants(coarse: TrajectorySeries, state0: SystemState,
     other fields (dealias included) and twice its stride, so both sample the
     same snapshot times.  Returns the larger of the two extrapolations per
     identity, times FD_SAFETY, so the calibrated tolerance is an upper
-    envelope of the pure finite-difference error of this configuration.
+    envelope of the pure finite-difference error of this configuration: the
+    fd_constants of summary.json, c_vdot, c_vddot, c_idot and c_iddot (the
+    last two 0 without an interaction weight).
     Raises ValueError if coarse does not sample params' snapshot times.
     """
     n = len(coarse.times)
@@ -136,18 +121,16 @@ def calibrate_fd_constants(coarse: TrajectorySeries, state0: SystemState,
         g1 = fd_gap_first(tr.times, tr.V, tr.Vdot).max() / dts ** 2
         g2 = fd_gap_second(tr.times, tr.V, tr.Vddot).max() / dts ** 2
         if interaction_weight is not None and tr.reports:
-            I = np.array([r.I for r in tr.reports])
-            Id = np.array([r.Idot for r in tr.reports])
-            gi = fd_gap_first(tr.times, I, Id).max() / dts ** 2
-            gii = np.abs(second_difference(tr.times, I)).max() / max(dts, 1.0)
+            gi = fd_gap_first(tr.times, tr.I, tr.Idot).max() / dts ** 2
+            gii = np.abs(second_difference(tr.times, tr.I)).max() / max(dts, 1.0)
         else:
             gi, gii = 0.0, 0.0
         gaps.append((g1, g2, gi, gii))
-    pick = [float(FD_SAFETY * max(a, b)) for a, b in zip(*gaps)]
-    return FdConstants(c_vdot=pick[0], c_vddot=pick[1], c_idot=pick[2], c_iddot=pick[3])
+    return {name: float(FD_SAFETY * max(a, b))
+            for name, a, b in zip(("c_vdot", "c_vddot", "c_idot", "c_iddot"), *gaps)}
 
 
-def check_identities(series: TrajectorySeries, constants: FdConstants) -> dict:
+def check_identities(series: TrajectorySeries, constants: dict[str, float]) -> dict:
     """The checks of summary.json: the dV/dt, d2V/dt2 and dI/dt identities
     at calibrated tolerances, each {"gap", "tol", "pass"}, then the
     interaction convexity inequality in both forms, each {"pass"}.  Without
@@ -161,15 +144,15 @@ def check_identities(series: TrajectorySeries, constants: FdConstants) -> dict:
     t, V = series.times, series.V
     checks = {
         "virial_first_identity": gap_check(float(fd_gap_first(t, V, series.Vdot).max()),
-                                           constants.c_vdot, ABS_FLOOR_FIRST),
+                                           constants["c_vdot"], ABS_FLOOR_FIRST),
         "virial_second_identity": gap_check(float(fd_gap_second(t, V, series.Vddot).max()),
-                                            constants.c_vddot, ABS_FLOOR_SECOND),
+                                            constants["c_vddot"], ABS_FLOOR_SECOND),
         "interaction_first_identity": {"gap": None, "tol": None, "pass": None},
         "interaction_inequality": {"pass": None},
         "interaction_integrated": {"pass": None}}
     if series.reports:
-        check = interaction_inequality_check(series.reports, fd_constant=constants.c_iddot)
-        checks["interaction_first_identity"] = gap_check(check.idot_fd_gap, constants.c_idot,
+        check = interaction_inequality_check(series.reports, fd_constant=constants["c_iddot"])
+        checks["interaction_first_identity"] = gap_check(check.idot_fd_gap, constants["c_idot"],
                                                          ABS_FLOOR_FIRST)
         checks["interaction_inequality"]["pass"] = check.second_difference_ok
         checks["interaction_integrated"]["pass"] = check.integrated_ok

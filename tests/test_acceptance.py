@@ -218,7 +218,7 @@ def decay_run():
 
 def test_criterion_06_spacetime_finiteness(decay_run):
     acc = decay_run["acc"]
-    tail = acc.tail_fraction("power_2p4", 10.0)
+    tail = acc.integrals["power_2p4"].tail_fraction(10.0)
     total = acc.totals["power_2p4"]
     ok = tail < 0.05 and total > 0.0 and decay_run["boundary"] < 1e-6
     report(6, "space-time finiteness", ok,

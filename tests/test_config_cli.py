@@ -109,6 +109,9 @@ def test_every_config_key_has_one_flag_through_the_override_path(tmp_path, monke
         elif types == (str,):
             value = str(tmp_path / key)
             argv = [flag, value]
+        elif key == "dt":  # small enough for simulate's 2 snapshots at the default t_final
+            value = 2.0 * default
+            argv = [flag, repr(value)]
         else:
             value = default + 2 if types == (int,) else 2.0 * default + 0.5
             argv = [flag, repr(value)]
@@ -331,7 +334,7 @@ def test_cli_verify_identities_runs_two_trajectories(tmp_path, monkeypatch, wind
                             smooth, inter)
 
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["fd_constants"] == vars(constants)
+    assert summary["fd_constants"] == constants
     assert summary["checks"] == check_identities(series, constants)
 
     with open(out / "diagnostics.csv", newline="") as fh:
@@ -501,6 +504,28 @@ def test_cli_scatter_refuses_fewer_than_two_snapshots(tmp_path, capsys, flags, m
     err = capsys.readouterr().err
     assert err.startswith("nlskit: invalid configuration") and message in err
     assert not out.exists()
+
+
+def test_config_refuses_a_simulate_of_one_snapshot():
+    # its drift and boundary checks would compare t = 0 with itself
+    one = {"experiment": "simulate", "grid_m": 64, "box_l": 8.0, "t_final": 0.5,
+           "dt": 1e-2, "snapshot_stride": 100}
+    with pytest.raises(ConfigError, match="simulate needs at least 2 snapshots: t_final = 0.5 "
+                       "gives 1 at dt = 0.01, snapshot_stride = 100"):
+        parse_config(None, one)
+    assert parse_config(None, {**one, "snapshot_stride": 50}).snapshot_stride == 50
+
+
+def test_config_refuses_a_gn_check_whose_corpus_exceeds_memory(monkeypatch):
+    """parse_config alone: no run starts."""
+    run = {"experiment": "gn-check", "d": 1, "grid_m": 64, "box_l": 4.0}
+    with pytest.raises(ConfigError, match=r"gn-check needs at least .* MiB of per-sample "
+                       r"records \(1e\+12 samples x 360 bytes\), .*: lower gn_count"):
+        parse_config(None, {**run, "gn_count": 10 ** 12})
+    monkeypatch.setattr(nlskit.config, "_physical_memory", lambda: 100 * 360)
+    assert parse_config(None, {**run, "gn_count": 100}).gn_count == 100
+    with pytest.raises(ConfigError, match=r"\(101 samples x 360 bytes\)"):
+        parse_config(None, {**run, "gn_count": 101})
 
 
 @pytest.mark.parametrize("experiment, flags, message", [

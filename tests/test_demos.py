@@ -54,3 +54,21 @@ def test_readme_module_table_names_exist():
         assert modules, row
         for name in re.findall(r"`([A-Za-z_]\w*)`", contents):
             assert any(hasattr(m, name) for m in modules), (modules_cell.strip(), name)
+
+
+def test_readme_cli_commands_parse(tmp_path):
+    """Every nlskit command of the README's command-line block parses and
+    passes configuration validation (no run starts)."""
+    from nlskit.cli import build_parser
+    from nlskit.config import parse_config
+
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [line.split()[1:] for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("nlskit ")]
+    assert len(commands) == 5
+    for argv in commands:
+        ns = build_parser().parse_args([*argv, "--out-dir", str(tmp_path)])
+        overrides = {k: v for k, v in vars(ns).items()
+                     if k not in ("config", "experiment") and v is not None}
+        assert parse_config(ns.config, {**overrides, "experiment": ns.experiment})

@@ -52,6 +52,25 @@ def test_quadratic_weight_derivatives():
     assert w.convexity_ok()
 
 
+@pytest.mark.parametrize("weight", [MorawetzWeight.constant(2.5), MorawetzWeight.abs_distance(),
+                                    MorawetzWeight.quadratic(), MorawetzWeight.erf_smoothed(0.5)],
+                         ids=["constant", "absdistance", "quadratic", "erf"])
+def test_every_weight_carries_its_radial_derivatives(weight):
+    r = np.linspace(0.5, 5.0, 91)
+    h = 1e-4
+    chain = (weight.profile, weight.d1, weight.d2, weight.d3, weight.d4)
+    for f, df in zip(chain, chain[1:]):
+        assert callable(df)
+        fd = (np.asarray(f(r + h)) - np.asarray(f(r - h))) / (2 * h)
+        assert np.allclose(df(r), fd, rtol=1e-6, atol=1e-6)
+    assert weight.convexity_ok()
+    if weight.kind == "constant":
+        st = two_component_state(GridSpec(1, 128, 16.0))
+        assert math.isclose(virial_V(st, weight), 2.5 * total_mass(st), rel_tol=1e-14)
+        assert virial_Vdot(st, weight) == 0.0
+        assert virial_Vddot(st, weight).total == 0.0
+
+
 def test_erf_weight_consistency():
     w = MorawetzWeight.erf_smoothed(0.3)
     r = np.linspace(0.01, 3.0, 400)
@@ -263,7 +282,7 @@ def test_shared_snapshot_gives_the_same_diagnostics(d, m):
     shared, alone = SpacetimeAccumulators(st.coupling), SpacetimeAccumulators(st.coupling)
     shared.update(snap)
     alone.update(st)
-    assert shared.history == alone.history
+    assert all(shared.integrals[n].history == alone.integrals[n].history for n in alone.names)
 
 
 def _counted_collector_call(monkeypatch, d, m):
@@ -341,7 +360,8 @@ def _assert_columns_equal_bare_state_observables(st, collector):
     assert collector.reports == [rep]
     alone = SpacetimeAccumulators(st.coupling)
     alone.update(st)
-    assert collector.accumulators.history == alone.history
+    assert all(collector.accumulators.integrals[n].history == alone.integrals[n].history
+               for n in alone.names)
 
 
 def test_one_collector_call_transforms_each_piece_once(monkeypatch):
@@ -538,8 +558,8 @@ def test_accumulator_tail_fraction_decays(grid1d):
     st = single_state(gaussian(grid1d, amp=0.9), p=2.0)
     acc = SpacetimeAccumulators(st.coupling)
     evolve(st, StepParams(dt=5e-3, t_final=8.0, snapshot_stride=20), acc.update)
-    frac = acc.tail_fraction("power_2p4", 2.0)
-    early = acc.increment_over(0.0, 2.0)["power_2p4"] / acc.totals["power_2p4"]
+    frac = acc.integrals["power_2p4"].tail_fraction(2.0)
+    early = acc.integrals["power_2p4"].increment_over(0.0, 2.0) / acc.totals["power_2p4"]
     assert frac < 0.1 * early  # late windows contribute far less than early ones
 
 

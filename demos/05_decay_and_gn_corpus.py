@@ -26,8 +26,8 @@ print("   t     sum ||u||_L4    sum ||u||_L2      accumulated |u|^8")
 def sink(s):
     acc.update(s)
     if abs(s.t - round(s.t)) < 1e-9 and round(s.t) in (0, 1, 2, 4, 8, 12, 16):
-        print(f"  {s.t:4.0f}   {lq_norm(s, 4.0).aggregate:10.5f}   "
-              f"{lq_norm(s, 2.0).aggregate:10.6f}     {acc.totals['power_2p4']:.5e}")
+        print(f"  {s.t:4.0f}   {lq_norm(s, 4.0):10.5f}   "
+              f"{lq_norm(s, 2.0):10.6f}     {acc.totals['power_2p4']:.5e}")
 
 evolve(state, StepParams(dt=5e-3, t_final=16.0, snapshot_stride=20), sink)
 print()

@@ -12,7 +12,7 @@ on seeded corpora.
 
 from .grid import (GridSpec, ScalarField, RadialKernel, field_from_function,
                    forward_transform, cube_sup_l2)
-from .system import (CouplingSpec, SystemState, EnergyReport, LqReport,
+from .system import (CouplingSpec, SystemState, EnergyReport,
                      Snapshot, state_from_arrays, mass, total_mass,
                      energy, lq_norm, h1_norm, sup_cube_mass,
                      boundary_mass_fraction, BOUNDARY_MASS_LIMIT)

@@ -166,7 +166,7 @@ def run_scatter(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     collector = _collector(cfg, coupling, grid, keep_states=cfg.scatter_window)
     evolve(state0, cfg.step_params(), collector)
     write_csv(collector.records, collector.columns, out / "diagnostics.csv")
-    result = asymptotic_profile(collector.states, direction=+1, tol=cfg.tol)
+    result = asymptotic_profile(collector.states, tol=cfg.tol)
     write_fields(out / "profile.nlsf", grid, result.profile)
     summary = {"admissibility": coupling.classification(),
                "residuals": [list(r) for r in result.residuals],

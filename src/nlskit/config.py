@@ -41,9 +41,9 @@ ENV_OUT_DIR = "NLSKIT_OUT_DIR"
 # bytes the diagnostics sink keeps per snapshot, at least: tracemalloc (CPython 3.11) gave 552
 # (verify-identities, d = 1, N = 1, no interaction weight) to 1428 (simulate, defaults)
 SNAPSHOT_BYTES = 512
-# bytes gn-check keeps per corpus sample, at least: tracemalloc (CPython 3.11) gave 355 per
-# spawned SeedSequence and a run peak of 384 per sample at 4000 to 16000 samples
-GN_SAMPLE_BYTES = 360
+# bytes gn-check keeps per corpus sample, at least: tracemalloc (CPython 3.11) gave a run peak
+# rising by 196 to 198 bytes a sample from 16000 to 32000 samples (ratio slot, report line)
+GN_SAMPLE_BYTES = 192
 
 
 class ConfigError(ValueError):
@@ -212,7 +212,48 @@ def _validate(c: dict, problems: list[str]):
     if problems:
         return
     cfg = RunConfig(**c)
-    n = cfg.n_components
+    n, points = cfg.n_components, cfg.grid_m ** cfg.d
+    # what the run holds at once, at least: (what, count, item, bytes each,
+    # remedy); a row above physical memory is refused before anything of its
+    # size is allocated, the coupling matrix below included
+    table = [("coupling matrix", n * n, "entries", 8, "lower n_components")]
+    if cfg.experiment == "gn-check":
+        misfit = GridSpec(cfg.d, cfg.grid_m, cfg.box_l).unit_cube_problem()
+        if misfit:
+            problems.append(f"gn-check needs unit cubes on the grid: {misfit}")
+        # a sample holds its gn_alpha fields at once; the corpus keeps a ratio
+        # slot and a report line per sample
+        table += [("sample fields", cfg.gn_alpha * points, "complex values", 16,
+                   "lower gn_alpha or coarsen the grid"),
+                  ("per-sample records", cfg.gn_count, "samples", GN_SAMPLE_BYTES,
+                   "lower gn_count")]
+    else:
+        table.append(("fields", n * points, "complex values", 16,
+                      "lower n_components or coarsen the grid"))
+    if cfg.experiment == "wave-op":
+        # the wave operator holds one complex n_nodes x N x M^d node buffer,
+        # and its quadrature needs a step between two nodes
+        n_nodes = node_count(cfg.wave_t, cfg.wave_dt)
+        if n_nodes < 2:
+            problems.append(f"wave-op needs at least 2 time nodes: wave_t = {cfg.wave_t} "
+                            f"gives {n_nodes} at wave_dt = {cfg.wave_dt}")
+        table.append(("node buffer", n_nodes, "nodes", n * points * 16,
+                      "shorten wave_t, lengthen wave_dt or coarsen the grid"))
+    elif cfg.experiment != "gn-check":
+        # the sink keeps a record per snapshot; verify-identities' dt run covers both horizons
+        key = "t_final"
+        if cfg.experiment == "verify-identities" and cfg.fd_calibration_t > cfg.t_final:
+            key = "fd_calibration_t"
+        table.append(("diagnostics records", cfg.step_params(c[key]).n_snapshots, "snapshots",
+                      SNAPSHOT_BYTES, f"shorten {key}, lengthen dt or raise snapshot_stride"))
+    memory = _physical_memory()
+    for what, count, item, each, remedy in table:
+        if count * each > memory:
+            problems.append(f"{cfg.experiment} needs at least {count * each / 2 ** 20:.3g} MiB "
+                            f"of {what} ({count:.3g} {item} x {each} bytes), more than the "
+                            f"{memory / 2 ** 20:.1f} MiB of physical memory: {remedy}")
+    if problems:
+        return
     try:
         mat = cfg.beta_matrix()
     except ValueError as err:
@@ -224,43 +265,6 @@ def _validate(c: dict, problems: list[str]):
             problems.append("beta matrix must be symmetric")
         if (mat != np.diag(np.diag(mat))).any() and cfg.p < 1:
             problems.append(f"off-diagonal coupling requires p >= 1, got p = {cfg.p}")
-    records = None  # (what the run keeps, item count, item, bytes per item, remedy)
-    if cfg.experiment == "gn-check":
-        misfit = GridSpec(cfg.d, cfg.grid_m, cfg.box_l).unit_cube_problem()
-        if misfit:
-            problems.append(f"gn-check needs unit cubes on the grid: {misfit}")
-        # the corpus spawns every sample's seed and ratio slot before the first sample
-        records = ("per-sample records", cfg.gn_count, "samples", GN_SAMPLE_BYTES,
-                   "lower gn_count")
-    if cfg.experiment == "wave-op":
-        # the wave operator holds one complex n_nodes x N x M^d node buffer,
-        # and its quadrature needs a step between two nodes
-        n_nodes = node_count(cfg.wave_t, cfg.wave_dt)
-        if n_nodes < 2:
-            problems.append(f"wave-op needs at least 2 time nodes: wave_t = {cfg.wave_t} "
-                            f"gives {n_nodes} at wave_dt = {cfg.wave_dt}")
-        size, memory = n_nodes * n * cfg.grid_m ** cfg.d * 16, _physical_memory()
-        if size > memory:
-            problems.append(
-                f"wave-op needs a {size / 2 ** 20:.1f} MiB node buffer ({n_nodes} nodes x "
-                f"{n} components x {cfg.grid_m}^{cfg.d} points), more than the "
-                f"{memory / 2 ** 20:.1f} MiB of physical memory: "
-                "shorten wave_t, lengthen wave_dt or coarsen the grid")
-    elif cfg.experiment in ("simulate", "scatter", "verify-identities"):
-        # the sink keeps a record per snapshot; verify-identities' dt run covers both horizons
-        key = "t_final"
-        if cfg.experiment == "verify-identities" and cfg.fd_calibration_t > cfg.t_final:
-            key = "fd_calibration_t"
-        records = ("diagnostics records", cfg.step_params(c[key]).n_snapshots, "snapshots",
-                   SNAPSHOT_BYTES, f"shorten {key}, lengthen dt or raise snapshot_stride")
-    if records:
-        what, count, item, each, remedy = records
-        size, memory = count * each, _physical_memory()
-        if size > memory:
-            problems.append(
-                f"{cfg.experiment} needs at least {size / 2 ** 20:.3g} MiB of {what} "
-                f"({count:.3g} {item} x {each} bytes), more than the "
-                f"{memory / 2 ** 20:.1f} MiB of physical memory: {remedy}")
     minimum = {}
     if cfg.experiment in ("simulate", "scatter"):
         # scatter's Cauchy test compares consecutive snapshots, and simulate's

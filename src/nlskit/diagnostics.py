@@ -69,7 +69,7 @@ class DiagnosticsCollector:
         e = energy(snap)
         rec["kinetic"], rec["potential"], rec["energy_total"] = e.kinetic, e.potential, e.total
         for q in self.opts.lq_values:
-            rec[f"l{q:g}_total"] = lq_norm(state, q).aggregate
+            rec[f"l{q:g}_total"] = lq_norm(state, q)
         if self.cube_mass:
             rec["sup_cube_mass"] = sup_cube_mass(snap)
         if self.opts.weight is not None:

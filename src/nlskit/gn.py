@@ -32,7 +32,6 @@ GENERATORS = ("band-limited", "bumps", "bump-trains")
 @dataclass
 class GNReport:
     variant: str
-    d: int
     generator: str
     count: int
     seed: int
@@ -79,9 +78,9 @@ def _ratio(fields: tuple[ScalarField, ...], variant: str, l2_scale: float) -> fl
 
 # ---------------------------------------------------------------------------
 # Sample generators.  All randomness flows from one 64-bit seed through
-# numpy SeedSequence spawning: sample i of a corpus uses
-# SeedSequence(seed).spawn(count)[i], and component l within a sample draws
-# from the same stream in component order.
+# numpy SeedSequence spawning: sample i of a corpus uses the i-th child of
+# SeedSequence(seed), the same as SeedSequence(seed).spawn(count)[i], and
+# component l within a sample draws from the same stream in component order.
 # ---------------------------------------------------------------------------
 
 def _band_limited(grid: GridSpec, alpha: int, rng: np.random.Generator) -> tuple[ScalarField, ...]:
@@ -145,17 +144,18 @@ def corpus_sup_ratio(grid: GridSpec, alpha: int, generator: str, count: int,
                      variant: str, seed: int) -> GNReport:
     """Deterministic seeded corpus; reports per-sample ratios and their sup.
 
+    Sample i draws from the i-th child of SeedSequence(seed), spawned as it is drawn.
     Raises if the drift alarm fires (a sample above 10x the corpus median),
     which indicates a degenerate sample rather than a large constant.
     """
     if count < 1:
         raise ValueError("corpus must contain at least one sample")
-    children = np.random.SeedSequence(seed).spawn(count)
+    parent = np.random.SeedSequence(seed)
     ratios = np.empty(count)
-    for i, child in enumerate(children):
-        sample = generate_sample(grid, alpha, generator, np.random.default_rng(child))
-        ratios[i] = gn_ratio(sample, variant)
-    report = GNReport(variant=variant, d=grid.d, generator=generator, count=count,
+    for i in range(count):
+        rng = np.random.default_rng(parent.spawn(1)[0])
+        ratios[i] = gn_ratio(generate_sample(grid, alpha, generator, rng), variant)
+    report = GNReport(variant=variant, generator=generator, count=count,
                       seed=seed, ratios=ratios, sup_ratio=float(ratios.max()),
                       median_ratio=float(np.median(ratios)))
     if not np.isfinite(ratios).all():

@@ -154,40 +154,30 @@ class MorawetzWeight:
 
 
 @lru_cache(maxsize=8)
-def _cached_meshes(grid: GridSpec, center: tuple[float, ...]):
-    r = np.sqrt(sum((x - c) ** 2 for x, c in zip(grid.x_mesh, center)))
+def _virial_meshes(grid: GridSpec) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """|x| and the unit directions x/|x| (zero at the origin), cached per grid
+    and read-only."""
+    r = np.sqrt(sum(x ** 2 for x in grid.x_mesh))
     safe = np.where(r > 0, r, 1.0)
-    dirs = tuple(np.where(r > 0, (x - c) / safe, 0.0) for x, c in zip(grid.x_mesh, center))
+    dirs = tuple(np.where(r > 0, x / safe, 0.0) for x in grid.x_mesh)
     for a in (r, *dirs):
         a.setflags(write=False)
     return r, dirs
 
 
-def _virial_meshes(grid: GridSpec, center) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """|x - center| and the unit directions (x - center)/|x - center| (zero at
-    the centre), cached per grid and centre and read-only; center None is
-    the origin."""
-    if center is None:
-        center = (0.0,) * grid.d
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if center.shape != (grid.d,):
-        raise ValueError(f"center must have {grid.d} components")
-    return _cached_meshes(grid, tuple(float(c) for c in center))
-
-
-def virial_V(state: SystemState | Snapshot, weight: MorawetzWeight, center=None) -> float:
-    """V = sum_mu int phi m_mu."""
+def virial_V(state: SystemState | Snapshot, weight: MorawetzWeight) -> float:
+    """V = sum_mu int phi(|x|) m_mu, centred at the origin."""
     snap = Snapshot.of(state)
     g = snap.state.grid
-    r, _ = _virial_meshes(g, center)
+    r, _ = _virial_meshes(g)
     return g.cell_volume * float(np.sum(np.asarray(weight.profile(r)) * snap.rho))
 
 
-def virial_Vdot(state: SystemState | Snapshot, weight: MorawetzWeight, center=None) -> float:
-    """dV/dt = 2 sum_mu int j_mu . grad phi."""
+def virial_Vdot(state: SystemState | Snapshot, weight: MorawetzWeight) -> float:
+    """dV/dt = 2 sum_mu int j_mu . grad phi(|x|), centred at the origin."""
     snap = Snapshot.of(state)
     g = snap.state.grid
-    r, dirs = _virial_meshes(g, center)
+    r, dirs = _virial_meshes(g)
     dphi = np.asarray(weight.d1(r))
     j = snap.current
     total = sum(np.sum(j[a] * dphi * dirs[a]) for a in range(g.d))
@@ -202,33 +192,13 @@ class VirialSecond:
     total: float
 
 
-def _laplacian_profile(weight: MorawetzWeight, r: np.ndarray, d: int) -> np.ndarray:
-    """Lap phi = phi'' + (d-1) phi'/r, with the even-profile limit at r = 0."""
-    safe = np.where(r > 0, r, 1.0)
-    vals = np.asarray(weight.d2(r)) + (d - 1) * np.asarray(weight.d1(r)) / safe
-    at0 = d * float(np.asarray(weight.d2(np.asarray(0.0))))
-    return np.where(r > 0, vals, at0)
+def virial_Vddot(state: SystemState | Snapshot, weight: MorawetzWeight) -> VirialSecond:
+    """d2V/dt2 split into bilaplacian, hessian and nonlinear terms, centred at
+    the origin.  For an even radial profile
 
-
-def _bilaplacian_profile(weight: MorawetzWeight, r: np.ndarray, d: int) -> np.ndarray:
-    """Lap^2 phi for an even radial profile:
-
-    phi'''' + 2(d-1) phi'''/r + (d-1)(d-3) (phi''/r^2 - phi'/r^3),
-    with limit phi''''(0) [1 + 2(d-1) + (d-1)(d-3)/3] at the origin.
-    """
-    safe = np.where(r > 0, r, 1.0)
-    vals = (np.asarray(weight.d4(r))
-            + 2.0 * (d - 1) * np.asarray(weight.d3(r)) / safe
-            + (d - 1) * (d - 3) * (np.asarray(weight.d2(r)) / safe ** 2
-                                   - np.asarray(weight.d1(r)) / safe ** 3))
-    lim = float(np.asarray(weight.d4(np.asarray(0.0)))) * (
-        1.0 + 2.0 * (d - 1) + (d - 1) * (d - 3) / 3.0)
-    return np.where(r > 0, vals, lim)
-
-
-def virial_Vddot(state: SystemState | Snapshot, weight: MorawetzWeight,
-                 center=None) -> VirialSecond:
-    """d2V/dt2 split into bilaplacian, hessian and nonlinear terms.
+        Lap phi   = phi'' + (d-1) phi'/r,  with d phi''(0) at r = 0,
+        Lap^2 phi = phi'''' + 2(d-1) phi'''/r + (d-1)(d-3) (phi''/r^2 - phi'/r^3),
+                    with phi''''(0) [1 + 2(d-1) + (d-1)(d-3)/3] at r = 0.
 
     The abs-distance weight carries delta terms in dimensions 1 and 3 that
     its classical derivatives miss, and is rejected here -- use
@@ -242,23 +212,28 @@ def virial_Vddot(state: SystemState | Snapshot, weight: MorawetzWeight,
     snap = Snapshot.of(state)
     g = snap.state.grid
     c = snap.state.coupling
-    r, dirs = _virial_meshes(g, center)
-    d1 = np.asarray(weight.d1(r))
-    d2 = np.asarray(weight.d2(r))
-    safe = np.where(r > 0, r, 1.0)
-    ratio = np.where(r > 0, d1 / safe, float(np.asarray(weight.d2(np.asarray(0.0)))))
+    d = g.d
+    r, dirs = _virial_meshes(g)
+    d1, d2, d3, d4 = (np.asarray(f(r)) for f in (weight.d1, weight.d2, weight.d3, weight.d4))
+    d2_at0, d4_at0 = (float(np.asarray(f(np.asarray(0.0)))) for f in (weight.d2, weight.d4))
+    off0 = r > 0
+    safe = np.where(off0, r, 1.0)
+    ratio = np.where(off0, d1 / safe, d2_at0)
 
-    bilap = -g.cell_volume * float(np.sum(snap.rho * _bilaplacian_profile(weight, r, g.d)))
+    bilap_phi = np.where(off0, d4 + 2.0 * (d - 1) * d3 / safe
+                         + (d - 1) * (d - 3) * (d2 / safe ** 2 - d1 / safe ** 3),
+                         d4_at0 * (1.0 + 2.0 * (d - 1) + (d - 1) * (d - 3) / 3.0))
+    bilap = -g.cell_volume * float(np.sum(snap.rho * bilap_phi))
 
     hess = 0.0
     for grads in snap.grads:
-        radial = sum(dirs[a] * grads[a] for a in range(g.d))
+        radial = sum(dirs[a] * grads[a] for a in range(d))
         sq_all = sum(np.abs(gr) ** 2 for gr in grads)
         sq_rad = np.abs(radial) ** 2
         hess += float(np.sum(d2 * sq_rad + ratio * (sq_all - sq_rad)))
     hess *= 4.0 * g.cell_volume
 
-    lap_phi = _laplacian_profile(weight, r, g.d)
+    lap_phi = np.where(off0, d2 + (d - 1) * d1 / safe, d * d2_at0)
     nonlin = (2.0 * c.p / (c.p + 1.0)) * g.cell_volume * float(
         np.sum(snap.P * lap_phi))
     return VirialSecond(bilap, hess, nonlin, bilap + hess + nonlin)
@@ -396,10 +371,7 @@ class InequalityCheck:
     tolerances: np.ndarray
     second_difference_ok: bool
     idot_fd_gap: float             # max |central difference of I - Idot|
-    integrated_lhs: float          # Idot(T) - Idot(S)
-    integrated_rhs: float          # int rhs_lower dt (trapezoid)
-    integrated_tol: float
-    integrated_ok: bool
+    integrated_ok: bool            # Idot(T) - Idot(S) >= int rhs_lower dt (trapezoid)
     monotone_ok: bool | None       # only meaningful when rhs_lower >= 0 throughout
 
 
@@ -439,10 +411,8 @@ def interaction_inequality_check(reports: Sequence[InteractionReport],
 
     idot_gap = float(fd_gap_first(ts, I, idots).max())
 
-    lhs_int = float(idots[-1] - idots[0])
-    rhs_int = float(np.trapezoid(rhs, ts))
     tol_int = float(tol.max() * (ts[-1] - ts[0]) + INEQUALITY_REL_TOL * np.abs(I).max())
-    ok_int = lhs_int >= rhs_int - tol_int
+    ok_int = float(idots[-1] - idots[0]) >= float(np.trapezoid(rhs, ts)) - tol_int
 
     mono = None
     if (rhs >= 0).all():
@@ -451,9 +421,7 @@ def interaction_inequality_check(reports: Sequence[InteractionReport],
     return InequalityCheck(times=ts, dt=dt, iddot_fd=iddot_fd, rhs_lower=rhs[1:-1],
                            margins=margins, tolerances=tol,
                            second_difference_ok=ok2, idot_fd_gap=idot_gap,
-                           integrated_lhs=lhs_int, integrated_rhs=rhs_int,
-                           integrated_tol=tol_int, integrated_ok=ok_int,
-                           monotone_ok=mono)
+                           integrated_ok=ok_int, monotone_ok=mono)
 
 
 # ---------------------------------------------------------------------------

@@ -120,28 +120,25 @@ class StrichartzAccumulator(RunningIntegral):
 
 @dataclass
 class ScatteringResult:
-    direction: int                                  # +1 or -1
     profile: tuple[ScalarField, ...]                # asymptotic data
     residuals: tuple[tuple[float, float, float], ...]  # (t_i, t_j, H1 gap)
     converged: bool
-    tol: float
     mass_mismatch: float                            # max relative per component
     message: str = ""
 
 
-def asymptotic_profile(states: Sequence[SystemState], direction: int = +1,
-                       tol: float = 1e-6) -> ScatteringResult:
-    """Conjugate the snapshots by the free flow and test the Cauchy property.
+def asymptotic_profile(states: Sequence[SystemState], tol: float = 1e-6) -> ScatteringResult:
+    """Conjugate the snapshots by the free flow and test the Cauchy property
+    forward in time (evolve only steps forward).
 
-    v(t_i) = exp(-i t_i Lap) u(t_i); consecutive H^1 residuals are recorded
-    and convergence is declared when the last residual is below tol with a
-    non-increasing tail.  The returned profile is v at the latest snapshot.
+    v(t_i) = exp(-i t_i Lap) u(t_i) in increasing t_i; consecutive H^1
+    residuals are recorded and convergence is declared when the last residual
+    is below tol with a non-increasing tail.  The returned profile is v at
+    the latest snapshot.
     """
     if len(states) < 2:
         raise ValueError("need at least two snapshots")
-    if direction not in (+1, -1):
-        raise ValueError("direction must be +1 or -1")
-    order = sorted(states, key=lambda s: direction * s.t)
+    order = sorted(states, key=lambda s: s.t)
     grid = order[0].grid
     vs = [linear_substep(s, -s.t) for s in order]
     residuals = []
@@ -162,9 +159,8 @@ def asymptotic_profile(states: Sequence[SystemState], direction: int = +1,
     for mu in range(final.coupling.n):
         m_traj = mass(final, mu)
         mism = max(mism, abs(mass(vs[-1], mu) - m_traj) / max(m_traj, 1e-300))
-    return ScatteringResult(direction=direction, profile=vs[-1].fields,
-                            residuals=tuple(residuals), converged=converged,
-                            tol=tol, mass_mismatch=mism, message=msg)
+    return ScatteringResult(profile=vs[-1].fields, residuals=tuple(residuals),
+                            converged=converged, mass_mismatch=mism, message=msg)
 
 
 class WaveOperatorDivergence(RuntimeError):

@@ -280,19 +280,11 @@ def energy(state: SystemState | Snapshot) -> EnergyReport:
     return EnergyReport(kinetic=kinetic, potential=potential, total=kinetic + potential)
 
 
-@dataclass(frozen=True)
-class LqReport:
-    q: float
-    per_component: tuple[float, ...]
-    aggregate: float
-
-
-def lq_norm(state: SystemState, q: float) -> LqReport:
-    """Per-component L^q norms and their sum; q in [2, inf]."""
+def lq_norm(state: SystemState, q: float) -> float:
+    """sum_mu ||u_mu||_{L^q}; q in [2, inf]."""
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-    vals = tuple(f.lq_norm(q) for f in state.fields)
-    return LqReport(q=q, per_component=vals, aggregate=float(sum(vals)))
+    return float(sum(f.lq_norm(q) for f in state.fields))
 
 
 def h1_norm(state: SystemState) -> float:

@@ -177,14 +177,11 @@ def fractional_gradient_pairing_reference(state: SystemState | Snapshot) -> floa
     return 2.0 * math.pi * (pad * 2.0 * g.l) ** 2 * total
 
 
-def virial_meshes_reference(grid: GridSpec, center) -> tuple[np.ndarray, list[np.ndarray]]:
-    """|x - center| and the unit directions, built afresh on every call."""
-    if center is None:
-        center = (0.0,) * grid.d
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    r = np.sqrt(sum((x - c) ** 2 for x, c in zip(grid.x_mesh, center)))
+def virial_meshes_reference(grid: GridSpec) -> tuple[np.ndarray, list[np.ndarray]]:
+    """|x| and the unit directions x/|x|, built afresh on every call."""
+    r = np.sqrt(sum(x ** 2 for x in grid.x_mesh))
     safe = np.where(r > 0, r, 1.0)
-    return r, [np.where(r > 0, (x - c) / safe, 0.0) for x, c in zip(grid.x_mesh, center)]
+    return r, [np.where(r > 0, x / safe, 0.0) for x in grid.x_mesh]
 
 
 def apply_multiplier(f: ScalarField, multiplier: Callable[[np.ndarray], np.ndarray],

@@ -207,8 +207,8 @@ def decay_run():
 
     def sink(s):
         acc.update(s)
-        data["l4"][round(s.t, 9)] = lq_norm(s, 4.0).aggregate
-        data["l2"][round(s.t, 9)] = lq_norm(s, 2.0).aggregate
+        data["l4"][round(s.t, 9)] = lq_norm(s, 4.0)
+        data["l2"][round(s.t, 9)] = lq_norm(s, 2.0)
         data["boundary"] = max(data["boundary"], boundary_mass_fraction(s))
 
     evolve(st, StepParams(dt=5e-3, t_final=40.0, snapshot_stride=20), sink)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -426,27 +427,6 @@ def test_cli_wave_op_writes_profile_and_diverges_for_large_data(tmp_path):
     assert summary["converged"] is False
 
 
-def test_cli_wave_op_refuses_a_node_buffer_larger_than_memory(tmp_path, capsys, monkeypatch):
-    # 81 nodes x 2 components x 64 points x 16 bytes = 165888 bytes; no array
-    # of that size is allocated, the refusal comes from the estimate
-    monkeypatch.setattr(nlskit.config, "_physical_memory", lambda: 100_000)
-    code = main(["wave-op", "--d", "1", "--grid-m", "64", "--box-l", "16",
-                 "--n-components", "2", "--wave-t", "4", "--wave-dt", "0.05",
-                 "--out-dir", str(tmp_path / "out")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("nlskit: invalid configuration")
-    assert "0.2 MiB node buffer (81 nodes x 2 components x 64^1 points)" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "out").exists()
-
-    # a buffer of exactly the memory size is accepted
-    monkeypatch.setattr(nlskit.config, "_physical_memory", lambda: 165_888)
-    cfg = parse_config(overrides={"experiment": "wave-op", "d": 1, "grid_m": 64,
-                                  "n_components": 2, "wave_t": 4.0, "wave_dt": 0.05})
-    assert cfg.experiment == "wave-op"
-
-
 def test_cli_wave_op_overflow_is_a_named_divergence(tmp_path, capsys):
     # the iterate overflows before the residuals have grown three times
     with warnings.catch_warnings():
@@ -514,18 +494,6 @@ def test_config_refuses_a_simulate_of_one_snapshot():
                        "gives 1 at dt = 0.01, snapshot_stride = 100"):
         parse_config(None, one)
     assert parse_config(None, {**one, "snapshot_stride": 50}).snapshot_stride == 50
-
-
-def test_config_refuses_a_gn_check_whose_corpus_exceeds_memory(monkeypatch):
-    """parse_config alone: no run starts."""
-    run = {"experiment": "gn-check", "d": 1, "grid_m": 64, "box_l": 4.0}
-    with pytest.raises(ConfigError, match=r"gn-check needs at least .* MiB of per-sample "
-                       r"records \(1e\+12 samples x 360 bytes\), .*: lower gn_count"):
-        parse_config(None, {**run, "gn_count": 10 ** 12})
-    monkeypatch.setattr(nlskit.config, "_physical_memory", lambda: 100 * 360)
-    assert parse_config(None, {**run, "gn_count": 100}).gn_count == 100
-    with pytest.raises(ConfigError, match=r"\(101 samples x 360 bytes\)"):
-        parse_config(None, {**run, "gn_count": 101})
 
 
 @pytest.mark.parametrize("experiment, flags, message", [
@@ -646,13 +614,66 @@ def test_config_refuses_a_run_whose_records_exceed_memory(monkeypatch):
     for workload in WORKLOADS.values():
         for k in range(N_SETS):
             assert _cli_config(workload.cli_args(k)).experiment == workload.experiment
-    # 100 steps at stride 1 give 101 snapshots of at least 512 bytes each
-    run = {"dt": 0.01, "t_final": 1.0, "snapshot_stride": 1}
-    monkeypatch.setattr(nlskit.config, "_physical_memory", lambda: 101 * 512)
-    assert parse_config(None, run).t_final == 1.0
-    monkeypatch.setattr(nlskit.config, "_physical_memory", lambda: 101 * 512 - 1)
-    with pytest.raises(ConfigError, match=r"\(101 snapshots x 512 bytes\)"):
+
+
+# One run per row of config._validate's memory table: the row's size in bytes,
+# the text the refusal gives for it, and a run far above any physical memory
+# that is refused by the same row.  Every other row of each run is smaller.
+_D1 = {"d": 1, "grid_m": 64, "box_l": 16.0}
+_GN = {"experiment": "gn-check", "d": 1, "grid_m": 64, "box_l": 4.0}
+_SHORT = {"dt": 0.01, "t_final": 0.1}
+_MEMORY_ROWS = {
+    "coupling matrix": (
+        {"n_components": 32, "grid_m": 8, **_SHORT}, 32 * 32 * 8,
+        "0.00781 MiB of coupling matrix (1.02e+03 entries x 8 bytes)",
+        {"n_components": 10 ** 6}),
+    "fields": (
+        {**_D1, "n_components": 2, **_SHORT}, 2 * 64 * 16,
+        "0.00195 MiB of fields (128 complex values x 16 bytes)",
+        {"d": 3, "grid_m": 100_000}),
+    # 100 steps at stride 1 give 101 snapshots
+    "diagnostics records": (
+        {"dt": 0.01, "t_final": 1.0, "snapshot_stride": 1}, 101 * 512,
+        "0.0493 MiB of diagnostics records (101 snapshots x 512 bytes)",
+        {"t_final": 1e300}),
+    # 81 nodes of 2 components x 64 points
+    "node buffer": (
+        {"experiment": "wave-op", **_D1, "n_components": 2, "wave_t": 4.0, "wave_dt": 0.05},
+        81 * 2 * 64 * 16, "0.158 MiB of node buffer (81 nodes x 2048 bytes)",
+        {"experiment": "wave-op", "d": 3, "grid_m": 512, "wave_t": 1e6}),
+    "per-sample records": (
+        {**_GN, "gn_count": 101}, 101 * 192,
+        "0.0185 MiB of per-sample records (101 samples x 192 bytes)",
+        {**_GN, "gn_count": 10 ** 12}),
+    "sample fields": (
+        {**_GN, "gn_alpha": 100}, 100 * 64 * 16,
+        "0.0977 MiB of sample fields (6.4e+03 complex values x 16 bytes)",
+        {**_GN, "gn_alpha": 10 ** 11}),
+}
+
+
+@pytest.mark.parametrize("row", list(_MEMORY_ROWS))
+def test_memory_table_refuses_one_byte_over_memory(tmp_path, capsys, monkeypatch, row):
+    """parse_config and a refused command line: no run starts."""
+    run, size, text, huge = _MEMORY_ROWS[row]
+    experiment = run.get("experiment", "simulate")
+    with pytest.raises(ConfigError, match=re.escape(f"MiB of {row} (")):
+        parse_config(None, huge)
+    monkeypatch.setattr(nlskit.config, "_physical_memory", lambda: size)
+    assert parse_config(None, run).experiment == experiment
+    monkeypatch.setattr(nlskit.config, "_physical_memory", lambda: size - 1)
+    with pytest.raises(ConfigError) as refused:
         parse_config(None, run)
+    [problem] = refused.value.problems
+    assert problem.startswith(f"{experiment} needs at least {text}, more than the "
+                              f"{(size - 1) / 2 ** 20:.1f} MiB of physical memory: ")
+    out = tmp_path / "out"
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in run.items() if k != "experiment"]
+    assert main([experiment, *flags, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nlskit: invalid configuration") and text in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 _WEIGHT_RUN = ["--d", "1", "--grid-m", "64", "--box-l", "16", "--p", "1",

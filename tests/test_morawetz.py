@@ -351,7 +351,7 @@ def _assert_columns_equal_bare_state_observables(st, collector):
     e, rep = energy(st), interaction_report(st, inter)
     expected = {"mass_1": mass(st, 0), "mass_2": mass(st, 1), "kinetic": e.kinetic,
                 "potential": e.potential, "energy_total": e.total,
-                "l4_total": lq_norm(st, 4.0).aggregate, "sup_cube_mass": sup_cube_mass(st),
+                "l4_total": lq_norm(st, 4.0), "sup_cube_mass": sup_cube_mass(st),
                 "V": virial_V(st, weight), "Vdot": virial_Vdot(st, weight),
                 "Vddot": virial_Vddot(st, weight).total, "I": rep.I, "Idot": rep.Idot,
                 "N_term": rep.N_term, "rhs_lower": rep.rhs_lower,
@@ -452,33 +452,28 @@ def test_by_parts_and_per_axis_forms_converge_under_refinement(d, l, coarse, fin
         assert after < 1e-4 * before
 
 
-def test_virial_meshes_are_cached_per_grid_and_centre():
+def test_virial_meshes_are_cached_per_grid():
     # the cached meshes equal fresh ones bit for bit and are read-only, and
-    # a second grid or centre gets its own arrays, so no entry is stale
+    # a second grid gets its own arrays, so no entry is stale
     g1, g2 = GridSpec(2, 32, 8.0), GridSpec(2, 32, 6.0)
     seen = []
     for grid in (g1, g2):
-        for center in (None, (0.5, -1.25), np.array([1.0, 2.0])):
-            r, dirs = _virial_meshes(grid, center)
-            r_ref, dirs_ref = virial_meshes_reference(grid, center)
-            assert r.tobytes() == r_ref.tobytes()
-            assert [a.tobytes() for a in dirs] == [a.tobytes() for a in dirs_ref]
-            assert not any(a.flags.writeable for a in (r, *dirs))
-            assert _virial_meshes(grid, center)[0] is r
-            assert all(r is not other for other in seen)
-            seen.append(r)
-    assert _virial_meshes(g1, [0.5, -1.25])[0] is _virial_meshes(g1, (0.5, -1.25))[0]
-    with pytest.raises(ValueError, match="2 components"):
-        _virial_meshes(g1, (1.0, 2.0, 3.0))
+        r, dirs = _virial_meshes(grid)
+        r_ref, dirs_ref = virial_meshes_reference(grid)
+        assert r.tobytes() == r_ref.tobytes()
+        assert [a.tobytes() for a in dirs] == [a.tobytes() for a in dirs_ref]
+        assert not any(a.flags.writeable for a in (r, *dirs))
+        assert _virial_meshes(grid)[0] is r
+        assert all(r is not other for other in seen)
+        seen.append(r)
     st = two_component_state(g2)
     snap = Snapshot(st)
     weight = MorawetzWeight.quadratic()
-    for center in ((0.5, -1.25), (1.0, 2.0)):
-        r, dirs = virial_meshes_reference(g2, center)
-        vol = g2.cell_volume
-        assert virial_V(st, weight, center) == vol * float(np.sum(r * r * snap.rho))
-        assert virial_Vdot(st, weight, center) == 2.0 * vol * float(
-            sum(np.sum(snap.current[a] * (2.0 * r) * dirs[a]) for a in range(2)))
+    r, dirs = virial_meshes_reference(g2)
+    vol = g2.cell_volume
+    assert virial_V(st, weight) == vol * float(np.sum(r * r * snap.rho))
+    assert virial_Vdot(st, weight) == 2.0 * vol * float(
+        sum(np.sum(snap.current[a] * (2.0 * r) * dirs[a]) for a in range(2)))
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ def test_asymptotic_profile_free_run(grid1d):
     st = single_state(gaussian(grid1d), beta=0.0)
     snaps = [SystemState(t, linear_substep(st, t).fields, st.coupling)
              for t in (0.5, 1.0, 1.5, 2.0)]
-    res = asymptotic_profile(snaps, direction=+1, tol=1e-8)
+    res = asymptotic_profile(snaps, tol=1e-8)
     assert res.converged
     assert max(r[2] for r in res.residuals) < 1e-10
     assert np.abs(res.profile[0].values - st.fields[0].values).max() < 1e-10
@@ -130,8 +130,6 @@ def test_asymptotic_profile_input_validation(grid1d):
     st = single_state(gaussian(grid1d))
     with pytest.raises(ValueError):
         asymptotic_profile([st], tol=1e-6)
-    with pytest.raises(ValueError):
-        asymptotic_profile([st, st], direction=0)
 
 
 def test_asymptotic_profile_flags_nonconvergent_window(grid1d):

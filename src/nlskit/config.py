@@ -16,6 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields as dc_fields
+from decimal import Decimal
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -173,6 +174,16 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _g3(num: int, den: int = 1) -> str:
+    """num / den as f"{x:.3g}" writes a float x, also past the float range
+    (a size of any number of digits is refused, not an OverflowError)."""
+    try:
+        return f"{num / den:.3g}"
+    except OverflowError:
+        mantissa, exponent = f"{Decimal(num) / den:.2e}".split("e")
+        return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
+
+
 def _validate(c: dict, problems: list[str]):
     """Range and cross-field rules; every value has its declared type here
     (a value of another type was reported and left at its default)."""
@@ -224,12 +235,12 @@ def _validate(c: dict, problems: list[str]):
         # a sample holds its gn_alpha fields at once; the corpus keeps a ratio
         # slot and a report line per sample
         table += [("sample fields", cfg.gn_alpha * points, "complex values", 16,
-                   "lower gn_alpha or coarsen the grid"),
+                   "lower gn_alpha or grid_m"),
                   ("per-sample records", cfg.gn_count, "samples", GN_SAMPLE_BYTES,
                    "lower gn_count")]
     else:
         table.append(("fields", n * points, "complex values", 16,
-                      "lower n_components or coarsen the grid"))
+                      "lower n_components or grid_m"))
     if cfg.experiment == "wave-op":
         # the wave operator holds one complex n_nodes x N x M^d node buffer,
         # and its quadrature needs a step between two nodes
@@ -238,7 +249,7 @@ def _validate(c: dict, problems: list[str]):
             problems.append(f"wave-op needs at least 2 time nodes: wave_t = {cfg.wave_t} "
                             f"gives {n_nodes} at wave_dt = {cfg.wave_dt}")
         table.append(("node buffer", n_nodes, "nodes", n * points * 16,
-                      "shorten wave_t, lengthen wave_dt or coarsen the grid"))
+                      "shorten wave_t, lengthen wave_dt or lower grid_m"))
     elif cfg.experiment != "gn-check":
         # the sink keeps a record per snapshot; verify-identities' dt run covers both horizons
         key = "t_final"
@@ -249,8 +260,8 @@ def _validate(c: dict, problems: list[str]):
     memory = _physical_memory()
     for what, count, item, each, remedy in table:
         if count * each > memory:
-            problems.append(f"{cfg.experiment} needs at least {count * each / 2 ** 20:.3g} MiB "
-                            f"of {what} ({count:.3g} {item} x {each} bytes), more than the "
+            problems.append(f"{cfg.experiment} needs at least {_g3(count * each, 2 ** 20)} MiB "
+                            f"of {what} ({_g3(count)} {item} x {each} bytes), more than the "
                             f"{memory / 2 ** 20:.1f} MiB of physical memory: {remedy}")
     if problems:
         return

@@ -19,6 +19,11 @@ and works on the whole stack: each transform is one in-place
   * ``_rotate``: u <- exp(-i tau g) u in place, the phase written with
     cos/sin into a complex scratch array.
 
+At d = 3 the stack is large enough that its transforms and its rotation run
+one block of components per worker of ``grid.worker_pool``, with the same
+values bit for bit; d = 1 and d = 2 stacks of the usual sizes stay on the
+calling thread.
+
 ``linear_substep``, ``nonlinear_substep``, ``strang_step`` and ``evolve``
 all use them, so one ``strang_step`` equals a one-step ``evolve`` bit for bit.
 """
@@ -31,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import transform
+from .grid import row_blocks, run_blocks, transform
 from .system import CouplingSpec, SystemState, state_from_arrays
 
 
@@ -143,13 +148,18 @@ def _nonlinear_exponents(stack, coupling: CouplingSpec, t: float,
 
 def _rotate(stack: np.ndarray, g: np.ndarray, tau: float) -> None:
     """stack <- exp(-i tau g) stack in place; ``g`` is overwritten with
-    -tau g.  The phase scratch is not kept between calls, so a stepper does
-    not hold it while its sink runs."""
-    theta = np.multiply(g, -tau, out=g)
+    -tau g.  The phase scratch is made here and not kept between calls, so a
+    stepper does not hold it while its sink runs.  A large stack rotates each
+    block of components as one task (``grid.row_blocks``)."""
     phase = np.empty(stack.shape, dtype=complex)
-    np.cos(theta, out=phase.real)
-    np.sin(theta, out=phase.imag)
-    stack *= phase
+
+    def rotate(rows):
+        theta, block = g[rows], phase[rows]
+        np.multiply(theta, -tau, out=theta)
+        np.cos(theta, out=block.real)
+        np.sin(theta, out=block.imag)
+        stack[rows] *= block
+    run_blocks(rotate, row_blocks(len(stack), stack.size))
 
 
 def linear_substep(state: SystemState, tau: float) -> SystemState:

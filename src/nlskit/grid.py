@@ -36,11 +36,27 @@ the doubled box they are weighted sums of
 (``kernel_gradient_product``).  Padded transforms run one ``numpy.fft`` pass
 per axis and skip the rows that hold only padding zeros
 (``padded_rfft``); kernel transforms are cached as real half-spectra.
+
+Large arrays use one thread pool (``worker_pool``: one worker per CPU in the
+process's affinity set, made on first use) at three sites: ``transform`` of
+a stack runs each block of components' whole transform as one task,
+``padded_rfft`` splits the lines of each pass, and ``evolve._rotate``
+rotates each block of components as one task.  A site splits only an array
+of at least ``PARALLEL_MIN_POINTS`` points, and only on the main thread, so
+the tasks' own nested calls (and those of ``scattering.wave_operator``'s
+node integrands, which run on the same pool) stay inline; smaller arrays,
+among them every d = 1 and d = 2 run of the benchmark, never start a thread.
+pocketfft transforms one line at a time and the other work is elementwise,
+so a block computes each value exactly as the whole array would: results do
+not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Callable
@@ -211,6 +227,60 @@ def field_from_function(grid: GridSpec, fn: Callable[..., np.ndarray]) -> Scalar
     return ScalarField(np.asarray(fn(*grid.x_mesh), dtype=complex), grid)
 
 
+# Arrays smaller than this run inline: below it a thread handoff costs about
+# what it saves (a split at 2^15 points made d = 2 padded passes slower).
+PARALLEL_MIN_POINTS = 2 ** 16
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def cpu_count() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
+def worker_pool():
+    """The package's one ThreadPoolExecutor, one worker per CPU, made on first
+    use; its threads start as tasks arrive and end with the process."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            import concurrent.futures  # only runs that split an array start threads
+            _pool = concurrent.futures.ThreadPoolExecutor(cpu_count(), "nlskit")
+        return _pool
+
+
+def row_blocks(rows: int, points: int) -> list[slice]:
+    """Blocks of range(rows), one per worker, for a task on an array of
+    ``points`` points called from the main thread with at least
+    PARALLEL_MIN_POINTS of them; otherwise the one block slice(None)."""
+    workers = min(rows, cpu_count()) if points >= PARALLEL_MIN_POINTS else 1
+    if workers < 2 or threading.current_thread() is not threading.main_thread():
+        return [slice(None)]
+    bounds = [rows * b // workers for b in range(workers + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def run_blocks(fn: Callable[[slice], object], blocks: list[slice]) -> None:
+    """fn(block) for every block: the first on the calling thread and the
+    others on the pool, each in a copy of the caller's context (so numpy's
+    errstate holds in all of them); returns once all are done and re-raises
+    the first error."""
+    if len(blocks) == 1:
+        return fn(blocks[0])
+    futures = [worker_pool().submit(contextvars.copy_context().run, fn, b)
+               for b in blocks[1:]]
+    try:
+        fn(blocks[0])
+    finally:
+        for f in futures:
+            f.exception()
+    for f in futures:
+        f.result()
+
+
 def transform(grid: GridSpec, values: np.ndarray, inverse: bool = False) -> np.ndarray:
     """fftn (or, if ``inverse``, ifftn, which carries the 1/M^d) over the last
     grid.d axes of ``values``, batched over any leading axes.  ``values``
@@ -221,7 +291,14 @@ def transform(grid: GridSpec, values: np.ndarray, inverse: bool = False) -> np.n
     The inverse scales once by 1/M^d right after its first pass, where
     pocketfft's own ifftn applies it, and runs every other pass unscaled:
     the result is then ifftn bit for bit, which a 1/M scaling in each pass
-    is not (it differs in the last bit at M = 48, d = 3)."""
+    is not (it differs in the last bit at M = 48, d = 3).
+
+    A large stack splits its leading axis into row blocks, each transformed
+    whole by one task (``row_blocks``)."""
+    blocks = row_blocks(len(values), values.size) if values.ndim > grid.d else [slice(None)]
+    if len(blocks) > 1:
+        run_blocks(lambda rows: transform(grid, values[rows], inverse), blocks)
+        return values
     axes = range(-grid.d, 0)
     if not inverse:
         for axis in axes:
@@ -396,11 +473,30 @@ def padded_rfft(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     unpadded input, then an ``fft`` padded to n along axes 0, ..., d-2 in
     that order.  Each pass transforms only the rows that can be nonzero, and
     in that order the result equals ``rfftn(values, s=(n,) * d)`` bit for
-    bit (also for inputs already n long, such as sampled kernels)."""
+    bit (also for inputs already n long, such as sampled kernels).  A large
+    pass splits its lines into row blocks along another axis (``row_blocks``)."""
     n = 2 * grid.m
-    out = np.fft.rfftn(values, s=(n,), axes=(-1,))
+    out = _padded_pass(np.fft.rfftn, values, values.shape[:-1] + (n // 2 + 1,), 0,
+                       s=(n,), axes=(-1,))
     for axis in range(grid.d - 1):
-        out = np.fft.fft(out, n=n, axis=axis)
+        out = _padded_pass(np.fft.fft, out, out.shape[:axis] + (n,) + out.shape[axis + 1:],
+                           1 if axis == 0 else 0, n=n, axis=axis)
+    return out
+
+
+def _padded_pass(fft, src: np.ndarray, shape: tuple[int, ...], split: int, **kwargs) -> np.ndarray:
+    """fft(src, **kwargs), a pass whose result has ``shape``.  Split into row
+    blocks along axis ``split``, each block's lines are written with ``out=``
+    into one result array made on the calling thread."""
+    blocks = row_blocks(shape[split], math.prod(shape)) if src.ndim > 1 else [slice(None)]
+    if len(blocks) == 1:
+        return fft(src, **kwargs)
+    out = np.empty(shape, dtype=complex)
+
+    def lines(rows):
+        index = (slice(None),) * split + (rows,)
+        fft(src[index], out=out[index], **kwargs)
+    run_blocks(lines, blocks)
     return out
 
 

@@ -28,8 +28,6 @@ iteration contracts geometrically.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import ScalarField, h1_norms, transform
+from .grid import ScalarField, cpu_count, h1_norms, transform, worker_pool
 from .system import (CouplingSpec, RunningIntegral, Snapshot, SystemState, mass,
                      state_from_arrays)
 from .evolve import NanAbortError, _nonlinear_exponents, linear_substep
@@ -208,20 +206,20 @@ def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
         W_i = F_i + i S_i.
 
     Each G_i is a pure per-node map of W_i (inverse transform, nonlinearity,
-    forward transform), so the node integrands of a sweep run on a thread
-    pool, one worker per CPU this process may run on (fewer when the node
-    buffer is short), each with its own scratch; at most two blocks of one
-    node per worker are in flight, the next block computing while the sweep
-    consumes the current one.  Every node is computed the same way on any
-    thread, so the result does not depend on the worker count.
+    forward transform), so the node integrands of a sweep run on the
+    package's pool (``grid.worker_pool``).  At most 2 x min(CPUs, n_nodes //
+    16) of them are in flight, the next ones computing while the sweep
+    consumes the current one, and each running integrand holds one set of
+    scratch, reused by the next and freed with the call.  Every node is
+    computed the same way on any thread, so the result does not depend on the
+    worker count.  On return or error, integrands not yet started are
+    cancelled and running ones are waited for.
 
     Reaching max_iter returns a non-convergence report; residuals growing
     three consecutive times, or a non-finite nonlinearity, iterate or
     residual, raise WaveOperatorDivergence.  The neglected tail int_T^inf is
     estimated by the final node's Duhamel contribution and reported.
     """
-    from concurrent.futures import ThreadPoolExecutor  # only wave-op runs start threads
-
     grid = profile[0].grid
     n_nodes = node_count(t_max, dt)
     if n_nodes < 2:
@@ -237,29 +235,31 @@ def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
     def h1(spectra):  # summed H^1 norms of spectra held as plain FFTs
         return float(h1_norms(grid, spectra).sum()) / grid.npoints
 
-    # a worker costs about 4 node sizes (two in-flight nodes, its exponents
-    # and their (2N+1) x M^d real scratch): n_nodes // 16 workers keep that
-    # under a quarter of the node buffer, whatever the CPU count
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = max(1, min(cpus or 1, n_nodes // 16))
-    window = 2 * workers
+    # an in-flight integrand costs at most 3 node sizes (its output slot and,
+    # while it runs, its exponents and their (2N+1) x M^d real scratch): a
+    # window of 2 x (n_nodes // 16) keeps that under 3/8 of the node buffer,
+    # whatever the CPU count
+    window = 2 * max(1, min(cpu_count(), n_nodes // 16))
     half_h = np.empty((window,) + W.shape[1:], dtype=complex)
-    scratch = threading.local()
+    # scratch sets of finished integrands (deque appends and pops are atomic):
+    # as many as ever ran at once, however many pool threads ran them
+    spare = deque()
     residuals: list[float] = []
 
     def half_integrand(i, out):
         """out = (dt/2) G_i, from the node buffer W_i."""
-        if not hasattr(scratch, "exponents"):
-            scratch.exponents = np.empty(out.shape)
-            scratch.work = np.empty((2 * coupling.n + 1,) + grid.shape)
+        try:
+            exponents, work = spare.pop()
+        except IndexError:
+            exponents, work = np.empty(out.shape), np.empty((2 * coupling.n + 1,) + grid.shape)
         # errstate is per thread; overflow surfaces as NanAbortError
         with np.errstate(over="ignore", invalid="ignore"):
             out[...] = W[i]
             transform(grid, out, inverse=True)
-            out *= _nonlinear_exponents(out, coupling, i * dt, out=scratch.exponents,
-                                        work=scratch.work)
+            out *= _nonlinear_exponents(out, coupling, i * dt, out=exponents, work=work)
             transform(grid, out)
             out *= 0.5 * dt
+        spare.append((exponents, work))
         return out
 
     def result(future):
@@ -275,7 +275,8 @@ def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
     sampled = range(0, n_nodes, max(1, n_nodes // 64))
     order = range(n_nodes - 2, -1, -1)
     grow = 0
-    pool = ThreadPoolExecutor(max_workers=workers)
+    pool = worker_pool()
+    pending = deque()
     try:
         result(pool.submit(half_integrand, n_nodes - 1, half_h_T))
         # overflow shows up as a non-finite nonlinearity, iterate or residual,
@@ -315,7 +316,12 @@ def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
                 if grow >= 3:
                     raise WaveOperatorDivergence(residuals)
     finally:
-        pool.shutdown(cancel_futures=True)
+        for future in pending:
+            future.cancel()
+        for future in pending:
+            if not future.cancelled():
+                future.exception()  # wait: the integrand still writes into half_h
+        spare.clear()  # not held while state0 is synthesized below
 
     converged = bool(residuals) and residuals[-1] < tol
     message = "" if converged else (f"fixed point did not reach tol = {tol} within "

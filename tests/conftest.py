@@ -1,6 +1,10 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
+import nlskit.grid
 from nlskit import CouplingSpec, GridSpec, ScalarField, SystemState
 
 # One line per acceptance criterion, echoed into the terminal summary so the
@@ -13,6 +17,28 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def two_cpu_pool(monkeypatch):
+    """An affinity set of two CPUs and no package pool yet, so that a large
+    array on the main thread splits in two on any host; the pool the test
+    makes is shut down after it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(nlskit.grid, "_pool", None)
+    yield
+    if nlskit.grid._pool is not None:
+        nlskit.grid._pool.shutdown()
+
+
+def on_another_thread(fn):
+    """fn() run on a new thread, where no array splits; its result."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join()
+    [result] = out
+    return result
 
 
 @pytest.fixture

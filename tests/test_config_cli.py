@@ -14,6 +14,7 @@ import scipy.fft
 
 import nlskit.cli
 import nlskit.config
+import nlskit.grid
 import nlskit.verify
 from nlskit import (ConfigError, CouplingSpec, GridSpec, MorawetzWeight, RadialKernel,
                     RunConfig, build_initial_state, interaction_report, parse_config,
@@ -23,7 +24,7 @@ from nlskit.config import CHOICES, ENV_OUT_DIR, SCHEMA
 from nlskit.evolve import StepParams, evolve
 from nlskit.verify import calibrate_fd_constants, check_identities, collect_series
 
-from conftest import gaussian
+from conftest import gaussian, on_another_thread
 
 
 def test_defaults_applied():
@@ -222,6 +223,52 @@ def test_cli_d3_reruns_byte_identical(tmp_path, experiment):
         assert header == ["t", "mass_1", "mass_2", "kinetic", "potential", "energy_total",
                           "V", "Vdot", "Vddot", "I", "Idot", "N_term", "rhs_lower",
                           "boundary_mass_fraction"]
+
+
+_D3_POOLED = ["simulate", "--d", "3", "--n-components", "2", "--beta", "1,0.5,0.5,1",
+              "--grid-m", "48", "--box-l", "12", "--p", "1", "--dt", "0.005",
+              "--t-final", "0.02", "--snapshot-stride", "2", "--amplitude", "0.5,0.4",
+              "--width", "1.5"]
+
+
+def test_cli_d3_outputs_do_not_depend_on_the_thread(tmp_path, two_cpu_pool):
+    # a d = 3, M = 48, N = 2 run splits its stack transforms, phase rotations
+    # and padded passes over the pool on the main thread, and runs all of it
+    # inline on another thread: the same files, byte for byte
+    inline, split = tmp_path / "inline", tmp_path / "split"
+    assert on_another_thread(lambda: main([*_D3_POOLED, "--out-dir", str(inline)])) == 0
+    assert nlskit.grid._pool is None
+    assert main([*_D3_POOLED, "--out-dir", str(split)]) == 0
+    assert nlskit.grid._pool is not None
+    assert sorted(p.name for p in inline.iterdir()) == sorted(p.name for p in split.iterdir())
+    assert (inline / "diagnostics.csv").read_bytes() == (split / "diagnostics.csv").read_bytes()
+    s1, s2 = (json.loads((out / "summary.json").read_text()) for out in (inline, split))
+    for s in (s1, s2):  # wall time and output paths are run-specific
+        s.pop("wall_time_s")
+        s["config"].pop("out_dir")
+    assert json.dumps(s1) == json.dumps(s2)
+
+
+_POOLED_PROCESS = """
+import os, sys, threading
+os.sched_getaffinity = lambda pid: {0, 1}
+import nlskit.grid
+from nlskit.cli import main
+code = main(sys.argv[1:])
+print(nlskit.grid._pool is not None, sorted(t.name.split("_")[0] for t in threading.enumerate()))
+sys.exit(code)
+"""
+
+
+def test_cli_d3_process_with_the_pool_exits_and_leaves_nothing_behind(tmp_path):
+    # the pool's threads are idle when the run ends and end with the process;
+    # its stdout reaches EOF, so no thread or child process holds it open
+    proc = subprocess.run([sys.executable, "-c", _POOLED_PROCESS, *_D3_POOLED,
+                           "--out-dir", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    made, threads = proc.stdout.split(" ", 1)
+    assert made == "True" and "nlskit" in threads
 
 
 def test_cli_flag_override_echoed_in_summary(tmp_path):
@@ -674,6 +721,22 @@ def test_memory_table_refuses_one_byte_over_memory(tmp_path, capsys, monkeypatch
     assert err.startswith("nlskit: invalid configuration") and text in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_memory_table_refuses_a_grid_past_the_float_range(tmp_path, capsys):
+    # 10^103 points per axis give a fields row of 1.6e310 bytes, past the
+    # float range: its refusal is still a ConfigError naming grid_m
+    with pytest.raises(ConfigError) as refused:
+        parse_config(None, {"d": 3, "grid_m": 10 ** 103})
+    [problem] = refused.value.problems
+    assert problem.startswith("simulate needs at least 1.53e+304 MiB of fields "
+                              "(1e+309 complex values x 16 bytes), more than the ")
+    assert problem.endswith(": lower n_components or grid_m")
+    assert main(["simulate", "--d", "3", "--grid-m", str(10 ** 103),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "grid_m" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 _WEIGHT_RUN = ["--d", "1", "--grid-m", "64", "--box-l", "16", "--p", "1",

@@ -1,15 +1,20 @@
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 import scipy.fft
 
+import nlskit.grid
 from nlskit import GridSpec, RadialKernel, ScalarField, field_from_function, forward_transform
-from nlskit.grid import (_integral_of_j0, _kernel_hat, h1_norms, kernel_gradient_product,
-                         kernel_inner_product, padded_geometry, padded_rfft, synthesize,
-                         transform)
+from nlskit.evolve import _rotate
+from nlskit.grid import (PARALLEL_MIN_POINTS, _integral_of_j0, _kernel_hat, h1_norms,
+                         kernel_gradient_product, kernel_inner_product, padded_geometry,
+                         padded_rfft, synthesize, transform)
 
-from conftest import gaussian, random_field
+from conftest import gaussian, on_another_thread, random_field
 from reference import (apply_multiplier, convolve_kernel_gradient, convolve_radial_kernel,
                        integral_of_j0_reference, kernel_axis_pairing_reference)
 
@@ -111,6 +116,80 @@ def test_transforms_equal_scipy_fft_bit_for_bit(grid, n):
     padded_shape = padded_geometry(grid).shape
     for values in z.real:
         assert np.array_equal(padded_rfft(grid, values), scipy.fft.rfftn(values, s=padded_shape))
+
+
+def test_split_and_inline_work_on_a_d3_stack_equal_the_oracles_bit_for_bit(two_cpu_pool):
+    # a d = 3, M = 48, N = 2 stack is above PARALLEL_MIN_POINTS: on the main
+    # thread its transforms, the padded passes of one component and its phase
+    # rotation split over the pool; on any other thread they run inline.
+    # Both equal scipy.fft (the oracle whose axis order the passes follow)
+    # and the one-call rotation, bit for bit
+    grid = GridSpec(3, 48, 6.0)
+    rng = np.random.default_rng(48)
+    z = rng.standard_normal((2,) + grid.shape) + 1j * rng.standard_normal((2,) + grid.shape)
+    g = rng.uniform(0.0, 3.0, z.shape)
+    tau = 0.01
+    assert z.size >= PARALLEL_MIN_POINTS
+    phase = np.empty(z.shape, dtype=complex)
+    np.cos(-tau * g, out=phase.real)
+    np.sin(-tau * g, out=phase.imag)
+    axes = (-3, -2, -1)
+    expected = {"forward": scipy.fft.fftn(z, axes=axes), "inverse": scipy.fft.ifftn(z, axes=axes),
+                "padded": scipy.fft.rfftn(z[0].real, s=padded_geometry(grid).shape),
+                "rotated": z * phase}
+
+    def compute():
+        rotated = z.copy()
+        _rotate(rotated, g.copy(), tau)
+        return {"forward": transform(grid, z.copy()),
+                "inverse": transform(grid, z.copy(), inverse=True),
+                "padded": padded_rfft(grid, z[0].real.copy()), "rotated": rotated}
+
+    inline = on_another_thread(compute)
+    assert nlskit.grid._pool is None   # no thread but the one that ran it
+    split = compute()
+    assert nlskit.grid._pool is not None
+    for key, want in expected.items():
+        for got in (inline[key], split[key]):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
+
+
+_NO_POOL_SCRIPT = textwrap.dedent("""
+    import os, threading
+    os.sched_getaffinity = lambda pid: set(range(4))  # a split would have workers
+    import numpy as np
+    import nlskit.grid
+    from nlskit import (CouplingSpec, GridSpec, MorawetzWeight, StepParams, SystemState,
+                        admissible_pair, evolve, field_from_function)
+    from nlskit.diagnostics import CollectorOptions, DiagnosticsCollector
+
+    def state(d, m, n, l):
+        grid = GridSpec(d, m, l)
+        beta = np.full((n, n), 0.5) + 0.5 * np.eye(n)
+        fields = [field_from_function(grid, lambda *x: a * np.exp(-sum(c * c for c in x) / 8))
+                  for a in (0.4, 0.3)[:n]]
+        return SystemState(0.0, tuple(fields), CouplingSpec(n, beta, 2.0 if d == 1 else 1.0, d))
+
+    # sim-d1-stepper's stack, 2 x 8192, for 20 steps and 3 snapshots
+    evolve(state(1, 8192, 2, 512.0), StepParams(2e-3, 0.04, snapshot_stride=10),
+           sink=lambda st: None)
+    # one collector call, every column on, at verify-d2's shape
+    st = state(2, 128, 1, 12.0)
+    options = CollectorOptions(weight=MorawetzWeight.quadratic(), vddot=True,
+                               interaction=MorawetzWeight.abs_distance(),
+                               strichartz_pair=admissible_pair(1.0, 2))
+    DiagnosticsCollector(st.coupling, st.grid, options)(st)
+    print(nlskit.grid._pool is None, threading.active_count())
+""")
+
+
+def test_d1_and_d2_benchmark_shapes_start_no_thread():
+    # below PARALLEL_MIN_POINTS nothing splits, so these runs never make the
+    # pool, whatever the CPU count
+    proc = subprocess.run([sys.executable, "-c", _NO_POOL_SCRIPT], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "1"]
 
 
 @pytest.mark.parametrize("n", [1, 3])

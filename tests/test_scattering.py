@@ -3,17 +3,22 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import nlskit.grid
+import nlskit.scattering
 from nlskit import (CouplingSpec, GridSpec, ScalarField, Snapshot, StepParams,
                     StrichartzAccumulator, SystemState, WaveOperatorDivergence,
                     admissible_pair, asymptotic_profile, evolve,
                     linear_substep, strang_step,
                     w1r_norm, wave_operator)
+from nlskit.evolve import NanAbortError
 
 from conftest import gaussian, single_state
 from reference import wave_operator_reference
@@ -275,33 +280,72 @@ def test_wave_operator_holds_one_node_buffer():
 _THREAD_POOL = concurrent.futures.ThreadPoolExecutor
 
 
-def _run_on_cpus(monkeypatch, cpus, *args, **kwargs):
-    """wave_operator with an affinity set of ``cpus`` CPUs; returns its
-    result (or raised error) and the worker counts of the pools it made."""
-    pools = []
+def _run_on_cpus(monkeypatch, cpus, *args, delay=0.0, **kwargs):
+    """wave_operator with an affinity set of ``cpus`` CPUs, on a package pool
+    made afresh for the call, each node integrand started after a non-finite
+    nonlinearity first sleeping ``delay`` seconds.  Returns its result (or raised error) and a record of the run:
+    the worker counts of the pools made, the most node integrands that ran
+    at once and the number of integrands cancelled.  When it returns, no
+    integrand runs, and none starts later: shutting the pool down, which
+    would run any left in its queue, adds no call."""
+    run = types.SimpleNamespace(pools=[], most=0, cancelled=0)
+    made, cancelled = [], []
+    lock, failed = threading.Lock(), threading.Event()
+    running, calls = [0], [0]
+    nonlinear_exponents = nlskit.scattering._nonlinear_exponents
 
     class Recording(_THREAD_POOL):
-        def __init__(self, max_workers, **kw):
-            pools.append(max_workers)
-            super().__init__(max_workers, **kw)
+        def __init__(self, max_workers, *a, **kw):
+            run.pools.append(max_workers)
+            made.append(self)
+            super().__init__(max_workers, *a, **kw)
+
+        def submit(self, *a, **kw):
+            future = super().submit(*a, **kw)
+            future.add_done_callback(lambda f: f.cancelled() and cancelled.append(f))
+            return future
+
+    def counted(*a, **kw):
+        with lock:
+            running[0] += 1
+            calls[0] += 1
+            run.most = max(run.most, running[0])
+        try:
+            if failed.is_set():
+                time.sleep(delay)
+            return nonlinear_exponents(*a, **kw)
+        except NanAbortError:
+            failed.set()
+            raise
+        finally:
+            with lock:
+                running[0] -= 1
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(nlskit.grid, "_pool", None)
+    monkeypatch.setattr(nlskit.scattering, "_nonlinear_exponents", counted)
     before = threading.active_count()
     try:
-        return wave_operator(*args, **kwargs), pools
+        result = wave_operator(*args, **kwargs)
     except WaveOperatorDivergence as err:
-        return err, pools
-    finally:
-        assert threading.active_count() == before
+        result = err
+    assert running[0] == 0
+    done = calls[0]
+    for pool in made:
+        pool.shutdown(wait=True)
+    assert calls[0] == done
+    assert threading.active_count() == before
+    run.cancelled = len(cancelled)
+    return result, run
 
 
 def test_wave_operator_does_not_depend_on_the_worker_count(monkeypatch):
     prof, cpl = _two_component_profile(32)
     runs = [_run_on_cpus(monkeypatch, cpus, prof, cpl, 5.0, 0.05, tol=1e-10)
             for cpus in (1, 4)]
-    (one, pools_one), (four, pools_four) = runs
-    assert pools_one == [1] and pools_four == [4]
+    (one, run_one), (four, run_four) = runs
+    assert run_one.pools == [1] and run_four.pools == [4]
     assert one.converged and one.iterations == four.iterations
     assert one.residuals == four.residuals
     assert one.tail_estimate == four.tail_estimate
@@ -319,10 +363,10 @@ def test_wave_operator_workers_switching_often_change_nothing(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        many, pools = _run_on_cpus(monkeypatch, 8, *args, tol=1e-10)
+        many, run = _run_on_cpus(monkeypatch, 8, *args, tol=1e-10)
     finally:
         sys.setswitchinterval(interval)
-    assert pools == [8] and one.converged
+    assert run.pools == [8] and one.converged
     assert one.residuals == many.residuals and one.tail_estimate == many.tail_estimate
     assert np.array_equal(one.state0.fields[0].values, many.state0.fields[0].values)
 
@@ -336,22 +380,29 @@ def test_wave_operator_divergence_stops_its_workers(monkeypatch, l, p, amp, reas
     # overflowing nonlinearity
     grid = GridSpec(1, 256, l)
     cpl = CouplingSpec(1, np.array([[1.0]]), p, 1)
-    err, pools = _run_on_cpus(monkeypatch, 4, [gaussian(grid, amp=amp)], cpl, 5.0, 0.05,
-                              tol=1e-8, max_iter=30)
-    assert isinstance(err, WaveOperatorDivergence) and pools == [4]
+    # a worker's error stops the sweep with 7 integrands behind it in the
+    # window of 8: when those started after it take 50 ms, the 4 workers are
+    # still running some as the sweep stops (they are waited for) and have
+    # not started the others (they are cancelled)
+    slow = "nonlinearity" in reason
+    err, run = _run_on_cpus(monkeypatch, 4, [gaussian(grid, amp=amp)], cpl, 5.0, 0.05,
+                            delay=0.05, tol=1e-8, max_iter=30)
+    assert isinstance(err, WaveOperatorDivergence) and run.pools == [4]
+    assert (run.cancelled > 0) == slow
     assert reason in str(err)
 
 
 def test_wave_operator_caps_its_workers_by_the_node_buffer(monkeypatch):
-    # 64 CPUs, 101 nodes: n_nodes // 16 = 6 workers, within the bound of
-    # test_wave_operator_holds_one_node_buffer
+    # 64 CPUs, 101 nodes: a window of 2 x (n_nodes // 16) = 12 in-flight
+    # integrands, and a scratch set for each one running at once, within the
+    # bound of test_wave_operator_holds_one_node_buffer
     prof, cpl = _two_component_profile(32)
     node_buffer = 101 * cpl.n * 32 ** 2 * 16
     tracemalloc.start()
     try:
-        res, pools = _run_on_cpus(monkeypatch, 64, prof, cpl, 5.0, 0.05, tol=1e-10)
+        res, run = _run_on_cpus(monkeypatch, 64, prof, cpl, 5.0, 0.05, tol=1e-10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.converged and pools == [6]
+    assert res.converged and run.pools == [64] and run.most <= 12
     assert peak < 1.5 * node_buffer, f"peak {peak / node_buffer:.2f} node buffers"

@@ -269,7 +269,8 @@ def run_blocks(fn: Callable[[slice], object], blocks: list[slice]) -> None:
     errstate holds in all of them); returns once all are done and re-raises
     the first error."""
     if len(blocks) == 1:
-        return fn(blocks[0])
+        fn(blocks[0])
+        return
     futures = [worker_pool().submit(contextvars.copy_context().run, fn, b)
                for b in blocks[1:]]
     try:

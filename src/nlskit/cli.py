@@ -18,8 +18,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .config import CHOICES, SCHEMA, ConfigError, RunConfig, parse_config
-from .diagnostics import (CollectorOptions, DiagnosticsCollector, write_csv,
-                          write_summary, fmt17)
+from .diagnostics import DiagnosticsCollector, write_csv, write_summary, fmt17
 from .evolve import NanAbortError, evolve
 from .fieldio import write_fields
 from .gn import corpus_sup_ratio
@@ -29,7 +28,7 @@ from .morawetz import MorawetzWeight
 from .scattering import (WaveOperatorDivergence, admissible_pair,
                          asymptotic_profile, wave_operator)
 from .system import BOUNDARY_MASS_LIMIT, CouplingSpec, mass
-from .verify import (calibrate_fd_constants, check_identities, collect_series)
+from .verify import run_checks
 
 EXIT_OK, EXIT_FAIL, EXIT_NAN = 0, 1, 2
 
@@ -93,9 +92,9 @@ def _collector(cfg: RunConfig, coupling, grid, keep_states: int = 0) -> Diagnost
         cand = admissible_pair(cfg.p, cfg.d)
         pair = cand if cand.admissible else None
     lq = tuple(dict.fromkeys((4.0, 2.0 * cfg.p + 2.0)))
-    return DiagnosticsCollector(coupling, grid, CollectorOptions(
-        weight=_weight(cfg.weight, cfg), interaction=_weight(cfg.interaction_weight, cfg),
-        lq_values=lq, accumulators=True, strichartz_pair=pair, keep_states=keep_states))
+    return DiagnosticsCollector(coupling, grid, weight=_weight(cfg.weight, cfg),
+                                interaction=_weight(cfg.interaction_weight, cfg), lq_values=lq,
+                                strichartz_pair=pair, keep_states=keep_states)
 
 
 # Each runner writes its artifacts to the output directory and returns its
@@ -108,7 +107,7 @@ def run_simulate(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     collector = _collector(cfg, coupling, grid)
     final = evolve(state0, cfg.step_params(), collector)
 
-    write_csv(collector.records, collector.columns, out / "diagnostics.csv")
+    write_csv(collector.records, path=out / "diagnostics.csv")
     h1sq_T = sum(f.h1_norm() ** 2 for f in final.fields)
     first = collector.records[0]
     mass0 = sum(first[f"mass_{mu + 1}"] for mu in range(coupling.n))
@@ -116,7 +115,8 @@ def run_simulate(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     checks = {name: {"value": value, "tol": tol, "pass": value <= tol} for name, value, tol in (
         ("mass_drift", collector.mass_drift(), cfg.mass_drift_tol),
         ("energy_drift", collector.energy_drift(), cfg.energy_drift_tol),
-        ("boundary_mass", collector.max_boundary_fraction, BOUNDARY_MASS_LIMIT),
+        ("boundary_mass", float(collector.series("boundary_mass_fraction").max()),
+         BOUNDARY_MASS_LIMIT),
         # H1 control: sum ||u(t)||_H1^2 <= sum ||u(0)||_L2^2 + E(0)
         ("h1_bound", h1sq_T, bound * (1.0 + 1e-6) + 1e-12))}
     summary = {"admissibility": coupling.classification(),
@@ -138,20 +138,9 @@ def run_verify_identities(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     grid, coupling, state0 = _setup(cfg)
     smooth = _weight("erf" if cfg.weight == "erf" else "quadratic", cfg)
     inter = _weight(cfg.interaction_weight, cfg)
-
-    # calibrate over the full horizon: finite-difference constants can grow
-    # along the trajectory, so short-window calibration underestimates them.
-    # One dt run covers both the checked horizon and the calibration window;
-    # each reads its own prefix of it.
-    window = cfg.fd_calibration_t or cfg.t_final
-    trajectory = collect_series(state0, cfg.step_params(max(window, cfg.t_final)),
-                                smooth, inter)
-    calibration = cfg.step_params(window)
-    constants = calibrate_fd_constants(trajectory.prefix(calibration.n_snapshots),
-                                       state0, calibration, smooth, inter)
-    series = trajectory.prefix(cfg.step_params().n_snapshots)
-    checks = check_identities(series, constants)
-    write_csv(series.records, series.collector.columns, out / "diagnostics.csv")
+    records, constants, checks = run_checks(state0, cfg.step_params(), cfg.fd_calibration_t,
+                                            smooth, inter)
+    write_csv(records, path=out / "diagnostics.csv")
     summary = {"admissibility": coupling.classification(),
                "fd_constants": constants,
                "checks": checks}
@@ -165,14 +154,15 @@ def run_scatter(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     grid, coupling, state0 = _setup(cfg)
     collector = _collector(cfg, coupling, grid, keep_states=cfg.scatter_window)
     evolve(state0, cfg.step_params(), collector)
-    write_csv(collector.records, collector.columns, out / "diagnostics.csv")
+    write_csv(collector.records, path=out / "diagnostics.csv")
     result = asymptotic_profile(collector.states, tol=cfg.tol)
     write_fields(out / "profile.nlsf", grid, result.profile)
     summary = {"admissibility": coupling.classification(),
                "residuals": [list(r) for r in result.residuals],
                "converged": result.converged,
                "mass_mismatch": result.mass_mismatch,
-               "boundary_valid": collector.boundary_valid,
+               "boundary_valid": bool(collector.series("boundary_mass_fraction").max()
+                                      <= BOUNDARY_MASS_LIMIT),
                "message": result.message}
     if not result.converged:
         return summary, ("asymptotic profile did not converge: "

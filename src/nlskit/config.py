@@ -160,6 +160,8 @@ def parse_config(path: str | os.PathLike | None = None,
         if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
             problems.append(f"{key}: expected {'/'.join(t.__name__ for t in types)}, "
                             f"got {type(value).__name__} {value!r}")
+        elif isinstance(value, list) and not _numbers(value):
+            problems.append(f"{key}: expected a list of numbers, got {value!r}")
         else:
             merged[key] = float(value) if types == (int, float) else value
 
@@ -167,6 +169,12 @@ def parse_config(path: str | os.PathLike | None = None,
     if problems:
         raise ConfigError(problems)
     return RunConfig(**merged)
+
+
+def _numbers(values: list) -> bool:
+    """Whether every entry, in nested lists too, is an int or a float (not a bool)."""
+    return all(_numbers(v) if isinstance(v, list)
+               else isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
 
 
 def _physical_memory() -> int:

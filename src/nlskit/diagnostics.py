@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,45 +20,37 @@ from .grid import GridSpec
 from .morawetz import (MorawetzWeight, SpacetimeAccumulators, interaction_report,
                        virial_V, virial_Vddot, virial_Vdot)
 from .scattering import StrichartzAccumulator
-from .system import (BOUNDARY_MASS_LIMIT, Snapshot, SystemState,
-                     boundary_mass_fraction, energy, lq_norm, mass, sup_cube_mass)
+from .system import (Snapshot, SystemState, boundary_mass_fraction, energy, lq_norm, mass,
+                     sup_cube_mass)
 
 
 def fmt17(x: float) -> str:
     return f"{x:.17g}"
 
 
-@dataclass
-class CollectorOptions:
-    weight: MorawetzWeight | None = None            # virial weight
-    vddot: bool = False                             # d2V/dt2 column (smooth weight only)
-    interaction: MorawetzWeight | None = None       # bilinear weight
-    lq_values: tuple[float, ...] = (4.0,)
-    accumulators: bool = True
-    strichartz_pair: object = None                  # StrichartzPair or None
-    keep_states: int = 0                            # trailing states kept
-
-
 class DiagnosticsCollector:
     """Evolution sink: builds one record per snapshot and owns the running
     accumulators.  Records are plain dicts; their keys, in order, are the CSV header."""
 
-    def __init__(self, coupling, grid: GridSpec, options: CollectorOptions | None = None):
+    def __init__(self, coupling, grid: GridSpec, *, weight: MorawetzWeight | None = None,
+                 vddot: bool = False, interaction: MorawetzWeight | None = None,
+                 lq_values: tuple[float, ...] = (4.0,), accumulators: bool = True,
+                 strichartz_pair=None, keep_states: int = 0):
+        """Columns past the always-on ones: V and Vdot with a virial weight
+        (Vddot too with vddot, smooth weights only), I, Idot, N_term and
+        rhs_lower with an interaction weight, an L^q total per lq_values
+        entry, the accumulator totals and the Strichartz norm of
+        strichartz_pair; the last keep_states states stay in states."""
         self.coupling = coupling
-        self.opts = options or CollectorOptions()
+        self.weight, self.vddot, self.interaction = weight, vddot, interaction
+        self.lq_values = lq_values
         self.records: list[dict] = []
         self.reports = []            # InteractionReport per snapshot
-        self.states: deque[SystemState] = deque(maxlen=self.opts.keep_states)
+        self.states: deque[SystemState] = deque(maxlen=keep_states)
         self.cube_mass = not grid.unit_cube_problem()
-        self.accumulators = SpacetimeAccumulators(coupling) if self.opts.accumulators else None
-        self.strichartz = (StrichartzAccumulator(self.opts.strichartz_pair)
-                           if self.opts.strichartz_pair is not None else None)
-        self.max_boundary_fraction = 0.0
-
-    @property
-    def columns(self) -> list[str]:
-        """The first record's keys (evolve calls the sink at step 0)."""
-        return list(self.records[0])
+        self.accumulators = SpacetimeAccumulators(coupling) if accumulators else None
+        self.strichartz = (StrichartzAccumulator(strichartz_pair)
+                           if strichartz_pair is not None else None)
 
     def __call__(self, state: SystemState):
         snap = Snapshot(state)  # pieces shared by this snapshot's observables
@@ -68,17 +59,17 @@ class DiagnosticsCollector:
             rec[f"mass_{mu + 1}"] = mass(snap, mu)
         e = energy(snap)
         rec["kinetic"], rec["potential"], rec["energy_total"] = e.kinetic, e.potential, e.total
-        for q in self.opts.lq_values:
+        for q in self.lq_values:
             rec[f"l{q:g}_total"] = lq_norm(state, q)
         if self.cube_mass:
             rec["sup_cube_mass"] = sup_cube_mass(snap)
-        if self.opts.weight is not None:
-            rec["V"] = virial_V(snap, self.opts.weight)
-            rec["Vdot"] = virial_Vdot(snap, self.opts.weight)
-            if self.opts.vddot:
-                rec["Vddot"] = virial_Vddot(snap, self.opts.weight).total
-        if self.opts.interaction is not None:
-            rep = interaction_report(snap, self.opts.interaction)
+        if self.weight is not None:
+            rec["V"] = virial_V(snap, self.weight)
+            rec["Vdot"] = virial_Vdot(snap, self.weight)
+            if self.vddot:
+                rec["Vddot"] = virial_Vddot(snap, self.weight).total
+        if self.interaction is not None:
+            rep = interaction_report(snap, self.interaction)
             self.reports.append(rep)
             rec["I"], rec["Idot"] = rep.I, rep.Idot
             rec["N_term"], rec["rhs_lower"] = rep.N_term, rep.rhs_lower
@@ -89,15 +80,9 @@ class DiagnosticsCollector:
         if self.strichartz is not None:
             self.strichartz.update(snap)
             rec["strichartz"] = self.strichartz.value()
-        b = boundary_mass_fraction(snap)
-        self.max_boundary_fraction = max(self.max_boundary_fraction, b)
-        rec["boundary_mass_fraction"] = b
+        rec["boundary_mass_fraction"] = boundary_mass_fraction(snap)
         self.records.append(rec)
         self.states.append(state)
-
-    @property
-    def boundary_valid(self) -> bool:
-        return self.max_boundary_fraction <= BOUNDARY_MASS_LIMIT
 
     def series(self, column: str) -> np.ndarray:
         return np.array([rec[column] for rec in self.records])
@@ -117,10 +102,13 @@ class DiagnosticsCollector:
         return float(np.abs(s - s[0]).max() / scale)
 
 
-def write_csv(records: list[dict], columns: list[str], path) -> None:
-    lines = [",".join(columns)]
+def write_csv(records: list[dict], path) -> None:
+    """One line per record under the first record's keys (evolve calls the
+    sink at step 0, so a run has one).  Callers name path=, which
+    perfbench/tracing.py reads to count the bytes written."""
+    lines = [",".join(records[0])]
     for rec in records:
-        lines.append(",".join(fmt17(float(rec[c])) for c in columns))
+        lines.append(",".join(fmt17(float(v)) for v in rec.values()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -362,7 +362,7 @@ class RadialKernel:
       'grid'      FFT of the kernel sampled on the doubled box, origin cell
                   replaced by its exact cell average (default).
       'analytic'  closed-form transform of the disc-truncated kernel sampled
-                  on the padded wavenumber grid (reciprocal kernel only);
+                  on the padded wavenumber grid (reciprocal kernel, d = 2 only);
                   spectrally accurate for data supported inside the box.
     """
 
@@ -525,12 +525,10 @@ def _integral_of_j0(x: np.ndarray) -> np.ndarray:
 
 
 def _analytic_reciprocal_hat(grid: GridSpec) -> np.ndarray:
-    """Transform of 1/r truncated to the disc r < R, with R = 2L.
+    """Transform of 1/r truncated to the disc r < R, with R = 2L, in d = 2:
+    K_hat(k) = 2 pi Lambda(R k) / k,   Lambda(x) = int_0^x J0
 
-    d = 2:  K_hat(k) = 2 pi Lambda(R k) / k,   Lambda(x) = int_0^x J0
-    d = 3:  K_hat(k) = 4 pi (1 - cos(R k)) / k^2
-
-    In d = 2, Lambda is ``_integral_of_j0``: the midpoint rule on
+    Lambda is ``_integral_of_j0``: the midpoint rule on
     (1/pi) int_0^pi sin(x sin t)/sin t dt with floor(max R k) // 2 + 64
     nodes, evaluated on the distinct values of R k.
 
@@ -539,22 +537,15 @@ def _analytic_reciprocal_hat(grid: GridSpec) -> np.ndarray:
     supported inside the ball of radius ~L for spectral accuracy, which the
     boundary-mass monitor enforces anyway.
     """
+    if grid.d != 2:
+        raise ValueError("analytic reciprocal transform available for d = 2 only")
     km = padded_geometry(grid).k_modulus
     R = 2.0 * grid.l
-    if grid.d == 2:
-        lam = _integral_of_j0(R * km)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hat = np.where(km > 0, 2.0 * math.pi * lam / np.where(km > 0, km, 1.0), 0.0)
-        hat[km == 0] = 2.0 * math.pi * R
-        return hat
-    if grid.d == 3:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hat = np.where(km > 0,
-                           4.0 * math.pi * (1.0 - np.cos(R * km)) / np.where(km > 0, km ** 2, 1.0),
-                           0.0)
-        hat[km == 0] = 2.0 * math.pi * R ** 2
-        return hat
-    raise ValueError("analytic reciprocal transform available for d = 2, 3 only")
+    lam = _integral_of_j0(R * km)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hat = np.where(km > 0, 2.0 * math.pi * lam / np.where(km > 0, km, 1.0), 0.0)
+    hat[km == 0] = 2.0 * math.pi * R
+    return hat
 
 
 # Keyed on the kernel itself: the key holds its profile callable, so the

@@ -42,10 +42,11 @@ def _per_component(value, n: int, name: str):
 
 
 def _per_component_vector(value, n: int, d: int, name: str):
-    """Broadcast to n vectors of length d (scalar, d-vector, or n x d)."""
-    if np.isscalar(value):
-        return [np.full(d, float(value)) for _ in range(n)]
+    """Broadcast to n vectors of length d (scalar or one-element list,
+    d-vector, or n x d)."""
     arr = np.asarray(value, dtype=float)
+    if arr.shape in ((), (1,)):
+        return [np.full(d, arr.item()) for _ in range(n)]
     if arr.shape == (d,):
         return [arr.copy() for _ in range(n)]
     if arr.shape == (n, d):

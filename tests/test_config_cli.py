@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from nlskit import (ConfigError, CouplingSpec, GridSpec, MorawetzWeight, RadialK
 from nlskit.cli import build_parser, main
 from nlskit.config import CHOICES, ENV_OUT_DIR, SCHEMA
 from nlskit.evolve import StepParams, evolve
+from nlskit.grid import forward_transform
 from nlskit.verify import calibrate_fd_constants, check_identities, collect_series
 
 from conftest import gaussian, on_another_thread
@@ -383,16 +385,16 @@ def test_cli_verify_identities_runs_two_trajectories(tmp_path, monkeypatch, wind
 
     summary = json.loads((out / "summary.json").read_text())
     assert summary["fd_constants"] == constants
-    assert summary["checks"] == check_identities(series, constants)
+    assert summary["checks"] == check_identities(series, 5, constants)
 
     with open(out / "diagnostics.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    expected = {"t": series.times, "V": series.V, "Vdot": series.Vdot,
-                "Vddot": series.Vddot,
-                "I": [r.I for r in series.reports], "Idot": [r.Idot for r in series.reports],
-                "N_term": [r.N_term for r in series.reports],
-                "rhs_lower": [r.rhs_lower for r in series.reports]}
-    assert len(rows) == len(series.times) == 5
+    expected = {col: series.series(col) for col in ("t", "V", "Vdot", "Vddot")}
+    expected.update({"I": [r.I for r in series.reports],
+                     "Idot": [r.Idot for r in series.reports],
+                     "N_term": [r.N_term for r in series.reports],
+                     "rhs_lower": [r.rhs_lower for r in series.reports]})
+    assert len(rows) == len(series.records) == 5
     for col, values in expected.items():
         assert [float(r[col]) for r in rows] == [float(v) for v in values], col
 
@@ -404,9 +406,9 @@ def test_calibration_rejects_a_series_of_other_snapshot_times():
     smooth = MorawetzWeight.quadratic()
     params = StepParams(dt=0.01, t_final=0.2, snapshot_stride=5)
     coarse = collect_series(state0, params, smooth, None)
-    for wrong in (coarse.prefix(4), coarse.prefix(3)):
+    for longer in (0.25, 0.3):  # 6 and 7 snapshots, of which coarse has 5
         with pytest.raises(ValueError, match="does not sample"):
-            calibrate_fd_constants(wrong, state0, params, smooth, None)
+            calibrate_fd_constants(coarse, state0, replace(params, t_final=longer), smooth, None)
     other_dt = StepParams(dt=0.02, t_final=0.4, snapshot_stride=5)  # also 5 snapshots
     with pytest.raises(ValueError, match="does not sample"):
         calibrate_fd_constants(coarse, state0, other_dt, smooth, None)
@@ -842,6 +844,53 @@ def test_random_band_limited_data_does_not_call_numpy_fft(no_scipy_fft, d, m):
     state = build_initial_state(GridSpec(d, m, 4.0), CouplingSpec(2, np.eye(2), 1.0, d),
                                 RunConfig(family="random-band-limited", seed=3))
     assert state.is_finite()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_default_multi_bump_is_the_gaussian_of_the_same_amplitudes(d):
+    # one bump of amplitude 1 and width 1 at the origin, at rest: the
+    # one-element bump_centers and bump_velocities broadcast like scalars
+    grid, coupling = GridSpec(d, 16, 8.0), CouplingSpec(2, np.eye(2), 1.0, d)
+    bumps = build_initial_state(grid, coupling, RunConfig(family="multi-bump",
+                                                          amplitude=[0.5, 0.8]))
+    gauss = build_initial_state(grid, coupling, RunConfig(amplitude=[0.5, 0.8]))
+    for b, g in zip(bumps.fields, gauss.fields):
+        assert b.values.tobytes() == g.values.tobytes()
+
+
+@pytest.mark.parametrize("d, velocity, modes", [
+    (1, [1.7, -2.4], [(2,), (-3,)]),
+    (2, [[1.7, -0.3], [-2.4, 3.1]], [(2, 0), (-3, 4)]),
+    # past Nyquist: j is clipped to [-M/2, M/2 - 1]
+    (1, [100.0, -100.0], [(7,), (-8,)]),
+    (2, [[100.0, 1.7], [-100.0, 100.0]], [(7, 2), (-8, 7)])])
+def test_plane_modulated_data_is_one_grid_mode_per_component(d, velocity, modes):
+    # each component is A exp(i k.x) with k = (pi / L) j, j = round(v L / pi)
+    grid, amps = GridSpec(d, 16, 4.0), [0.5, 0.8]
+    state = build_initial_state(grid, CouplingSpec(2, np.eye(2), 1.0, d),
+                                RunConfig(family="plane-modulated", amplitude=amps,
+                                          velocity=velocity))
+    for f, amp, j in zip(state.fields, amps, modes):
+        assert np.abs(np.abs(f.values) - amp).max() <= 4 * np.finfo(float).eps * amp
+        expected = np.zeros(grid.shape, dtype=complex)
+        expected[tuple(np.mod(j, grid.m))] = amp
+        assert np.abs(forward_transform(f) - expected).max() <= 1e-14
+
+
+_LIST_KEYS = ("beta", "amplitude", "width", "center", "velocity", "chirp",
+              "bump_amplitudes", "bump_centers", "bump_widths", "bump_velocities")
+
+
+@pytest.mark.parametrize("entry", ["a", None, True, [0.0, "a"]],
+                         ids=["string", "null", "true", "nested"])
+@pytest.mark.parametrize("key", _LIST_KEYS)
+def test_cli_refuses_a_non_numeric_list_entry(tmp_path, capsys, key, entry):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"n_components": 2, key: [1.0, entry]}))
+    assert main(["simulate", "--config", str(cfgfile), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "nlskit: invalid configuration" in err
+    assert f"{key}: expected a list of numbers" in err
 
 
 # Run in a fresh interpreter: prints, as its last line, whether scipy was

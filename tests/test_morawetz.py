@@ -13,7 +13,7 @@ from nlskit import (CouplingSpec, GridSpec, MorawetzWeight, ScalarField,
                     mass, strang_step, sup_cube_mass, total_mass, virial_V,
                     virial_Vddot, virial_Vdot)
 from nlskit import grid as nlskit_grid
-from nlskit.diagnostics import CollectorOptions, DiagnosticsCollector
+from nlskit.diagnostics import DiagnosticsCollector
 from nlskit.grid import RadialKernel
 from nlskit.morawetz import ERF_SMOOTHED, SpacetimeAccumulators, _virial_meshes
 from nlskit.system import Snapshot
@@ -294,11 +294,11 @@ def _counted_collector_call(monkeypatch, d, m):
     every grid.padded_rfft) and of each padded fft pass after it, the number
     of kernel lookups (one per pairing) and the scipy.fft calls."""
     st = two_component_state(GridSpec(d, m, 8.0), p=1.0)
-    options = CollectorOptions(weight=MorawetzWeight.quadratic(), vddot=True,
-                               interaction=MorawetzWeight.abs_distance(),
-                               strichartz_pair=admissible_pair(1.0, d))
-    DiagnosticsCollector(st.coupling, st.grid, options)(st)
-    collector = DiagnosticsCollector(st.coupling, st.grid, options)
+    options = dict(weight=MorawetzWeight.quadratic(), vddot=True,
+                   interaction=MorawetzWeight.abs_distance(),
+                   strichartz_pair=admissible_pair(1.0, d))
+    DiagnosticsCollector(st.coupling, st.grid, **options)(st)
+    collector = DiagnosticsCollector(st.coupling, st.grid, **options)
     counts = {"fft": [], "padded": [], "padded_fft": [], "pairings": 0, "scipy": []}
     fft, rfftn = np.fft.fft, np.fft.rfftn
 
@@ -346,7 +346,7 @@ def _padded_passes(grid, transforms):
 
 
 def _assert_columns_equal_bare_state_observables(st, collector):
-    weight, inter = collector.opts.weight, collector.opts.interaction
+    weight, inter = collector.weight, collector.interaction
     rec = collector.records[0]
     e, rep = energy(st), interaction_report(st, inter)
     expected = {"mass_1": mass(st, 0), "mass_2": mass(st, 1), "kinetic": e.kinetic,

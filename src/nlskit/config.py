@@ -145,7 +145,7 @@ def parse_config(path: str | os.PathLike | None = None,
             doc = json.loads(Path(path).read_text())
         except FileNotFoundError:
             raise ConfigError([f"config file not found: {path}"])
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # a JSONDecodeError, or an int of too many digits to read
             raise ConfigError([f"config file is not valid JSON: {e}"])
         if not isinstance(doc, dict):
             raise ConfigError(["config file must contain a flat JSON object"])
@@ -162,6 +162,9 @@ def parse_config(path: str | os.PathLike | None = None,
                             f"got {type(value).__name__} {value!r}")
         elif isinstance(value, list) and not _numbers(value):
             problems.append(f"{key}: expected a list of numbers, got {value!r}")
+        elif types != (int,) and (big := [v for v in _entries(value) if _past_float_range(v)]):
+            problems.append(f"{key}: expected numbers within the float range, "
+                            f"got the integer {_g3(big[0])}")
         else:
             merged[key] = float(value) if types == (int, float) else value
 
@@ -171,10 +174,26 @@ def parse_config(path: str | os.PathLike | None = None,
     return RunConfig(**merged)
 
 
+def _entries(value) -> list:
+    """value itself, or every entry of it, in nested lists too."""
+    if not isinstance(value, list):
+        return [value]
+    return [e for v in value for e in _entries(v)]
+
+
 def _numbers(values: list) -> bool:
     """Whether every entry, in nested lists too, is an int or a float (not a bool)."""
-    return all(_numbers(v) if isinstance(v, list)
-               else isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in _entries(values))
+
+
+def _past_float_range(value) -> bool:
+    """Whether value is an int too large for any float."""
+    if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            return True
+    return False
 
 
 def _physical_memory() -> int:

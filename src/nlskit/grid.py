@@ -38,17 +38,21 @@ per axis and skip the rows that hold only padding zeros
 (``padded_rfft``); kernel transforms are cached as real half-spectra.
 
 Large arrays use one thread pool (``worker_pool``: one worker per CPU in the
-process's affinity set, made on first use) at three sites: ``transform`` of
+process's affinity set, made on first use) at four sites: ``transform`` of
 a stack runs each block of components' whole transform as one task,
-``padded_rfft`` splits the lines of each pass, and ``evolve._rotate``
-rotates each block of components as one task.  A site splits only an array
-of at least ``PARALLEL_MIN_POINTS`` points, and only on the main thread, so
-the tasks' own nested calls (and those of ``scattering.wave_operator``'s
-node integrands, which run on the same pool) stay inline; smaller arrays,
-among them every d = 1 and d = 2 run of the benchmark, never start a thread.
-pocketfft transforms one line at a time and the other work is elementwise,
-so a block computes each value exactly as the whole array would: results do
-not depend on the worker count.
+``padded_rfft`` splits the lines of each pass, ``evolve._rotate`` rotates
+each block of components as one task, and ``overlap`` runs a producer (the
+stepping loop of a large ``evolve``) as one task while the calling thread
+consumes what it sends (the diagnostics sink).  A site splits only an array
+of at least ``PARALLEL_MIN_POINTS`` points, and only on the thread that
+``splits``: the main thread, or during an ``overlap`` whichever of its two
+threads runs while the other waits.  So the tasks' own nested calls (and
+those of ``scattering.wave_operator``'s node integrands, which run on the
+same pool) stay inline; smaller arrays, among them every d = 1 and d = 2
+run of the benchmark, never start a thread.  pocketfft transforms one line
+at a time and the other work is elementwise, so a block computes each value
+exactly as the whole array would: results do not depend on the worker count
+or on the thread.
 """
 
 from __future__ import annotations
@@ -252,12 +256,29 @@ def worker_pool():
         return _pool
 
 
+def splits(points: int) -> bool:
+    """Whether the calling thread splits work on an array of ``points``
+    points over the pool: at least PARALLEL_MIN_POINTS of them, at least 2
+    CPUs, and the calling thread the one that may split.  That is the main
+    thread, except while an ``overlap`` runs: then it is whichever of its two
+    threads runs while the other waits, and neither while both run.  No
+    other thread splits, so a ``run_blocks`` task or a wave-operator node
+    integrand never submits work of its own, which could wait for ever on a
+    pool whose workers all wait."""
+    if points < PARALLEL_MIN_POINTS or cpu_count() < 2:
+        return False
+    handoff = _handoff
+    if handoff is None:
+        return threading.current_thread() is threading.main_thread()
+    return threading.get_ident() == handoff.splitter
+
+
 def row_blocks(rows: int, points: int) -> list[slice]:
     """Blocks of range(rows), one per worker, for a task on an array of
-    ``points`` points called from the main thread with at least
-    PARALLEL_MIN_POINTS of them; otherwise the one block slice(None)."""
-    workers = min(rows, cpu_count()) if points >= PARALLEL_MIN_POINTS else 1
-    if workers < 2 or threading.current_thread() is not threading.main_thread():
+    ``points`` points that the calling thread ``splits``; otherwise the one
+    block slice(None)."""
+    workers = min(rows, cpu_count()) if splits(points) else 1
+    if workers < 2:
         return [slice(None)]
     bounds = [rows * b // workers for b in range(workers + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
@@ -280,6 +301,134 @@ def run_blocks(fn: Callable[[slice], object], blocks: list[slice]) -> None:
             f.exception()
     for f in futures:
         f.result()
+
+
+class _Stopped(Exception):
+    """Ends an overlap's task once its calling thread has stopped."""
+
+
+class _Handoff:
+    """What the two threads of an ``overlap`` share, under one condition:
+    the item sent and not yet taken, who waits, and so who may split."""
+
+    def __init__(self):
+        self.cond = threading.Condition()
+        self.item = None
+        self.caller, self.task = threading.get_ident(), None
+        self.caller_waits = True          # from the submission on
+        self.task_waits = self.consuming = self.done = self.stopped = False
+        self.splitter = None
+
+    def _turn(self):
+        """Splitting goes to the side that runs while the other waits."""
+        if self.done or self.task_waits:
+            self.splitter = self.caller
+        else:
+            self.splitter = self.task if self.caller_waits else None
+
+    def _wait(self, until):
+        while not (until() or self.stopped):
+            self.cond.wait()
+
+    # the task's side
+    def run(self, produce):
+        with self.cond:
+            self.task = threading.get_ident()
+            self._turn()
+        try:
+            return produce(self.send, self.check)
+        finally:
+            with self.cond:
+                self.done = True
+                self._turn()
+                self.cond.notify()
+
+    def check(self):
+        if self.stopped:
+            raise _Stopped
+
+    def send(self, item):
+        with self.cond:
+            self.task_waits = True
+            self._turn()
+            self._wait(lambda: not self.consuming)
+            self.check()
+            self.item = item
+            self.cond.notify()
+            self._wait(lambda: not self.task_waits)  # until taken
+            if self.task_waits:  # stopped first
+                raise _Stopped
+
+    # the calling thread's side
+    def receive(self):
+        """The next item, once the last one is consumed; None after the last."""
+        with self.cond:
+            self.consuming = False
+            self.caller_waits = True
+            self._turn()
+            self.cond.notify()
+            self._wait(lambda: self.item is not None or self.done)
+            self.caller_waits = False
+            self._turn()
+            return self.item
+
+    def taken(self):
+        with self.cond:
+            self.item = None
+            self.task_waits = False
+            self.consuming = True
+            self._turn()
+            self.cond.notify()
+
+    def stop(self):
+        with self.cond:
+            self.stopped = True
+            self.cond.notify()
+
+
+# the overlap that runs, if any: process-wide like the pool whose splits it
+# governs, since row_blocks reads it below every site that splits
+_handoff: _Handoff | None = None
+
+
+def overlap(produce: Callable[[Callable[[object], None], Callable[[], None]], object],
+            take: Callable[[object], object], consume: Callable[[object], None]) -> object:
+    """produce(send, check) as one task on the pool while the calling thread
+    runs consume(take(item)) for each item (never None) that the task sends;
+    returns what produce returns.
+
+    send(item) returns once the calling thread has run take(item), so the
+    task may change the item after: take runs while the task waits, consume
+    while it runs on.  The task sends the next item once consume has
+    returned, so at most one is in flight, and the calling thread takes them
+    in order.  While one side waits for the other, the side that runs may
+    split its arrays (``splits``).  An error of produce is raised once
+    consume has returned for every item sent before it.  An error of take or
+    consume, or any other exception on the calling thread, makes send and
+    check raise in the task, and is raised once the task has ended.
+
+    Called while another overlap runs (from its take or consume), produce
+    runs inline with send = consume o take: a second waiting task could hold
+    the worker that the first one's splits need."""
+    global _handoff
+    if _handoff is not None:
+        return produce(lambda item: consume(take(item)), lambda: None)
+    handoff = _handoff = _Handoff()
+    try:
+        future = worker_pool().submit(contextvars.copy_context().run, handoff.run, produce)
+        try:
+            while (item := handoff.receive()) is not None:
+                item = take(item)
+                handoff.taken()
+                consume(item)
+        except BaseException:
+            handoff.stop()
+            if not future.cancel():
+                future.exception()
+            raise
+        return future.result()
+    finally:
+        _handoff = None
 
 
 def transform(grid: GridSpec, values: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -566,6 +715,9 @@ def _kernel_hat(grid: GridSpec, kernel: RadialKernel) -> np.ndarray:
     return hat
 
 
+_CHUNK_POINTS = 2 ** 15  # values per chunk of kernel_inner_product's second product
+
+
 def kernel_inner_product(grid: GridSpec, f_hat: np.ndarray, g_hat: np.ndarray,
                          kernel: RadialKernel) -> float:
     """int f (K * g) dx for real f and g supported in the box, from their
@@ -575,10 +727,12 @@ def kernel_inner_product(grid: GridSpec, f_hat: np.ndarray, g_hat: np.ndarray,
     over the N padded modes, evaluated as the weighted real part of the
     half-spectrum sum with no inverse transform.  It equals h^d sum_x f (K * g)
     with the padded physical-space convolution K * g, the oracle of
-    tests/reference.py.
+    tests/reference.py.  Its one full-size temporary is Re conj(f) g.
     """
     cross = f_hat.real * g_hat.real          # Re conj(f) g
-    cross += f_hat.imag * g_hat.imag
+    step = max(1, _CHUNK_POINTS * len(cross) // cross.size)
+    for a in range(0, len(cross), step):     # no second full-size product
+        cross[a:a + step] += f_hat.imag[a:a + step] * g_hat.imag[a:a + step]
     return _weighted_sum(grid, cross, kernel)
 
 

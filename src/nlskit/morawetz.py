@@ -260,21 +260,23 @@ _SUPPORTED = ("supported weights for interaction_report: constant (any d), "
               "|x| (d = 1, 2, 3), erf-smoothed (d = 1)")
 
 
-def gradient_pairing(state: SystemState | Snapshot) -> float:
+def gradient_pairing(state: SystemState | Snapshot, rho_hat: np.ndarray | None = None) -> float:
     """sum_{mu,kappa} intint Lap_x psi grad_x m_mu . grad_y m_kappa for the
     |x-y| weight.
 
     d = 1:     the delta collapse 2 ||dx rho||^2;
     d = 2, 3:  Lap_x psi = (d-1)/|x-y|, paired as the half-spectrum sum
                (d-1) sum_k |k|^2 K_hat |rho_hat|^2 of the reciprocal kernel K
-               (no transform of grad rho).
+               (no transform of grad rho); ``rho_hat`` is the Snapshot's
+               rho_hat(), made here unless the caller holds it.
     """
     snap = Snapshot.of(state)
     g = snap.state.grid
     if g.d == 1:
         return 2.0 * g.cell_volume * float(np.sum(snap.rho_grads[0] ** 2))
     kernel = RadialKernel.reciprocal(transform="analytic" if g.d == 2 else "grid")
-    return (g.d - 1.0) * kernel_gradient_product(g, snap.rho_hat, kernel)
+    return (g.d - 1.0) * kernel_gradient_product(
+        g, snap.rho_hat() if rho_hat is None else rho_hat, kernel)
 
 
 def interaction_report(state: SystemState | Snapshot, weight: MorawetzWeight) -> InteractionReport:
@@ -306,7 +308,7 @@ def interaction_report(state: SystemState | Snapshot, weight: MorawetzWeight) ->
 
     kernel = (RadialKernel.abs_distance() if weight.kind == ABS_DISTANCE else
               RadialKernel.from_profile(weight.profile))
-    rho_hat = snap.rho_hat  # shared by every rho pairing below
+    rho_hat = snap.rho_hat()  # shared by every rho pairing below
     I = kernel_inner_product(g, rho_hat, rho_hat, kernel)
     Idot = -4.0 * kernel_inner_product(g, padded_rfft(g, snap.div_current), rho_hat, kernel)
 
@@ -318,7 +320,7 @@ def interaction_report(state: SystemState | Snapshot, weight: MorawetzWeight) ->
                                                          delta_eps)
         grad_term = 4.0 * kernel_gradient_product(g, rho_hat, delta_eps)
     else:
-        grad_term = 2.0 * gradient_pairing(snap)
+        grad_term = 2.0 * gradient_pairing(snap, rho_hat)
         if g.d == 1:
             N = (8.0 * p / (p + 1.0)) * vol * float(np.sum(snap.P * rho))
         else:

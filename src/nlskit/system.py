@@ -162,8 +162,8 @@ def total_current(state: SystemState, gradients: list[list[np.ndarray]]) -> list
 class Snapshot:
     """The per-state pieces that the diagnostics of one snapshot share.
 
-    Each piece is computed on first use and kept for the life of the
-    Snapshot, which is built for one state and dropped with it.  Every
+    Each piece but rho_hat is computed on first use and kept for the life of
+    the Snapshot, which is built for one state and dropped with it.  Every
     unpadded forward transform of a snapshot is one of the spectra below:
 
       spectra    per-component spectra c_k (grid.forward_transform)
@@ -178,7 +178,7 @@ class Snapshot:
       rho_grads  real spectral gradient of rho from its spectrum, per axis
                  (d = 1 only: the delta collapse and grad_density_sq)
       m_hats     padded half-spectra of the m_mu (grid.padded_rfft)
-      rho_hat    padded half-spectrum of rho, sum_mu m_hats[mu]
+      rho_hat()  padded half-spectrum of rho, sum_mu m_hats[mu] (not kept)
     """
 
     def __init__(self, state: SystemState):
@@ -244,8 +244,10 @@ class Snapshot:
     def m_hats(self) -> list[np.ndarray]:
         return [padded_rfft(self.state.grid, m) for m in self.m]
 
-    @cached_property
     def rho_hat(self) -> np.ndarray:
+        """sum_mu m_hats[mu], made on each call and not kept: the caller that
+        reads it (morawetz.interaction_report) drops it before the
+        accumulators' padded transforms run."""
         return sum(self.m_hats)
 
 

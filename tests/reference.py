@@ -130,8 +130,9 @@ def idot_reference(snap: Snapshot, kernel: RadialKernel) -> float:
     """4 sum_a int j_a (d_a K * rho) dx: each current component padded,
     transformed and paired with rho_hat along its axis."""
     g = snap.state.grid
+    rho_hat = snap.rho_hat()
     return 4.0 * sum(kernel_axis_pairing_reference(g, padded_rfft(g, snap.current[a]),
-                                                   snap.rho_hat, kernel, a)
+                                                   rho_hat, kernel, a)
                      for a in range(g.d))
 
 

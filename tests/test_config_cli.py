@@ -893,6 +893,34 @@ def test_cli_refuses_a_non_numeric_list_entry(tmp_path, capsys, key, entry):
     assert f"{key}: expected a list of numbers" in err
 
 
+_FLOAT_KEYS = ("dt", "t_final", "box_l", "p", "weight_eps", "tol")
+_PAST_FLOATS = {"int": 10 ** 400, "negative": -(10 ** 400), "list": [0.5, 10 ** 400],
+                "nested": [[0.0, 10 ** 400]]}
+
+
+@pytest.mark.parametrize("key, kind", [(key, "int") for key in _FLOAT_KEYS]
+                         + [(key, kind) for key in _LIST_KEYS for kind in _PAST_FLOATS
+                            # the bump_* keys take lists only
+                            if kind in ("list", "nested") or not key.startswith("bump_")])
+def test_cli_refuses_an_integer_past_the_float_range(tmp_path, capsys, key, kind):
+    # an int keeps its digits through json and parse_config; one with no
+    # finite float is a named problem, not an OverflowError later
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"n_components": 2, key: _PAST_FLOATS[kind]}))
+    assert main(["simulate", "--config", str(cfgfile), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "nlskit: invalid configuration" in err
+    sign = "-" if kind == "negative" else ""
+    assert f"{key}: expected numbers within the float range, got the integer {sign}1e+400" in err
+
+
+def test_cli_refuses_an_integer_of_too_many_digits_to_read(tmp_path, capsys):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text('{"amplitude": 1' + "0" * 5000 + "}")
+    assert main(["simulate", "--config", str(cfgfile), "--out-dir", str(tmp_path)]) == 1
+    assert "config file is not valid JSON" in capsys.readouterr().err
+
+
 # Run in a fresh interpreter: prints, as its last line, whether scipy was
 # loaded after each stage, with the exit code of each run and the checks of
 # the erf-smoothed weight and the d = 2 analytic kernel, the two places that

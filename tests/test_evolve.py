@@ -8,7 +8,7 @@ from nlskit import (CouplingSpec, GridSpec, NanAbortError, ScalarField,
                     StepParams, SystemState, energy, evolve,
                     field_from_function, h1_norm, linear_substep, mass,
                     nonlinear_substep, state_from_arrays, strang_step)
-from nlskit.evolve import _nonlinear_exponents
+from nlskit.evolve import _chunk_rows, _nonlinear_exponents
 
 from conftest import free_gaussian_exact, gaussian, single_state
 from reference import evolve_reference, nonlinear_exponents_reference, rk4_reference_step
@@ -306,6 +306,34 @@ def test_exponents_in_caller_scratch_name_the_same_non_finite_entry(p, mu):
         causes.append(str(err.value.__cause__))
     assert causes[0] == causes[1]
     assert f"component {mu} at grid index (3, 4)" in causes[0]
+
+
+@pytest.mark.parametrize("p", (0.5, 2.0))
+def test_exponents_of_a_stack_of_many_chunks_equal_the_reference_bit_for_bit(p):
+    # a d = 3, M = 48 stack spans several chunks of grid rows; a NaN in
+    # component 1 in the first chunk and an inf in component 0 in the last
+    # name component 0 when decoupled (p < 1), as one whole-array pass would
+    n = 2
+    grid = GridSpec(3, 48, 6.0)
+    rng = np.random.default_rng(48)
+    stack = rng.standard_normal((n,) + grid.shape) + 1j * rng.standard_normal((n,) + grid.shape)
+    stack[:, 5, 6, 7] = 0.0
+    beta = np.diag([1.0, 0.7]) if p < 1.0 else np.array([[1.0, 0.4], [0.4, 0.7]])
+    coupling = CouplingSpec(n, beta, p, 3)
+    assert 48 / _chunk_rows(stack.shape) > 2
+    want = nonlinear_exponents_reference(list(stack), coupling, 0.0)
+    for got in (_nonlinear_exponents(stack, coupling, 0.0),
+                _nonlinear_exponents(stack, coupling, 0.0,
+                                     work=np.full((2 * n + 1,) + grid.shape, np.nan))):
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+    stack[1, 0, 1, 2] = np.nan
+    stack[0, 47, 1, 2] = np.inf
+    with pytest.raises(NanAbortError) as err:
+        _nonlinear_exponents(stack, coupling, 0.25)
+    assert err.value.t == 0.25
+    first = (47, 1, 2) if p < 1.0 else (0, 1, 2)  # coupled, the NaN reaches g_0
+    assert f"component 0 at grid index {first}" in str(err.value.__cause__)
 
 
 @pytest.mark.parametrize("stride", (1, 4))

@@ -284,6 +284,15 @@ def _validate(c: dict, problems: list[str]):
             key = "fd_calibration_t"
         table.append(("diagnostics records", cfg.step_params(c[key]).n_snapshots, "snapshots",
                       SNAPSHOT_BYTES, f"shorten {key}, lengthen dt or raise snapshot_stride"))
+        # the sink pairs kernels with the |x| and erf interaction weights, and
+        # with the accumulators of simulate and scatter in d = 2, 3; its padded
+        # stage then holds two padded half-spectra at once (system.Snapshot:
+        # rho_hat and the m_mu's half-spectrum being summed into it)
+        if cfg.interaction_weight in ("absdistance", "erf") or (
+                cfg.experiment != "verify-identities" and cfg.d > 1):
+            m = cfg.grid_m
+            table.append(("padded half-spectra", 2 * (2 * m) ** (cfg.d - 1) * (m + 1),
+                          "complex values", 16, "lower grid_m"))
     memory = _physical_memory()
     for what, count, item, each, remedy in table:
         if count * each > memory:

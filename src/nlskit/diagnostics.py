@@ -4,8 +4,9 @@ One record per snapshot: time, per-component masses, energy split, selected
 L^q norms, cube-localized mass (when unit cubes fit the grid), virial and
 interaction quantities, running space-time accumulator totals, the
 Strichartz accumulator, and the boundary-mass monitor; the columns share the
-pieces of one system.Snapshot.  Numbers are serialized with 17 significant
-digits so identical configurations reproduce byte-identical CSV files.
+pieces of one system.Snapshot, each released after its last reader.  Numbers
+are serialized with 17 significant digits so identical configurations
+reproduce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridSpec
-from .morawetz import (MorawetzWeight, SpacetimeAccumulators, interaction_report,
-                       virial_V, virial_Vddot, virial_Vdot)
+from .grid import GridSpec, RadialKernel, _kernel_hat
+from .morawetz import (CONSTANT, MorawetzWeight, SpacetimeAccumulators, interaction_kernels,
+                       interaction_report, virial_V, virial_Vddot, virial_Vdot)
 from .scattering import StrichartzAccumulator
 from .system import (Snapshot, SystemState, boundary_mass_fraction, energy, lq_norm, mass,
                      sup_cube_mass)
@@ -42,6 +43,7 @@ class DiagnosticsCollector:
         entry, the accumulator totals and the Strichartz norm of
         strichartz_pair; the last keep_states states stay in states."""
         self.coupling = coupling
+        self.grid = grid
         self.weight, self.vddot, self.interaction = weight, vddot, interaction
         self.lq_values = lq_values
         self.records: list[dict] = []
@@ -51,9 +53,21 @@ class DiagnosticsCollector:
         self.accumulators = SpacetimeAccumulators(coupling) if accumulators else None
         self.strichartz = (StrichartzAccumulator(strichartz_pair)
                            if strichartz_pair is not None else None)
+        # the kernels this sink pairs; their transforms are built by the
+        # first call, before any snapshot piece exists, not here
+        self.kernels = interaction_kernels(interaction, grid.d) if interaction else ()
+        if self.accumulators is not None and grid.d > 1:
+            self.kernels += (RadialKernel.reciprocal(),)  # recip_self
 
-    def __call__(self, state: SystemState):
-        snap = Snapshot(state)  # pieces shared by this snapshot's observables
+    def __call__(self, state: SystemState | Snapshot):
+        """One record.  The observables run in the order that frees each
+        large Snapshot piece after its last reader (see Snapshot); the record
+        keys keep the CSV header's order."""
+        if not self.records:
+            for kernel in self.kernels:
+                _kernel_hat(self.grid, kernel)
+        snap = Snapshot.of(state)  # pieces shared by this snapshot's observables
+        state = snap.state
         rec: dict[str, float] = {"t": state.t}
         for mu in range(self.coupling.n):
             rec[f"mass_{mu + 1}"] = mass(snap, mu)
@@ -68,6 +82,11 @@ class DiagnosticsCollector:
             rec["Vdot"] = virial_Vdot(snap, self.weight)
             if self.vddot:
                 rec["Vddot"] = virial_Vddot(snap, self.weight).total
+        if self.strichartz is not None:
+            self.strichartz.update(snap)
+        if self.interaction is not None and self.interaction.kind != CONSTANT:
+            snap.div_current  # read by interaction_report, made while the spectra live
+        snap.release("grads", "current", "spectra")
         if self.interaction is not None:
             rep = interaction_report(snap, self.interaction)
             self.reports.append(rep)
@@ -77,8 +96,8 @@ class DiagnosticsCollector:
             self.accumulators.update(snap)
             for name in self.accumulators.names:
                 rec[f"acc_{name}"] = self.accumulators.totals[name]
+        snap.release("div_current", "rho_hat", "recip_potentials")
         if self.strichartz is not None:
-            self.strichartz.update(snap)
             rec["strichartz"] = self.strichartz.value()
         rec["boundary_mass_fraction"] = boundary_mass_fraction(snap)
         self.records.append(rec)

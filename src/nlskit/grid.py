@@ -28,22 +28,25 @@ transform of the kernel restricted to the doubled box, so periodic images
 cannot contaminate results for data supported well inside the original box.
 Singular kernels are truncated: the value assigned to the ``r = 0`` cell is
 the exact average of the kernel over one grid cell (closed form per
-dimension).  The pairings never go back to physical space: by Parseval on
-the doubled box they are weighted sums of
-``conj(f_hat) K_hat g_hat`` over real-to-complex half-spectra
-(``kernel_inner_product``); the gradient pairing
-``sum_a int d_a f (K * d_a f)`` is the sum of ``|k|^2 K_hat |f_hat|^2``
+dimension).  A pairing goes back to physical space once per potential:
+``kernel_potential`` turns the real-to-complex half-spectrum of g into the
+convolution K * g at the box points (one cropped inverse padded transform),
+and every pairing of that potential is a dot product on the box.  The
+gradient pairing ``sum_a int d_a f (K * d_a f)`` stays on the half-spectrum,
+as the sum of ``|k|^2 K_hat |f_hat|^2`` by Parseval on the doubled box
 (``kernel_gradient_product``).  Padded transforms run one ``numpy.fft`` pass
-per axis and skip the rows that hold only padding zeros
-(``padded_rfft``); kernel transforms are cached as real half-spectra.
+per axis and skip the rows that hold only padding zeros, forward
+(``padded_rfft``) and back (``kernel_potential``); kernel transforms are
+cached as real half-spectra.
 
 Large arrays use one thread pool (``worker_pool``: one worker per CPU in the
 process's affinity set, made on first use) at four sites: ``transform`` of
 a stack runs each block of components' whole transform as one task,
-``padded_rfft`` splits the lines of each pass, ``evolve._rotate`` rotates
-each block of components as one task, and ``overlap`` runs a producer (the
-stepping loop of a large ``evolve``) as one task while the calling thread
-consumes what it sends (the diagnostics sink).  A site splits only an array
+``padded_rfft`` and ``kernel_potential`` split the lines of each padded
+pass, ``evolve._rotate`` rotates each block of components as one task, and
+``overlap`` runs a producer (the stepping loop of a large ``evolve``) as one
+task while the calling thread consumes what it sends (the diagnostics
+sink).  A site splits only an array
 of at least ``PARALLEL_MIN_POINTS`` points, and only on the thread that
 ``splits``: the main thread, or during an ``overlap`` whichever of its two
 threads runs while the other waits.  So the tasks' own nested calls (and
@@ -566,8 +569,8 @@ class RadialKernel:
 class PaddedGeometry:
     """The box zero-padded to n = 2M points per axis (period 4L).
 
-    Half-spectrum arrays have the shape of ``rfftn`` output,
-    ``(n,) * (d - 1) + (n // 2 + 1,)``; the per-axis arrays are shaped to
+    Half-spectrum arrays have the shape of ``rfftn`` output, ``half_shape =
+    (n,) * (d - 1) + (n // 2 + 1,)``; the per-axis arrays are shaped to
     broadcast against it.
     """
 
@@ -575,6 +578,7 @@ class PaddedGeometry:
         n = 2 * grid.m
         self.grid = grid
         self.shape = (n,) * grid.d
+        self.half_shape = self.shape[:-1] + (n // 2 + 1,)
         self.npoints = n ** grid.d
         self.dk = math.pi / (2 * grid.l)
         self._full = mode_numbers(n)
@@ -634,14 +638,18 @@ def padded_rfft(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _padded_pass(fft, src: np.ndarray, shape: tuple[int, ...], split: int, **kwargs) -> np.ndarray:
-    """fft(src, **kwargs), a pass whose result has ``shape``.  Split into row
-    blocks along axis ``split``, each block's lines are written with ``out=``
-    into one result array made on the calling thread."""
+def _padded_pass(fft, src: np.ndarray, shape: tuple[int, ...], split: int,
+                 out: np.ndarray | None = None, **kwargs) -> np.ndarray:
+    """fft(src, **kwargs), a pass whose result has ``shape``, written into
+    ``out`` when one is given (``src`` itself for a pass in place).  Split
+    into row blocks along axis ``split``, each block's lines are written with
+    ``out=`` into one result array (made on the calling thread if none is
+    given)."""
     blocks = row_blocks(shape[split], math.prod(shape)) if src.ndim > 1 else [slice(None)]
-    if len(blocks) == 1:
+    if len(blocks) == 1 and out is None:
         return fft(src, **kwargs)
-    out = np.empty(shape, dtype=complex)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
 
     def lines(rows):
         index = (slice(None),) * split + (rows,)
@@ -715,25 +723,29 @@ def _kernel_hat(grid: GridSpec, kernel: RadialKernel) -> np.ndarray:
     return hat
 
 
-_CHUNK_POINTS = 2 ** 15  # values per chunk of kernel_inner_product's second product
+def kernel_potential(grid: GridSpec, f_hat: np.ndarray, kernel: RadialKernel, *,
+                     overwrite: bool = False) -> np.ndarray:
+    """(K * f)(x) = h^d sum_y K(x - y) f(y) at the M^d box points, for real f
+    supported in the box, from its padded_rfft half-spectrum: the free-space
+    convolution that tests/reference.py's convolve_radial_kernel makes with
+    a full irfftn, so int g (K * f) dx is the box sum h^d sum_x g (K * f).
 
-
-def kernel_inner_product(grid: GridSpec, f_hat: np.ndarray, g_hat: np.ndarray,
-                         kernel: RadialKernel) -> float:
-    """int f (K * g) dx for real f and g supported in the box, from their
-    padded_rfft half-spectra.
-
-    By Parseval on the doubled box this is h^(2d)/N sum_k conj(f_k) K_k g_k
-    over the N padded modes, evaluated as the weighted real part of the
-    half-spectrum sum with no inverse transform.  It equals h^d sum_x f (K * g)
-    with the padded physical-space convolution K * g, the oracle of
-    tests/reference.py.  Its one full-size temporary is Re conj(f) g.
-    """
-    cross = f_hat.real * g_hat.real          # Re conj(f) g
-    step = max(1, _CHUNK_POINTS * len(cross) // cross.size)
-    for a in range(0, len(cross), step):     # no second full-size product
-        cross[a:a + step] += f_hat.imag[a:a + step] * g_hat.imag[a:a + step]
-    return _weighted_sum(grid, cross, kernel)
+    The reverse of padded_rfft's pruning: f_hat times the kernel's
+    half-spectrum, then an inverse fft along axes d-2, ..., 0 in that order,
+    each in place and keeping only the M rows that land in the box for the
+    next pass, then an irfft along the last axis, cropped to M points.  With
+    ``overwrite`` the product is formed in f_hat, which the caller gives up;
+    the result is the same bit for bit.  A large pass splits its lines into
+    row blocks along another axis, as padded_rfft's do."""
+    m, n = grid.m, 2 * grid.m
+    spec = np.multiply(f_hat, _kernel_hat(grid, kernel), out=f_hat if overwrite else None)
+    for axis in reversed(range(grid.d - 1)):
+        _padded_pass(np.fft.ifft, spec, spec.shape, 1 if axis == 0 else 0, out=spec,
+                     axis=axis, norm="forward")
+        spec = spec[(slice(None),) * axis + (slice(0, m),)]
+    shape = spec.shape[:-1] + (n,)
+    conv = _padded_pass(np.fft.irfft, spec, shape, 0, out=np.empty(shape), n=n, norm="forward")
+    return conv[..., :m] * (grid.cell_volume / padded_geometry(grid).npoints)
 
 
 def kernel_gradient_product(grid: GridSpec, f_hat: np.ndarray, kernel: RadialKernel) -> float:
@@ -748,15 +760,9 @@ def kernel_gradient_product(grid: GridSpec, f_hat: np.ndarray, kernel: RadialKer
     sq = f_hat.real * f_hat.real
     sq += f_hat.imag * f_hat.imag
     sq *= sum(k * k for k in geo.odd_k_axes)  # not cached: a stored |k|^2 raised peak RSS
-    return _weighted_sum(grid, sq, kernel)
-
-
-def _weighted_sum(grid: GridSpec, values: np.ndarray, kernel: RadialKernel) -> float:
-    """h^(2d)/N sum_k K_k values_k over the padded modes; scales ``values`` in place."""
-    geo = padded_geometry(grid)
-    values *= _kernel_hat(grid, kernel)
-    values *= geo.weights
-    return grid.cell_volume ** 2 / geo.npoints * float(np.sum(values))
+    sq *= _kernel_hat(grid, kernel)
+    sq *= geo.weights
+    return grid.cell_volume ** 2 / geo.npoints * float(np.sum(sq))
 
 
 def cube_sup_l2(grid: GridSpec, density: np.ndarray) -> float:

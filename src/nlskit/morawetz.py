@@ -36,21 +36,29 @@ whose second derivative is exactly twice the Gaussian mollifier
 delta_eps(z) = exp(-(z/eps)^2) / (eps sqrt(pi)), recovering the delta
 collapse as eps -> 0.
 
-Every double integral is a pairing int f (K * g) dx on the zero-padded box,
-evaluated by Parseval on the padded half-spectra (grid.kernel_inner_product):
-no M^d x M^d object is ever formed and no convolution is taken back to
-physical space.  Two forms keep the number of padded transforms down:
+Every double integral is a pairing int f (K * g) dx on the zero-padded box.
+Each potential K * g is made once, by one cropped inverse padded transform
+of g's half-spectrum (grid.kernel_potential), and each pairing of it is a
+dot product on the box: no M^d x M^d object is ever formed.  The
+potentials of a snapshot are
+
+    Phi = K * rho           (K = |z| or the erf profile; I and dI/dt)
+    K_rec * m_mu            (K_rec = 1/|z|, d = 2, 3; recip_self, and N
+                             through their sum K_rec * rho)
+    delta_eps * rho         (the erf weight's N)
+
+and two forms keep the number of padded transforms down:
 
     dI/dt = -4 int (div j)(K * rho),   div j = sum_mu Im(conj(u_mu) Lap u_mu)
 
-(the current pairing integrated by parts: one padded transform in place of
-d), and the gradient pairing sum_a intint d_a rho d_a rho K, which is the
+(the current pairing integrated by parts: no padded transform of j), and
+the gradient pairing sum_a intint d_a rho d_a rho K, which is the
 half-spectrum sum of |k|^2 K_hat |rho_hat|^2 (grid.kernel_gradient_product)
 and transforms no d_a rho (the tests check it against its d = 2 fractional
 form 2 pi ||(-Lap)^{1/4} rho||^2).  The per-state pieces (spectra, densities,
-currents, gradients, padded transforms) come from one system.Snapshot, so a
-caller that evaluates several diagnostics of one state can build the
-Snapshot once and pass it in place of the state.
+currents, gradients, half-spectra, potentials) come from one
+system.Snapshot, so a caller that evaluates several diagnostics of one state
+can build the Snapshot once and pass it in place of the state.
 """
 
 from __future__ import annotations
@@ -62,8 +70,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import (GridSpec, RadialKernel, kernel_gradient_product, kernel_inner_product,
-                   padded_rfft)
+from .grid import GridSpec, RadialKernel, kernel_gradient_product, kernel_potential
 from .system import RunningIntegral, Snapshot, SystemState
 
 ABS_DISTANCE = "absdistance"
@@ -260,34 +267,51 @@ _SUPPORTED = ("supported weights for interaction_report: constant (any d), "
               "|x| (d = 1, 2, 3), erf-smoothed (d = 1)")
 
 
-def gradient_pairing(state: SystemState | Snapshot, rho_hat: np.ndarray | None = None) -> float:
+def _gradient_kernel(d: int) -> RadialKernel:
+    """The reciprocal kernel of gradient_pairing in d = 2, 3."""
+    return RadialKernel.reciprocal(transform="analytic" if d == 2 else "grid")
+
+
+def gradient_pairing(state: SystemState | Snapshot) -> float:
     """sum_{mu,kappa} intint Lap_x psi grad_x m_mu . grad_y m_kappa for the
     |x-y| weight.
 
     d = 1:     the delta collapse 2 ||dx rho||^2;
     d = 2, 3:  Lap_x psi = (d-1)/|x-y|, paired as the half-spectrum sum
                (d-1) sum_k |k|^2 K_hat |rho_hat|^2 of the reciprocal kernel K
-               (no transform of grad rho); ``rho_hat`` is the Snapshot's
-               rho_hat(), made here unless the caller holds it.
+               over the Snapshot's rho_hat (no transform of grad rho).
     """
     snap = Snapshot.of(state)
     g = snap.state.grid
     if g.d == 1:
         return 2.0 * g.cell_volume * float(np.sum(snap.rho_grads[0] ** 2))
-    kernel = RadialKernel.reciprocal(transform="analytic" if g.d == 2 else "grid")
-    return (g.d - 1.0) * kernel_gradient_product(
-        g, snap.rho_hat() if rho_hat is None else rho_hat, kernel)
+    return (g.d - 1.0) * kernel_gradient_product(g, snap.rho_hat, _gradient_kernel(g.d))
+
+
+def interaction_kernels(weight: MorawetzWeight, d: int) -> tuple[RadialKernel, ...]:
+    """Every kernel interaction_report pairs for ``weight`` in d dimensions:
+    K of I and dI/dt, then the kernels of N and of the gradient term where
+    those are not delta collapses (none for the constant weight)."""
+    if weight.kind == ABS_DISTANCE:
+        return (RadialKernel.abs_distance(),) + (
+            (RadialKernel.reciprocal(), _gradient_kernel(d)) if d > 1 else ())
+    if weight.kind == ERF_SMOOTHED:
+        return RadialKernel.from_profile(weight.profile), RadialKernel.gaussian_delta(weight.eps)
+    return ()
 
 
 def interaction_report(state: SystemState | Snapshot, weight: MorawetzWeight) -> InteractionReport:
     """I, dI/dt, the nonlinear term and the convexity lower bound for d2I/dt2.
 
-    The weight picks one kernel K (|z| or the erf profile); I = <rho, K * rho>
-    and dI/dt = -4 int (div j)(K * rho) (by parts, with the Snapshot's
-    div_current) are then kernel pairings on the padded half-spectra.  Only N
-    and the gradient term branch: erf pairs its Gaussian mollifier; for |x-y|
-    the delta parts (Lap psi in d = 1, Lap^2 psi in d = 3) are collapsed to
-    single integrals analytically and the gradient term is gradient_pairing.
+    The weight picks one kernel K (|z| or the erf profile); I = int rho Phi
+    and dI/dt = -4 int (div j) Phi (by parts, with the Snapshot's
+    div_current) are then box sums against the potential Phi = K * rho.
+    Only N and the gradient term branch: erf pairs its Gaussian mollifier;
+    for |x-y| the delta parts (Lap psi in d = 1, Lap^2 psi in d = 3) are
+    collapsed to single integrals analytically, N in d = 2, 3 pairs the
+    Snapshot's recip_potentials, and the gradient term is gradient_pairing.
+    Phi consumes the Snapshot's rho_hat (taken from it), after the gradient
+    term and the mollifier potential have read it.
     """
     snap = Snapshot.of(state)
     g = snap.state.grid
@@ -306,32 +330,30 @@ def interaction_report(state: SystemState | Snapshot, weight: MorawetzWeight) ->
         raise ValueError(f"weight kind {weight.kind!r} with d = {g.d} is not supported "
                          f"by interaction_report; " + _SUPPORTED)
 
-    kernel = (RadialKernel.abs_distance() if weight.kind == ABS_DISTANCE else
-              RadialKernel.from_profile(weight.profile))
-    rho_hat = snap.rho_hat()  # shared by every rho pairing below
-    I = kernel_inner_product(g, rho_hat, rho_hat, kernel)
-    Idot = -4.0 * kernel_inner_product(g, padded_rfft(g, snap.div_current), rho_hat, kernel)
-
+    kernel = interaction_kernels(weight, g.d)[0]
     p = snap.state.coupling.p
     alt = None
     if weight.kind == ERF_SMOOTHED:
         delta_eps = RadialKernel.gaussian_delta(weight.eps)
-        N = (8.0 * p / (p + 1.0)) * kernel_inner_product(g, padded_rfft(g, snap.P), rho_hat,
-                                                         delta_eps)
-        grad_term = 4.0 * kernel_gradient_product(g, rho_hat, delta_eps)
+        grad_term = 4.0 * kernel_gradient_product(g, snap.rho_hat, delta_eps)
+        N = (8.0 * p / (p + 1.0)) * vol * float(np.sum(
+            snap.P * kernel_potential(g, snap.rho_hat, delta_eps)))
+    elif g.d == 1:
+        grad_term = 2.0 * gradient_pairing(snap)
+        N = (8.0 * p / (p + 1.0)) * vol * float(np.sum(snap.P * rho))
     else:
-        grad_term = 2.0 * gradient_pairing(snap, rho_hat)
-        if g.d == 1:
-            N = (8.0 * p / (p + 1.0)) * vol * float(np.sum(snap.P * rho))
-        else:
-            lap_coeff = float(g.d - 1)  # Lap |z| = (d-1)/|z|
-            N = (4.0 * p / (p + 1.0)) * lap_coeff * kernel_inner_product(
-                g, padded_rfft(g, snap.P), rho_hat, RadialKernel.reciprocal())
+        recip_rho = sum(snap.recip_potentials)  # K_rec * rho; makes rho_hat too
+        grad_term = 2.0 * gradient_pairing(snap)
+        lap_coeff = float(g.d - 1)  # Lap |z| = (d-1)/|z|
+        N = (4.0 * p / (p + 1.0)) * lap_coeff * vol * float(np.sum(snap.P * recip_rho))
         if g.d == 3:
             # Lap^2 |z| = Lap (2/|z|) = -8 pi delta, so the delta collapse of
             # -2 intint m m Lap^2 psi is 16 pi int rho^2 (twice the Newtonian
             # constant: the inner Laplacian of |z| already carries the 2).
             alt = 16.0 * math.pi * vol * float(np.sum(rho * rho)) + N
+    phi = kernel_potential(g, snap.take("rho_hat"), kernel, overwrite=True)
+    I = vol * float(np.sum(rho * phi))
+    Idot = -4.0 * vol * float(np.sum(snap.div_current * phi))
     return InteractionReport(t=t, I=I, Idot=Idot, N_term=N, gradient_term=grad_term,
                              rhs_lower=grad_term + N, rhs_lower_alt=alt)
 
@@ -482,16 +504,13 @@ class SpacetimeAccumulators:
 
     def _recip_self(self, snap: Snapshot) -> float:
         state = snap.state
-        g = state.grid
         c = state.coupling
-        kernel = RadialKernel.reciprocal()
         total = 0.0
-        for mu, f in enumerate(state.fields):
+        for mu, (f, pot) in enumerate(zip(state.fields, snap.recip_potentials)):
             b = c.beta[mu, mu]
-            if b == 0.0:
-                continue
-            q_hat = padded_rfft(g, np.abs(f.values) ** (2 * c.p + 2))
-            total += b * kernel_inner_product(g, q_hat, snap.m_hats[mu], kernel)
+            if b != 0.0:
+                total += b * state.grid.cell_volume * float(
+                    np.sum(np.abs(f.values) ** (2 * c.p + 2) * pot))
         return total
 
     def update(self, state: SystemState | Snapshot):

@@ -21,7 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, cube_sup_l2, forward_transform, padded_rfft, synthesize
+from .grid import (GridSpec, RadialKernel, ScalarField, cube_sup_l2, forward_transform,
+                   kernel_potential, padded_geometry, padded_rfft, synthesize)
 
 
 def critical_exponent(d: int) -> float:
@@ -162,9 +163,11 @@ def total_current(state: SystemState, gradients: list[list[np.ndarray]]) -> list
 class Snapshot:
     """The per-state pieces that the diagnostics of one snapshot share.
 
-    Each piece but rho_hat is computed on first use and kept for the life of
-    the Snapshot, which is built for one state and dropped with it.  Every
-    unpadded forward transform of a snapshot is one of the spectra below:
+    Each piece is computed on first use and kept until the Snapshot is
+    dropped or the piece is released (``release``, ``take``); a reader after
+    that computes it afresh, so no reader sees a buffer that another one
+    consumed.  Every unpadded forward transform of a snapshot is one of the
+    spectra below, and every padded one a half-spectrum of an m_mu:
 
       spectra    per-component spectra c_k (grid.forward_transform)
       m          per-component densities |u_mu|^2
@@ -177,8 +180,18 @@ class Snapshot:
                  from the component spectrum by one grid.synthesize
       rho_grads  real spectral gradient of rho from its spectrum, per axis
                  (d = 1 only: the delta collapse and grad_density_sq)
-      m_hats     padded half-spectra of the m_mu (grid.padded_rfft)
-      rho_hat()  padded half-spectrum of rho, sum_mu m_hats[mu] (not kept)
+      rho_hat    padded half-spectrum of rho, the sum of the m_mu's
+                 (grid.padded_rfft of each)
+      recip_potentials  K * m_mu per component for the reciprocal kernel K = 1/|z|
+                 (d = 2, 3; grid.kernel_potential): each m_mu's half-spectrum
+                 is added to rho_hat, which is kept too, and then consumed
+
+    DiagnosticsCollector orders one snapshot's observables so that each large
+    piece goes after its last reader: grads and current after the virial
+    terms and the Strichartz norm, the spectra once div_current is made,
+    rho_hat when interaction_report takes it for its kernel potential, and
+    recip_potentials after the accumulators.  So the padded stage holds two
+    half-spectra at once: rho_hat and the m_mu's being summed.
     """
 
     def __init__(self, state: SystemState):
@@ -188,6 +201,17 @@ class Snapshot:
     def of(state: "SystemState | Snapshot") -> "Snapshot":
         """The Snapshot given, or a new one for a bare state."""
         return state if isinstance(state, Snapshot) else Snapshot(state)
+
+    def release(self, *names: str) -> None:
+        """Drop the named pieces (those not made are skipped)."""
+        for name in names:
+            self.__dict__.pop(name, None)
+
+    def take(self, name: str):
+        """The piece ``name``, released: the caller owns it and may overwrite it."""
+        piece = getattr(self, name)
+        self.release(name)
+        return piece
 
     @cached_property
     def spectra(self) -> list[np.ndarray]:
@@ -240,15 +264,29 @@ class Snapshot:
     def rho_grads(self) -> list[np.ndarray]:
         return [ga.real for ga in self._gradient(self.rho_spectrum)]
 
-    @cached_property
-    def m_hats(self) -> list[np.ndarray]:
-        return [padded_rfft(self.state.grid, m) for m in self.m]
+    def _padded_densities(self, potentials: bool) -> tuple[np.ndarray, list[np.ndarray]]:
+        """rho_hat and, with ``potentials``, the recip_potentials: one padded
+        transform per m_mu, added to rho_hat and then consumed."""
+        g = self.state.grid
+        rho_hat, pots = np.zeros(padded_geometry(g).half_shape, dtype=complex), []
+        for m in self.m:
+            m_hat = padded_rfft(g, m)
+            rho_hat += m_hat
+            if potentials:
+                pots.append(kernel_potential(g, m_hat, RadialKernel.reciprocal(),
+                                             overwrite=True))
+            del m_hat  # not held through the next component's transform
+        return rho_hat, pots
 
+    @cached_property
     def rho_hat(self) -> np.ndarray:
-        """sum_mu m_hats[mu], made on each call and not kept: the caller that
-        reads it (morawetz.interaction_report) drops it before the
-        accumulators' padded transforms run."""
-        return sum(self.m_hats)
+        return self._padded_densities(potentials=False)[0]
+
+    @cached_property
+    def recip_potentials(self) -> list[np.ndarray]:
+        rho_hat, pots = self._padded_densities(potentials=True)
+        self.__dict__.setdefault("rho_hat", rho_hat)
+        return pots
 
 
 def mass(state: SystemState | Snapshot, mu: int) -> float:

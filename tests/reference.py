@@ -39,10 +39,13 @@ quadrature) must match.
 convolve_radial_kernel and convolve_kernel_gradient are the free-space
 convolutions K * g and (d_a K) * g in physical space: g zero-padded to the
 doubled box, multiplied by the kernel's cached half-spectrum (and i k_a),
-transformed back and restricted to the original box.  The package pairs
-densities without returning to physical space (grid.kernel_inner_product,
-grid.kernel_gradient_product); h^d sum_x f (K * g) from these convolutions
-is the oracle those pairings, and kernel_axis_pairing_reference, must match.
+transformed back by a full irfftn and restricted to the original box.
+grid.kernel_potential, the package's pruned inverse, must match the first.
+kernel_inner_product is the Parseval form of int f (K * g) dx, a weighted
+half-spectrum sum with no inverse transform (the package's pairing before
+it paired potentials on the box); h^d sum_x f (K * g) from these
+convolutions is the oracle it, grid.kernel_gradient_product and
+kernel_axis_pairing_reference must match.
 
 apply_multiplier applies a radial spectral multiplier m(|k|) to one field;
 the package has no caller of it, and the tests use it to check the
@@ -57,10 +60,24 @@ from scipy.special import j0, j1, struve
 
 from nlskit.evolve import MIN_MODULUS, NanAbortError, StepParams, _nonlinear_exponents
 from nlskit.grid import (GridSpec, RadialKernel, ScalarField, _kernel_hat, forward_transform,
-                         kernel_inner_product, mode_numbers, padded_geometry, padded_rfft,
-                         synthesize)
+                         mode_numbers, padded_geometry, padded_rfft, synthesize)
 from nlskit.scattering import WaveOperatorDivergence, WaveOperatorResult
 from nlskit.system import CouplingSpec, Snapshot, SystemState, state_from_arrays
+
+
+def kernel_inner_product(grid: GridSpec, f_hat: np.ndarray, g_hat: np.ndarray,
+                         kernel: RadialKernel) -> float:
+    """int f (K * g) dx for real f and g supported in the box, from their
+    padded_rfft half-spectra: by Parseval on the doubled box,
+    h^(2d)/N sum_k conj(f_k) K_k g_k over the N padded modes, the weighted
+    real part of the half-spectrum sum.  It equals h^d sum_x f
+    convolve_radial_kernel(g)."""
+    geo = padded_geometry(grid)
+    cross = f_hat.real * g_hat.real          # Re conj(f) g
+    cross += f_hat.imag * g_hat.imag
+    cross *= _kernel_hat(grid, kernel)
+    cross *= geo.weights
+    return grid.cell_volume ** 2 / geo.npoints * float(np.sum(cross))
 
 
 def kernel_axis_pairing_reference(grid: GridSpec, f_hat: np.ndarray, g_hat: np.ndarray,
@@ -130,7 +147,7 @@ def idot_reference(snap: Snapshot, kernel: RadialKernel) -> float:
     """4 sum_a int j_a (d_a K * rho) dx: each current component padded,
     transformed and paired with rho_hat along its axis."""
     g = snap.state.grid
-    rho_hat = snap.rho_hat()
+    rho_hat = snap.rho_hat
     return 4.0 * sum(kernel_axis_pairing_reference(g, padded_rfft(g, snap.current[a]),
                                                    rho_hat, kernel, a)
                      for a in range(g.d))

@@ -676,9 +676,15 @@ _MEMORY_ROWS = {
         {"n_components": 32, "grid_m": 8, **_SHORT}, 32 * 32 * 8,
         "0.00781 MiB of coupling matrix (1.02e+03 entries x 8 bytes)",
         {"n_components": 10 ** 6}),
+    # three components: the padded half-spectra of two (2 x 65 x 16 bytes) are smaller
     "fields": (
-        {**_D1, "n_components": 2, **_SHORT}, 2 * 64 * 16,
-        "0.00195 MiB of fields (128 complex values x 16 bytes)",
+        {**_D1, "n_components": 3, **_SHORT}, 3 * 64 * 16,
+        "0.00293 MiB of fields (192 complex values x 16 bytes)",
+        {"d": 3, "grid_m": 100_000}),
+    # the d = 3 sink's rho_hat and one m_mu half-spectrum, (2M)^2 (M + 1) each
+    "padded half-spectra": (
+        {"d": 3, "grid_m": 8, "box_l": 4.0, **_SHORT}, 2 * 16 * 16 * 9 * 16,
+        "0.0703 MiB of padded half-spectra (4.61e+03 complex values x 16 bytes)",
         {"d": 3, "grid_m": 100_000}),
     # 100 steps at stride 1 give 101 snapshots
     "diagnostics records": (
@@ -727,13 +733,17 @@ def test_memory_table_refuses_one_byte_over_memory(tmp_path, capsys, monkeypatch
 
 def test_memory_table_refuses_a_grid_past_the_float_range(tmp_path, capsys):
     # 10^103 points per axis give a fields row of 1.6e310 bytes, past the
-    # float range: its refusal is still a ConfigError naming grid_m
+    # float range: its refusal is still a ConfigError naming grid_m, and so
+    # is that of the sink's padded half-spectra, 8 times as large
     with pytest.raises(ConfigError) as refused:
         parse_config(None, {"d": 3, "grid_m": 10 ** 103})
-    [problem] = refused.value.problems
+    [problem, padded] = refused.value.problems
     assert problem.startswith("simulate needs at least 1.53e+304 MiB of fields "
                               "(1e+309 complex values x 16 bytes), more than the ")
     assert problem.endswith(": lower n_components or grid_m")
+    assert padded.startswith("simulate needs at least 1.22e+305 MiB of padded half-spectra "
+                             "(8e+309 complex values x 16 bytes), more than the ")
+    assert padded.endswith(": lower grid_m")
     assert main(["simulate", "--d", "3", "--grid-m", str(10 ** 103),
                  "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err

@@ -11,12 +11,13 @@ import nlskit.grid
 from nlskit import GridSpec, RadialKernel, ScalarField, field_from_function, forward_transform
 from nlskit.evolve import _rotate
 from nlskit.grid import (PARALLEL_MIN_POINTS, _integral_of_j0, _kernel_hat, h1_norms,
-                         kernel_gradient_product, kernel_inner_product, padded_geometry,
+                         kernel_gradient_product, kernel_potential, padded_geometry,
                          padded_rfft, synthesize, transform)
 
 from conftest import gaussian, on_another_thread, random_field
 from reference import (apply_multiplier, convolve_kernel_gradient, convolve_radial_kernel,
-                       integral_of_j0_reference, kernel_axis_pairing_reference)
+                       integral_of_j0_reference, kernel_axis_pairing_reference,
+                       kernel_inner_product)
 
 
 def gradient(f):
@@ -123,7 +124,8 @@ def test_split_and_inline_work_on_a_d3_stack_equal_the_oracles_bit_for_bit(two_c
     # thread its transforms, the padded passes of one component and its phase
     # rotation split over the pool; on any other thread they run inline.
     # Both equal scipy.fft (the oracle whose axis order the passes follow)
-    # and the one-call rotation, bit for bit
+    # and the one-call rotation, bit for bit; the kernel potential of that
+    # component (padded passes back) is the same split as inline
     grid = GridSpec(3, 48, 6.0)
     rng = np.random.default_rng(48)
     z = rng.standard_normal((2,) + grid.shape) + 1j * rng.standard_normal((2,) + grid.shape)
@@ -143,12 +145,15 @@ def test_split_and_inline_work_on_a_d3_stack_equal_the_oracles_bit_for_bit(two_c
         _rotate(rotated, g.copy(), tau)
         return {"forward": transform(grid, z.copy()),
                 "inverse": transform(grid, z.copy(), inverse=True),
-                "padded": padded_rfft(grid, z[0].real.copy()), "rotated": rotated}
+                "padded": padded_rfft(grid, z[0].real.copy()), "rotated": rotated,
+                "potential": kernel_potential(grid, padded_rfft(grid, z[0].real.copy()),
+                                              RadialKernel.abs_distance(), overwrite=True)}
 
     inline = on_another_thread(compute)
     assert nlskit.grid._pool is None   # no thread but the one that ran it
     split = compute()
     assert nlskit.grid._pool is not None
+    assert split["potential"].tobytes() == inline["potential"].tobytes()
     for key, want in expected.items():
         for got in (inline[key], split[key]):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
@@ -433,6 +438,34 @@ def test_kernel_inner_product_matches_convolution(d, name):
         scale = vol * float(np.sum(np.abs(f * conv_a.values)))
         got = kernel_axis_pairing_reference(grid, f_hat, g_hat, kernel, a)
         assert abs(got - expected) <= 1e-12 * abs(expected) + 1e-14 * scale
+
+
+@pytest.mark.parametrize("name", sorted(_PAIRING_KERNELS))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_potential_matches_convolution(d, name):
+    # the pruned inverse equals the full irfftn of the oracle to rounding,
+    # in place (the half-spectrum given up) as bit for bit as copying, and
+    # its box sums against f are the Parseval pairing
+    if d == 1 and name.startswith("reciprocal"):
+        pytest.skip("the reciprocal kernel is not defined in d = 1")
+    grid = _PAIRING_GRIDS[d]
+    kernel = _PAIRING_KERNELS[name]()
+    f, g = _supported_pair(grid, seed=10 * d + len(name))
+    g_hat = padded_rfft(grid, g)
+    if d == 3 and name == "reciprocal_analytic":
+        with pytest.raises(ValueError, match="d = 2 only"):
+            kernel_potential(grid, g_hat, kernel)
+        return
+    conv = convolve_radial_kernel(ScalarField(g, grid), kernel).values
+    got = kernel_potential(grid, g_hat, kernel)
+    assert got.shape == grid.shape and got.dtype == float
+    assert np.abs(got - conv).max() <= 1e-13 * np.abs(conv).max()
+    pairing = grid.cell_volume * float(np.sum(f * got))
+    expected = kernel_inner_product(grid, padded_rfft(grid, f), g_hat, kernel)
+    assert abs(pairing - expected) <= 1e-12 * abs(expected)
+    consumed = g_hat.copy()
+    assert np.array_equal(kernel_potential(grid, consumed, kernel, overwrite=True), got)
+    assert not np.array_equal(consumed, g_hat)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -16,6 +16,7 @@ from nlskit import grid as nlskit_grid
 from nlskit.diagnostics import DiagnosticsCollector
 from nlskit.grid import RadialKernel
 from nlskit.morawetz import ERF_SMOOTHED, SpacetimeAccumulators, _virial_meshes
+from nlskit.scattering import StrichartzAccumulator
 from nlskit.system import Snapshot
 
 from conftest import gaussian, single_state
@@ -286,29 +287,41 @@ def test_shared_snapshot_gives_the_same_diagnostics(d, m):
 
 
 def _counted_collector_call(monkeypatch, d, m):
-    """One DiagnosticsCollector call, every column on, on a d-dimensional
-    two-component state.  A warm-up call fills the kernel cache first.
-    Returns the state, the collector, and what the counted call did: the
-    input shape of each numpy.fft pass of an unpadded forward transform (d
-    per transform), of each padded transform (the rfftn pass that starts
-    every grid.padded_rfft) and of each padded fft pass after it, the number
-    of kernel lookups (one per pairing) and the scipy.fft calls."""
+    """One DiagnosticsCollector call, every column on, on a Snapshot of a
+    d-dimensional two-component state.  A warm-up call fills the kernel
+    cache first.  Returns the Snapshot, the collector, and what the counted
+    call did: the input shape of each numpy.fft pass of an unpadded forward
+    transform (d per transform), of each padded transform (the rfftn pass
+    that starts every grid.padded_rfft) and of each padded fft pass after
+    it, of each inverse padded pass (the ifft passes of grid.kernel_potential
+    and the irfft that ends it), the number of kernel lookups (one per
+    potential or half-spectrum pairing) and the scipy.fft calls."""
     st = two_component_state(GridSpec(d, m, 8.0), p=1.0)
     options = dict(weight=MorawetzWeight.quadratic(), vddot=True,
                    interaction=MorawetzWeight.abs_distance(),
                    strichartz_pair=admissible_pair(1.0, d))
     DiagnosticsCollector(st.coupling, st.grid, **options)(st)
     collector = DiagnosticsCollector(st.coupling, st.grid, **options)
-    counts = {"fft": [], "padded": [], "padded_fft": [], "pairings": 0, "scipy": []}
-    fft, rfftn = np.fft.fft, np.fft.rfftn
+    counts = {"fft": [], "padded": [], "padded_fft": [], "padded_ifft": [], "irfft": [],
+              "kernels": 0, "scipy": []}
+    fft, ifft, rfftn, irfft = np.fft.fft, np.fft.ifft, np.fft.rfftn, np.fft.irfft
 
     def counted_fft(x, *args, **kwargs):
         counts["padded_fft" if "n" in kwargs else "fft"].append(x.shape)
         return fft(x, *args, **kwargs)
 
+    def counted_ifft(x, *args, **kwargs):
+        if 2 * m in x.shape:
+            counts["padded_ifft"].append(x.shape)
+        return ifft(x, *args, **kwargs)
+
     def counted_rfftn(x, *args, **kwargs):
         counts["padded"].append(x.shape)
         return rfftn(x, *args, **kwargs)
+
+    def counted_irfft(x, *args, **kwargs):
+        counts["irfft"].append(x.shape)
+        return irfft(x, *args, **kwargs)
 
     def scipy_counted(name):
         fn = getattr(scipy.fft, name)
@@ -321,17 +334,20 @@ def _counted_collector_call(monkeypatch, d, m):
     kernel_hat = nlskit_grid._kernel_hat
 
     def counted_kernel_hat(*args, **kwargs):
-        counts["pairings"] += 1
+        counts["kernels"] += 1
         return kernel_hat(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "fft", counted_fft)
+    monkeypatch.setattr(np.fft, "ifft", counted_ifft)
     monkeypatch.setattr(np.fft, "rfftn", counted_rfftn)
+    monkeypatch.setattr(np.fft, "irfft", counted_irfft)
     monkeypatch.setattr(nlskit_grid, "_kernel_hat", counted_kernel_hat)
     for name in scipy.fft.__all__:
         monkeypatch.setattr(scipy.fft, name, scipy_counted(name))
-    collector(st)
+    snap = Snapshot(st)
+    collector(snap)
     monkeypatch.undo()
-    return st, collector, counts
+    return snap, collector, counts
 
 
 def _padded_passes(grid, transforms):
@@ -345,52 +361,129 @@ def _padded_passes(grid, transforms):
     return passes * transforms
 
 
-def _assert_columns_equal_bare_state_observables(st, collector):
+def _inverse_padded_passes(grid, potentials):
+    """Input shapes of the ifft passes of each kernel potential: axes d-2,
+    ..., 0 in turn, each of 2M rows of which M are kept."""
+    shape = (2 * grid.m,) * (grid.d - 1) + (grid.m + 1,)
+    passes = []
+    for axis in reversed(range(grid.d - 1)):
+        passes.append(shape)
+        shape = shape[:axis] + (grid.m,) + shape[axis + 1:]
+    return passes * potentials
+
+
+def _assert_observables_equal_bare_state_ones(snap, collector):
+    """Every column equals its observable on the bare state, and after the
+    call every observable on the collector's Snapshot (whose released and
+    consumed pieces are made afresh) equals it too, bit for bit."""
+    st = snap.state
     weight, inter = collector.weight, collector.interaction
     rec = collector.records[0]
-    e, rep = energy(st), interaction_report(st, inter)
-    expected = {"mass_1": mass(st, 0), "mass_2": mass(st, 1), "kinetic": e.kinetic,
+
+    def observables(s):
+        e, rep = energy(s), interaction_report(s, inter)
+        return {"mass_1": mass(s, 0), "mass_2": mass(s, 1), "kinetic": e.kinetic,
                 "potential": e.potential, "energy_total": e.total,
-                "l4_total": lq_norm(st, 4.0), "sup_cube_mass": sup_cube_mass(st),
-                "V": virial_V(st, weight), "Vdot": virial_Vdot(st, weight),
-                "Vddot": virial_Vddot(st, weight).total, "I": rep.I, "Idot": rep.Idot,
+                "l4_total": lq_norm(st, 4.0), "sup_cube_mass": sup_cube_mass(s),
+                "V": virial_V(s, weight), "Vdot": virial_Vdot(s, weight),
+                "Vddot": virial_Vddot(s, weight).total, "I": rep.I, "Idot": rep.Idot,
                 "N_term": rep.N_term, "rhs_lower": rep.rhs_lower,
-                "boundary_mass_fraction": boundary_mass_fraction(st)}
+                "boundary_mass_fraction": boundary_mass_fraction(s)}, rep
+
+    expected, rep = observables(st)
     assert {k: rec[k] for k in expected} == expected
     assert collector.reports == [rep]
-    alone = SpacetimeAccumulators(st.coupling)
+    assert observables(snap) == (expected, rep)
+    alone, again = SpacetimeAccumulators(st.coupling), SpacetimeAccumulators(st.coupling)
     alone.update(st)
-    assert all(collector.accumulators.integrals[n].history == alone.integrals[n].history
-               for n in alone.names)
+    again.update(snap)
+    for acc in (collector.accumulators, again):
+        assert all(acc.integrals[n].history == alone.integrals[n].history for n in alone.names)
+    strichartz = [StrichartzAccumulator(collector.strichartz.pair) for _ in range(2)]
+    for acc, s in zip(strichartz, (snap, st)):
+        acc.update(s)
+    assert strichartz[0].history == strichartz[1].history == collector.strichartz.history
 
 
 def test_one_collector_call_transforms_each_piece_once(monkeypatch):
     # a d = 3, N = 2 snapshot makes one unpadded forward transform per
     # component (rho's spectrum is not needed), d numpy.fft passes each, and
-    # no scipy.fft call; 6 padded transforms (m_1, m_2, div j, P and the two
-    # |u_mu|^{2p+2}) and 6 pairings (I, Idot, N, the gradient sum and two
-    # recip_self); and every column equals its observable on the bare state
-    # bit for bit
-    st, collector, counts = _counted_collector_call(monkeypatch, 3, 16)
-    assert counts["fft"] == [st.grid.shape] * (st.coupling.n * st.grid.d)
-    assert counts["padded"] == [st.grid.shape] * 6
-    assert counts["padded_fft"] == _padded_passes(st.grid, 6)
-    assert counts["pairings"] == 6
+    # no scipy.fft call; 2 padded transforms (m_1 and m_2, summed into
+    # rho_hat), 3 kernel potentials (K_rec * m_1, K_rec * m_2 and |z| * rho)
+    # and one half-spectrum pairing (the gradient sum); and every column
+    # equals its observable on the bare state bit for bit
+    snap, collector, counts = _counted_collector_call(monkeypatch, 3, 16)
+    g = snap.state.grid
+    assert counts["fft"] == [g.shape] * (snap.state.coupling.n * g.d)
+    assert counts["padded"] == [g.shape] * 2
+    assert counts["padded_fft"] == _padded_passes(g, 2)
+    assert counts["padded_ifft"] == _inverse_padded_passes(g, 3)
+    assert counts["irfft"] == [g.shape[:-1] + (g.m + 1,)] * 3
+    assert counts["kernels"] == 4
     assert counts["scipy"] == []
-    _assert_columns_equal_bare_state_observables(st, collector)
+    _assert_observables_equal_bare_state_ones(snap, collector)
 
 
 def test_one_d2_collector_call_also_transforms_rho(monkeypatch):
     # in d = 2 the half_deriv_sq accumulator reads rho's unpadded spectrum,
     # so a snapshot makes N + 1 unpadded forward transforms; the padded
-    # transforms and pairings are the same 6 as in d = 3
-    st, collector, counts = _counted_collector_call(monkeypatch, 2, 32)
-    assert counts["fft"] == [st.grid.shape] * ((st.coupling.n + 1) * st.grid.d)
-    assert counts["padded"] == [st.grid.shape] * 6
-    assert counts["padded_fft"] == _padded_passes(st.grid, 6)
-    assert counts["pairings"] == 6
+    # transforms, potentials and pairing are the same as in d = 3
+    snap, collector, counts = _counted_collector_call(monkeypatch, 2, 32)
+    g = snap.state.grid
+    assert counts["fft"] == [g.shape] * ((snap.state.coupling.n + 1) * g.d)
+    assert counts["padded"] == [g.shape] * 2
+    assert counts["padded_fft"] == _padded_passes(g, 2)
+    assert counts["padded_ifft"] == _inverse_padded_passes(g, 3)
+    assert counts["irfft"] == [g.shape[:-1] + (g.m + 1,)] * 3
+    assert counts["kernels"] == 4
     assert counts["scipy"] == []
-    _assert_columns_equal_bare_state_observables(st, collector)
+    _assert_observables_equal_bare_state_ones(snap, collector)
+
+
+def test_collector_builds_its_kernel_hats_in_its_first_call_only():
+    # the constructor builds no kernel transform; the first call builds
+    # every one the sink pairs (before any snapshot piece) and later calls
+    # find them cached
+    st = two_component_state(GridSpec(3, 16, 7.25), p=1.0)  # a grid no other test uses
+    misses = nlskit_grid._kernel_hat.cache_info().misses
+    collector = DiagnosticsCollector(st.coupling, st.grid,
+                                     interaction=MorawetzWeight.abs_distance())
+    assert nlskit_grid._kernel_hat.cache_info().misses == misses
+    collector(st)
+    assert nlskit_grid._kernel_hat.cache_info().misses == misses + len(set(collector.kernels))
+    collector(st)
+    assert nlskit_grid._kernel_hat.cache_info().misses == misses + len(set(collector.kernels))
+
+
+def test_second_collector_call_peaks_below_its_lifetime_bound():
+    # d = 3, M = 32, N = 2, every column of a simulate run on.  In units of
+    # one component's complex field f = M^3 x 16 bytes (the fields are 2f),
+    # the call's two largest stages hold, by the lifetimes of Snapshot:
+    # - the gradients: the spectra (2f) and gradients (N d = 6f), the current
+    #   (1.5f), m, rho and P (2f) and one synthesize's temporaries (3f): 14.5f;
+    # - the padded stage: rho_hat (a half-spectrum, (2M)^2 (M + 1) x 16 bytes
+    #   = 4.125f), one m_mu's padded transform in flight (1.5 half-spectra,
+    #   its last two passes) and m, rho, P, div_current and a potential (3f):
+    #   13.3f.
+    # Measured 14.8f (tracemalloc, numpy 2.4); the bound 16f = 8x the field
+    # bytes.  Keeping the m_mu half-spectra for the whole call, as the sink
+    # did before it paired kernel potentials, peaked at 31f, and keeping the
+    # gradients through the padded stage would add 6f.
+    import tracemalloc
+    grid = GridSpec(3, 32, 8.0)
+    st = two_component_state(grid, p=1.0)
+    collector = DiagnosticsCollector(st.coupling, grid, weight=MorawetzWeight.quadratic(),
+                                     interaction=MorawetzWeight.abs_distance(),
+                                     strichartz_pair=admissible_pair(1.0, 3))
+    collector(st)
+    field_bytes = st.coupling.n * grid.npoints * 16
+    tracemalloc.start()
+    try:
+        collector(SystemState(0.1, st.fields, st.coupling))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * field_bytes
 
 
 def resolved_moving_state(grid):

@@ -39,23 +39,26 @@ per axis and skip the rows that hold only padding zeros, forward
 (``padded_rfft``) and back (``kernel_potential``); kernel transforms are
 cached as real half-spectra.
 
-Large arrays use one thread pool (``worker_pool``: one worker per CPU in the
-process's affinity set, made on first use) at four sites: ``transform`` of
-a stack runs each block of components' whole transform as one task,
-``padded_rfft`` and ``kernel_potential`` split the lines of each padded
-pass, ``evolve._rotate`` rotates each block of components as one task, and
-``overlap`` runs a producer (the stepping loop of a large ``evolve``) as one
-task while the calling thread consumes what it sends (the diagnostics
-sink).  A site splits only an array
-of at least ``PARALLEL_MIN_POINTS`` points, and only on the thread that
-``splits``: the main thread, or during an ``overlap`` whichever of its two
-threads runs while the other waits.  So the tasks' own nested calls (and
-those of ``scattering.wave_operator``'s node integrands, which run on the
-same pool) stay inline; smaller arrays, among them every d = 1 and d = 2
-run of the benchmark, never start a thread.  pocketfft transforms one line
-at a time and the other work is elementwise, so a block computes each value
-exactly as the whole array would: results do not depend on the worker count
-or on the thread.
+The package has one thread pool (``worker_pool``: one worker per CPU in the
+process's affinity set, made on first use), and every task reaches it
+through ``submit``, in a copy of the caller's context.  Large arrays use it
+at four sites: ``transform`` of a stack runs each block of components'
+whole transform as one task, ``padded_rfft`` and ``kernel_potential`` split
+the lines of each padded pass, ``evolve._rotate`` rotates each block of
+components as one task, and ``overlap`` runs a producer (the stepping loop
+of a large ``evolve``) as one task while the calling thread consumes what
+it sends (the diagnostics sink).  A site splits only an array of at least
+``PARALLEL_MIN_POINTS`` points, and only on the thread that ``splits``: the
+main thread, or during an ``overlap`` whichever of its two threads runs
+while the other waits.  So the tasks' own nested calls (and those of
+``scattering.wave_operator``'s node integrands, which run on the same pool)
+stay inline.  A smaller state never splits; instead ``verify.run_checks``
+runs its dt/2 trajectory as one task beside its dt one when the main thread
+``runs_beside`` it.  Of the benchmark's d = 1 and d = 2 runs, only that
+verify-identities trajectory and the wave-operator integrands start a
+thread.  pocketfft transforms one line at a time and the other work is
+elementwise, so a block computes each value exactly as the whole array
+would: results do not depend on the worker count or on the thread.
 """
 
 from __future__ import annotations
@@ -254,9 +257,15 @@ def worker_pool():
     global _pool
     with _pool_lock:
         if _pool is None:
-            import concurrent.futures  # only runs that split an array start threads
+            import concurrent.futures  # only runs that use the pool start threads
             _pool = concurrent.futures.ThreadPoolExecutor(cpu_count(), "nlskit")
         return _pool
+
+
+def submit(fn: Callable[..., object], *args):
+    """fn(*args) as one task of the pool, in a copy of the caller's context
+    (so numpy's errstate holds in it); returns its Future."""
+    return worker_pool().submit(contextvars.copy_context().run, fn, *args)
 
 
 def splits(points: int) -> bool:
@@ -274,6 +283,17 @@ def splits(points: int) -> bool:
     if handoff is None:
         return threading.current_thread() is threading.main_thread()
     return threading.get_ident() == handoff.splitter
+
+
+def runs_beside(points: int) -> bool:
+    """Whether the calling thread runs a whole job of its own on the pool
+    beside its work on arrays of ``points`` points: fewer than
+    PARALLEL_MIN_POINTS of them, at least 2 CPUs, and the calling thread the
+    main thread with no ``overlap`` running.  A larger run already uses every
+    CPU through its splits, a worker held by a whole job would stall the
+    splits of an overlap's threads, and no other thread submits work."""
+    return (points < PARALLEL_MIN_POINTS and cpu_count() >= 2 and _handoff is None
+            and threading.current_thread() is threading.main_thread())
 
 
 def row_blocks(rows: int, points: int) -> list[slice]:
@@ -295,8 +315,7 @@ def run_blocks(fn: Callable[[slice], object], blocks: list[slice]) -> None:
     if len(blocks) == 1:
         fn(blocks[0])
         return
-    futures = [worker_pool().submit(contextvars.copy_context().run, fn, b)
-               for b in blocks[1:]]
+    futures = [submit(fn, b) for b in blocks[1:]]
     try:
         fn(blocks[0])
     finally:
@@ -418,7 +437,7 @@ def overlap(produce: Callable[[Callable[[object], None], Callable[[], None]], ob
         return produce(lambda item: consume(take(item)), lambda: None)
     handoff = _handoff = _Handoff()
     try:
-        future = worker_pool().submit(contextvars.copy_context().run, handoff.run, produce)
+        future = submit(handoff.run, produce)
         try:
             while (item := handoff.receive()) is not None:
                 item = take(item)

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import ScalarField, cpu_count, h1_norms, transform, worker_pool
+from .grid import ScalarField, cpu_count, h1_norms, submit, transform
 from .system import (CouplingSpec, RunningIntegral, Snapshot, SystemState, mass,
                      state_from_arrays)
 from .evolve import NanAbortError, _nonlinear_exponents, linear_substep
@@ -207,7 +207,7 @@ def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
 
     Each G_i is a pure per-node map of W_i (inverse transform, nonlinearity,
     forward transform), so the node integrands of a sweep run on the
-    package's pool (``grid.worker_pool``).  At most 2 x min(CPUs, n_nodes //
+    package's pool (``grid.submit``).  At most 2 x min(CPUs, n_nodes //
     16) of them are in flight, the next ones computing while the sweep
     consumes the current one, and each running integrand holds one set of
     scratch, reused by the next and freed with the call.  Every node is
@@ -275,15 +275,14 @@ def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
     sampled = range(0, n_nodes, max(1, n_nodes // 64))
     order = range(n_nodes - 2, -1, -1)
     grow = 0
-    pool = worker_pool()
     pending = deque()
     try:
-        result(pool.submit(half_integrand, n_nodes - 1, half_h_T))
+        result(submit(half_integrand, n_nodes - 1, half_h_T))
         # overflow shows up as a non-finite nonlinearity, iterate or residual,
         # each of which raises WaveOperatorDivergence
         with np.errstate(over="ignore", invalid="ignore"):
             for it in range(1, max_iter + 1):
-                pending = deque(pool.submit(half_integrand, i, half_h[q % window])
+                pending = deque(submit(half_integrand, i, half_h[q % window])
                                 for q, i in enumerate(order[:window]))
                 free[...] = W[-1]
                 sigma[...] = half_h_T  # S_T + (dt/2) G_T
@@ -298,7 +297,7 @@ def wave_operator(profile: Sequence[ScalarField], coupling: CouplingSpec,
                     w_i += free
                     sigma += h  # S_i + (dt/2) G_i, carried to node i - 1
                     if q + window < len(order):
-                        pending.append(pool.submit(half_integrand, order[q + window], h))
+                        pending.append(submit(half_integrand, order[q + window], h))
                     if i in sampled:
                         W[i] -= new
                         gaps.append(h1(W[i]))

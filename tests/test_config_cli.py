@@ -24,6 +24,7 @@ from nlskit.cli import build_parser, main
 from nlskit.config import CHOICES, ENV_OUT_DIR, SCHEMA
 from nlskit.evolve import StepParams, evolve
 from nlskit.grid import forward_transform
+from nlskit.system import BOUNDARY_MASS_LIMIT
 from nlskit.verify import calibrate_fd_constants, check_identities, collect_series
 
 from conftest import gaussian, on_another_thread
@@ -379,7 +380,9 @@ def test_cli_verify_identities_runs_two_trajectories(tmp_path, monkeypatch, wind
     smooth, inter = MorawetzWeight.quadratic(), MorawetzWeight.abs_distance()
     win = StepParams(dt=0.01, t_final=window, snapshot_stride=5)
     coarse = collect_series(state0, win, smooth, inter)
-    constants = calibrate_fd_constants(coarse, state0, win, smooth, inter)  # runs dt/2
+    fine = collect_series(state0, StepParams(dt=0.005, t_final=window, snapshot_stride=10),
+                          smooth, inter)
+    constants = calibrate_fd_constants(coarse, fine, state0, win)
     series = collect_series(state0, StepParams(dt=0.01, t_final=0.2, snapshot_stride=5),
                             smooth, inter)
 
@@ -406,12 +409,76 @@ def test_calibration_rejects_a_series_of_other_snapshot_times():
     smooth = MorawetzWeight.quadratic()
     params = StepParams(dt=0.01, t_final=0.2, snapshot_stride=5)
     coarse = collect_series(state0, params, smooth, None)
+    fine = collect_series(state0, StepParams(dt=0.005, t_final=0.2, snapshot_stride=10),
+                          smooth, None)
     for longer in (0.25, 0.3):  # 6 and 7 snapshots, of which coarse has 5
         with pytest.raises(ValueError, match="does not sample"):
-            calibrate_fd_constants(coarse, state0, replace(params, t_final=longer), smooth, None)
+            calibrate_fd_constants(coarse, fine, state0, replace(params, t_final=longer))
     other_dt = StepParams(dt=0.02, t_final=0.4, snapshot_stride=5)  # also 5 snapshots
     with pytest.raises(ValueError, match="does not sample"):
-        calibrate_fd_constants(coarse, state0, other_dt, smooth, None)
+        calibrate_fd_constants(coarse, fine, state0, other_dt)
+    # a dt/2 series at the dt stride samples half the spacing
+    other_fine = collect_series(state0, StepParams(dt=0.005, t_final=0.1, snapshot_stride=5),
+                                smooth, None)
+    with pytest.raises(ValueError, match="does not sample"):
+        calibrate_fd_constants(coarse, other_fine, state0, params)
+    assert set(calibrate_fd_constants(coarse, fine, state0, params)) == {
+        "c_vdot", "c_vddot", "c_idot", "c_iddot"}
+
+
+@pytest.mark.parametrize("box_l,code", [("3", 1), ("6", 0)])
+def test_cli_verify_identities_fails_on_a_box_too_small(tmp_path, capsys, box_l, code):
+    out = tmp_path / "vi"
+    assert main(["verify-identities", "--d", "1", "--grid-m", "64", "--box-l", box_l,
+                 "--dt", "0.01", "--t-final", "0.2", "--snapshot-stride", "5",
+                 "--out-dir", str(out)]) == code
+    summary = json.loads((out / "summary.json").read_text())
+    check = summary["checks"]["boundary_mass"]
+    assert check["tol"] == BOUNDARY_MASS_LIMIT
+    assert check["pass"] is (code == 0)
+    with open(out / "diagnostics.csv", newline="") as fh:
+        fractions = [float(r["boundary_mass_fraction"]) for r in csv.DictReader(fh)]
+    assert check["value"] == max(fractions)
+    err = capsys.readouterr().err
+    assert ("nlskit: invariant check failed: boundary_mass" in err) is (code == 1)
+    if code:  # every identity check still passes: the box alone fails the run
+        assert all(c["pass"] is not False for name, c in summary["checks"].items()
+                   if name != "boundary_mass")
+
+
+class _Libc:
+    """A libc whose mallopt records its calls and succeeds."""
+
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_cli_pins_the_malloc_thresholds_once_per_run(tmp_path, monkeypatch):
+    libc = _Libc()
+    monkeypatch.setattr(nlskit.cli.ctypes, "CDLL", lambda name: libc)
+    assert main(["gn-check", "--d", "1", "--grid-m", "64", "--gn-count", "3",
+                 "--out-dir", str(tmp_path)]) == 0
+    cap = 4 * 2 ** 20 * nlskit.cli.ctypes.sizeof(nlskit.cli.ctypes.c_long)
+    assert libc.calls == [(nlskit.cli.M_MMAP_THRESHOLD, cap),
+                          (nlskit.cli.M_TRIM_THRESHOLD, 128 * 2 ** 20)]
+    assert (nlskit.cli.M_TRIM_THRESHOLD, nlskit.cli.M_MMAP_THRESHOLD) == (-1, -3)
+
+
+@pytest.mark.parametrize("libc", [object, OSError])
+def test_cli_runs_where_libc_has_no_mallopt(tmp_path, monkeypatch, libc):
+    def cdll(name):
+        if libc is OSError:
+            raise OSError("no libc")
+        return libc()
+    monkeypatch.setattr(nlskit.cli.ctypes, "CDLL", cdll)
+    out = tmp_path / "gn"
+    assert main(["gn-check", "--d", "1", "--grid-m", "64", "--gn-count", "3",
+                 "--out-dir", str(out)]) == 0
+    assert (out / "gn_report.json").exists()
 
 
 @pytest.mark.parametrize("t_final", ["0.2", "0.05"])

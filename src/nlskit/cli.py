@@ -120,6 +120,20 @@ def _collector(cfg: RunConfig, coupling, grid, keep_states: int = 0) -> Diagnost
 # main() adds the config echo and the wall time, writes summary.json and maps
 # the outcome to the exit code.
 
+def _check(value: float, tol: float) -> dict:
+    return {"value": value, "tol": tol, "pass": value <= tol}
+
+
+def _boundary_mass(collector: DiagnosticsCollector) -> dict:
+    """The box check of a run: its largest boundary_mass_fraction against
+    BOUNDARY_MASS_LIMIT."""
+    return _check(float(collector.series("boundary_mass_fraction").max()), BOUNDARY_MASS_LIMIT)
+
+
+def _failed(name: str, check: dict) -> str:
+    return f"invariant check failed: {name} (value {check['value']:.3e}, tol {check['tol']:.3e})"
+
+
 def run_simulate(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     grid, coupling, state0 = _setup(cfg)
     collector = _collector(cfg, coupling, grid)
@@ -130,13 +144,11 @@ def run_simulate(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     first = collector.records[0]
     mass0 = sum(first[f"mass_{mu + 1}"] for mu in range(coupling.n))
     bound = mass0 + first["energy_total"]
-    checks = {name: {"value": value, "tol": tol, "pass": value <= tol} for name, value, tol in (
-        ("mass_drift", collector.mass_drift(), cfg.mass_drift_tol),
-        ("energy_drift", collector.energy_drift(), cfg.energy_drift_tol),
-        ("boundary_mass", float(collector.series("boundary_mass_fraction").max()),
-         BOUNDARY_MASS_LIMIT),
-        # H1 control: sum ||u(t)||_H1^2 <= sum ||u(0)||_L2^2 + E(0)
-        ("h1_bound", h1sq_T, bound * (1.0 + 1e-6) + 1e-12))}
+    checks = {"mass_drift": _check(collector.mass_drift(), cfg.mass_drift_tol),
+              "energy_drift": _check(collector.energy_drift(), cfg.energy_drift_tol),
+              "boundary_mass": _boundary_mass(collector),
+              # H1 control: sum ||u(t)||_H1^2 <= sum ||u(0)||_L2^2 + E(0)
+              "h1_bound": _check(h1sq_T, bound * (1.0 + 1e-6) + 1e-12)}
     summary = {"admissibility": coupling.classification(),
                "t_final": final.t,
                "rows": len(collector.records),
@@ -147,8 +159,7 @@ def run_simulate(cfg: RunConfig, out: Path) -> tuple[dict, str]:
                               if collector.strichartz else None)}
     for name, c in checks.items():
         if not c["pass"]:
-            return summary, (f"invariant check failed: {name} "
-                             f"(value {c['value']:.3e}, tol {c['tol']:.3e})")
+            return summary, _failed(name, c)
     return summary, ""
 
 
@@ -164,8 +175,7 @@ def run_verify_identities(cfg: RunConfig, out: Path) -> tuple[dict, str]:
                "checks": checks}
     for name, c in checks.items():
         if c["pass"] is False and name == "boundary_mass":
-            return summary, (f"invariant check failed: {name} "
-                             f"(value {c['value']:.3e}, tol {c['tol']:.3e})")
+            return summary, _failed(name, c)
         if c["pass"] is False:
             return summary, f"identity check failed: {name}"
     return summary, ""
@@ -178,13 +188,15 @@ def run_scatter(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     write_csv(collector.records, path=out / "diagnostics.csv")
     result = asymptotic_profile(collector.states, tol=cfg.tol)
     write_fields(out / "profile.nlsf", grid, result.profile)
+    boundary = _boundary_mass(collector)
     summary = {"admissibility": coupling.classification(),
                "residuals": [list(r) for r in result.residuals],
                "converged": result.converged,
                "mass_mismatch": result.mass_mismatch,
-               "boundary_valid": bool(collector.series("boundary_mass_fraction").max()
-                                      <= BOUNDARY_MASS_LIMIT),
+               "checks": {"boundary_mass": boundary},
                "message": result.message}
+    if not boundary["pass"]:  # the profile of a run that lost mass at the box edge
+        return summary, _failed("boundary_mass", boundary)
     if not result.converged:
         return summary, ("asymptotic profile did not converge: "
                          f"{result.message or 'residual above tol'}")

@@ -15,9 +15,12 @@ and works on the whole stack: each transform is one in-place
 ``grid.transform`` call, and two helpers do the rest:
 
   * ``_nonlinear_exponents``: every g_mu at once, into a real (N, ...)
-    buffer;
-  * ``_rotate``: u <- exp(-i tau g) u in place, the phase written with
-    cos/sin into a complex scratch array.
+    buffer, with |u|^{p+1} a product of moduli at p = 1 and 2;
+  * ``_rotate``: u <- exp(-i tau g) u in place, the phase written from one
+    tangent (no cos or sin) into a complex scratch chunk.
+
+``evolve`` allocates the exponent buffer and both helpers' chunk-sized
+scratch once per run, not once per step.
 
 At d = 3 the stack is large enough that its transforms and its rotation run
 one block of components per worker of ``grid.worker_pool``, with the same
@@ -101,6 +104,11 @@ def _chunk_rows(shape: tuple[int, ...]) -> int:
     return max(1, _CHUNK_POINTS // math.prod(shape[2:]))
 
 
+def _chunk_shape(shape: tuple[int, ...], lead: int) -> tuple[int, ...]:
+    """(lead, rows, ...): scratch for one chunk of an (N, M, ...) array."""
+    return (lead, min(_chunk_rows(shape), shape[1])) + tuple(shape[2:])
+
+
 def _nonlinear_exponents(stack, coupling: CouplingSpec, t: float,
                          out: np.ndarray | None = None,
                          work: np.ndarray | None = None) -> np.ndarray:
@@ -108,83 +116,114 @@ def _nonlinear_exponents(stack, coupling: CouplingSpec, t: float,
     of ``stack`` (anything ``np.asarray`` makes an (N, ...) array), written
     into ``out`` (a new real array if None) and returned.  The work runs one
     chunk of grid rows at a time (``_chunk_rows``) in a real (2N+1, ...) scratch
-    array: ``work``, a caller-owned one of the stack's shape, or else one
-    chunk made here; a caller that passes both allocates nothing at p >= 1
-    and N <= 3.  The p < 1 case (decoupled mode only) sets g_mu = 0 wherever
-    |u_mu| vanishes, where the product g_mu u_mu is zero anyway.  A
-    non-finite exponent raises NanAbortError at t, the time of the step
-    being taken, chained to a ValueError naming the component and grid index
-    (the first in the order of the whole array); the overflow that produced
-    it is that error, not a RuntimeWarning.
+    array: ``work``, a caller-owned one of at least a chunk's shape
+    (``_chunk_shape``), or else one chunk made here; a caller that passes
+    both allocates nothing at p >= 1 and N <= 3.  |u|^{p+1} is a product of
+    moduli when p + 1 is 2 or 3 (in place of a pow call per point), and a
+    power otherwise.  The p < 1 case (decoupled mode only) sets g_mu = 0
+    wherever |u_mu| vanishes, where the product g_mu u_mu is zero anyway.
+
+    Callers hold ``np.errstate(over="ignore", invalid="ignore")`` (the
+    stepper enters it once per stride block): a non-finite exponent raises
+    NanAbortError at t, the time of the step being taken, chained to a
+    ValueError naming the component and grid index (the first in the order
+    of the whole array); the overflow that produced it is that error, not a
+    RuntimeWarning.
 
     The sum over nu does not depend on how the components are labelled: the
-    cross terms are added first (two floats add commutatively; three or more
-    are sorted pointwise), then the self term.  Relabelling the components
-    and beta together therefore relabels g_mu bit for bit.  Every operation
-    is pointwise, so chunks give the values of one whole-array pass."""
+    cross terms come first (two floats add commutatively; three or more
+    are sorted pointwise), then the self term, and the first term is
+    written, not added to zero.  Relabelling the components and beta
+    together therefore relabels g_mu bit for bit.  Every operation is
+    pointwise, so chunks give the values of one whole-array pass."""
     stack = np.asarray(stack)
     p, beta, n = coupling.p, coupling.beta, coupling.n
     if out is None:
         out = np.empty(stack.shape)
     rows = _chunk_rows(stack.shape)
     if work is None:
-        work = np.empty((2 * n + 1, min(rows, stack.shape[1])) + stack.shape[2:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(0, stack.shape[1], rows):
-            u, g = stack[:, a:a + rows], out[:, a:a + rows]
-            # |u_mu| (later |u_mu|^{p-1}), |u_mu|^{p+1}, one product term
-            w = work[:, :u.shape[1]]
-            fac, pow_p1, term = w[:n], w[n:2 * n], w[2 * n]
-            np.abs(u, out=fac)
+        work = np.empty(_chunk_shape(stack.shape, 2 * n + 1))
+    # the terms of each g_mu: its cross terms (beta[mu,nu], nu), and its self weight
+    plan = [([(beta[mu, nu], nu) for nu in range(n) if nu != mu and beta[mu, nu] != 0.0],
+             beta[mu, mu]) for mu in range(n)]
+    for a in range(0, stack.shape[1], rows):
+        u, g = stack[:, a:a + rows], out[:, a:a + rows]
+        # |u_mu| (later |u_mu|^{p-1}), |u_mu|^{p+1}, one product term
+        w = work[:, :u.shape[1]]
+        fac, pow_p1, term = w[:n], w[n:2 * n], w[2 * n]
+        np.abs(u, out=fac)
+        if p == 1.0 or p == 2.0:
+            np.multiply(fac, fac, out=pow_p1)  # what ** 2.0 computes
+            if p == 2.0:
+                pow_p1 *= fac
+        else:
             pow_p1[...] = fac
             pow_p1 **= p + 1.0  # in place, ** keeps its sqrt and square fast paths
-            for mu, s in enumerate(g):
-                cross = [nu for nu in range(n) if nu != mu and beta[mu, nu] != 0.0]
-                s.fill(0.0)
-                if len(cross) > 2:
-                    for c in np.sort([beta[mu, nu] * pow_p1[nu] for nu in cross], axis=0):
-                        s += c
-                else:
-                    for nu in cross:
-                        s += np.multiply(beta[mu, nu], pow_p1[nu], out=term)
-                if beta[mu, mu] != 0.0:
-                    s += np.multiply(beta[mu, mu], pow_p1[mu], out=term)
-            if p > 1.0:
-                if p != 2.0:  # |u|^1 is |u|
-                    np.power(fac, p - 1.0, out=fac)
-                g *= fac
-            elif p < 1.0:
-                vanishing = fac <= MIN_MODULUS
-                fac[vanishing] = 1.0
-                fac **= p - 1.0
-                fac[vanishing] = 0.0
-                g *= fac
-        # a sum is finite only if every term is; a finite sum can still
-        # overflow, so a non-finite one is checked term by term
-        if not math.isfinite(out.sum()) and not np.isfinite(out).all():
-            mu, *idx = (int(i[0]) for i in np.nonzero(~np.isfinite(out)))
-            raise NanAbortError(t) from ValueError(
-                f"non-finite nonlinear exponent in component {mu} "
-                f"at grid index {tuple(idx)}")
+        for mu, (cross, own) in enumerate(plan):
+            if len(cross) > 2:  # weighted and sorted pointwise
+                terms = [(1.0, c) for c in np.sort([b * pow_p1[nu] for b, nu in cross], axis=0)]
+            else:
+                terms = [(b, pow_p1[nu]) for b, nu in cross]
+            if own != 0.0:
+                terms.append((own, pow_p1[mu]))
+            if not terms:
+                g[mu].fill(0.0)
+                continue
+            (b, x), *rest = terms
+            np.multiply(b, x, out=g[mu])
+            for b, x in rest:
+                g[mu] += np.multiply(b, x, out=term)
+        if p > 1.0:
+            if p != 2.0:  # |u|^1 is |u|
+                np.power(fac, p - 1.0, out=fac)
+            g *= fac
+        elif p < 1.0:
+            vanishing = fac <= MIN_MODULUS
+            fac[vanishing] = 1.0
+            fac **= p - 1.0
+            fac[vanishing] = 0.0
+            g *= fac
+    # a sum is finite only if every term is; a finite sum can still
+    # overflow, so a non-finite one is checked term by term
+    if not math.isfinite(out.sum()) and not np.isfinite(out).all():
+        mu, *idx = (int(i[0]) for i in np.nonzero(~np.isfinite(out)))
+        raise NanAbortError(t) from ValueError(
+            f"non-finite nonlinear exponent in component {mu} "
+            f"at grid index {tuple(idx)}")
     return out
 
 
-def _rotate(stack: np.ndarray, g: np.ndarray, tau: float) -> None:
-    """stack <- exp(-i tau g) stack in place; ``g`` is overwritten with
-    -tau g.  The phase is written one chunk of grid rows at a time
-    (``_chunk_rows``) into a scratch chunk made here and not kept between calls,
-    so a stepper holds little of it while its sink runs.  A large stack
-    rotates each block of components as one task (``grid.row_blocks``)."""
+def _rotate(stack: np.ndarray, g: np.ndarray, tau: float,
+            phase: np.ndarray | None = None, work: np.ndarray | None = None) -> None:
+    """stack <- exp(-i tau g) stack in place; ``g`` is overwritten.
+
+    The phase comes from one tangent, with no cos or sin: for theta = -tau g
+    and t = tan(theta/2), exp(i theta) = c + i s with r = 2/(1 + t^2),
+    c = r - 1 and s = t r, for every theta, and theta = 0 gives 1 + 0i
+    exactly.  It is written one chunk of grid rows at a time
+    (``_chunk_rows``) into ``phase`` (complex) with r in ``work`` (real):
+    caller-owned scratch of at least (N, rows, ...) (``_chunk_shape``, as
+    the stepper owns for its whole run), or else made here.  A large stack
+    rotates each block of components as one task (``grid.row_blocks``), in
+    its own rows of the scratch."""
     rows = _chunk_rows(stack.shape)
+    if phase is None:
+        phase = np.empty(_chunk_shape(stack.shape, len(stack)), dtype=complex)
+    if work is None:
+        work = np.empty(_chunk_shape(stack.shape, len(stack)))
+    phase, work = phase[:len(stack)], work[:len(stack)]
 
     def rotate(block):
-        phase = np.empty(g[block, :rows].shape, dtype=complex)
         for a in range(0, stack.shape[1], rows):
-            theta = g[block, a:a + rows]
-            chunk = phase[:, :theta.shape[1]]
-            np.multiply(theta, -tau, out=theta)
-            np.cos(theta, out=chunk.real)
-            np.sin(theta, out=chunk.imag)
+            t = g[block, a:a + rows]
+            chunk, r = phase[block, :t.shape[1]], work[block, :t.shape[1]]
+            np.multiply(t, -tau / 2.0, out=t)  # theta / 2
+            np.tan(t, out=t)
+            np.multiply(t, t, out=r)
+            r += 1.0
+            np.divide(2.0, r, out=r)
+            np.subtract(r, 1.0, out=chunk.real)
+            np.multiply(t, r, out=chunk.imag)
             stack[block, a:a + rows] *= chunk
     run_blocks(rotate, row_blocks(len(stack), stack.size))
 
@@ -205,7 +244,8 @@ def nonlinear_substep(state: SystemState, tau: float) -> SystemState:
     whose time bookkeeping is owned by the linear parts.
     """
     stack = _stack(state)
-    g = _nonlinear_exponents(stack, state.coupling, state.t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _nonlinear_exponents(stack, state.coupling, state.t)
     _rotate(stack, g, tau)
     return state_from_arrays(state.t, stack, state.coupling, state.grid)
 
@@ -233,8 +273,9 @@ def evolve(state: SystemState, params: StepParams,
     can flag the run invalid without interrupting it.
 
     The N components are stepped as one (N, M, ..., M) complex stack with
-    one real exponent buffer of the same shape, both allocated once per
-    call, after the step-0 sink call: each transform is one in-place
+    one real exponent buffer of the same shape and the chunk-sized scratch
+    of the exponents and the rotation, all allocated once per call, after
+    the step-0 sink call: each transform is one in-place
     ``grid.transform`` call, the exponents are written into the buffer, and
     the phase rotation multiplies the stack in place.  A snapshot hands the
     sink the stack itself, and stepping goes on in a copy.
@@ -255,7 +296,8 @@ def evolve(state: SystemState, params: StepParams,
     c = state.coupling
     if not state.is_finite():
         raise NanAbortError(state.t)
-    _nonlinear_exponents([f.values for f in state.fields], c, state.t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _nonlinear_exponents([f.values for f in state.fields], c, state.t)
     if sink is not None:
         sink(state)
     if params.n_steps == 0:
@@ -291,9 +333,13 @@ def _steps(state: SystemState, params: StepParams,
     dt = params.dt
     n_steps = params.n_steps
     # allocated after the first sink call, which therefore runs without them
-    # (a sink's own transforms set the peak memory of a run)
+    # (a sink's own transforms set the peak memory of a run), and reused by
+    # every step: the exponents and their chunk of scratch, which the
+    # rotation reuses for r, and the rotation's chunk of phase
     stack = _stack(state)
     exponents = np.empty(stack.shape)
+    work = np.empty(_chunk_shape(stack.shape, 2 * c.n + 1))
+    phase = np.empty(_chunk_shape(stack.shape, c.n), dtype=complex)
 
     half = np.exp(-1j * g.k_squared * (dt / 2.0))
     # the 2/3 rule acts after each nonlinear substep; a 0/1 mask folds into
@@ -307,13 +353,15 @@ def _steps(state: SystemState, params: StepParams,
         block = min(params.snapshot_stride, n_steps - step)
         stack = transform(g, stack)
         stack *= half
-        for inner in range(block):
-            check()
-            stack = transform(g, stack, inverse=True)
-            _nonlinear_exponents(stack, c, state.t + (step + inner) * dt, out=exponents)
-            _rotate(stack, exponents, dt)
-            stack = transform(g, stack)
-            stack *= full if inner < block - 1 else last
+        with np.errstate(over="ignore", invalid="ignore"):
+            for inner in range(block):
+                check()
+                stack = transform(g, stack, inverse=True)
+                _nonlinear_exponents(stack, c, state.t + (step + inner) * dt,
+                                     out=exponents, work=work)
+                _rotate(stack, exponents, dt, phase, work)
+                stack = transform(g, stack)
+                stack *= full if inner < block - 1 else last
         stack = transform(g, stack, inverse=True)
         step += block
         t = state.t + step * dt

@@ -724,11 +724,59 @@ def _analytic_reciprocal_hat(grid: GridSpec) -> np.ndarray:
     return hat
 
 
-# Keyed on the kernel itself: the key holds its profile callable, so the
-# callable stays alive (and its identity unique) while the entry exists.
-@lru_cache(maxsize=32)
+class _HatBuild:
+    """One kernel transform: built by one thread, waited for by the others.
+    (A concurrent.futures.Future would import that package into runs that
+    start no thread.)"""
+
+    def __init__(self):
+        self.built = threading.Event()
+        self.value: np.ndarray | BaseException | None = None  # the hat, or the build's error
+
+
+# The kernel transforms built or being built, most recently used last; keyed
+# on the kernel itself: the key holds its profile callable, so the callable
+# stays alive (and its identity unique) while the entry exists.
+_HATS_KEPT = 32
+_hats: dict[tuple[GridSpec, RadialKernel], _HatBuild] = {}
+_hats_lock = threading.Lock()
+
+
 def _kernel_hat(grid: GridSpec, kernel: RadialKernel) -> np.ndarray:
-    """Real half-spectrum of the kernel on the doubled box.  The sampled
+    """Real half-spectrum of the kernel on the doubled box, built once per
+    process (``_build_kernel_hat``) and shared, read-only, by every caller:
+    one that asks while another thread builds it waits for that build.  No
+    lock is held during a build, which may wait for pool tasks whose
+    workers could be waiting for that lock.  The last _HATS_KEPT kernels
+    used are kept."""
+    key = (grid, kernel)
+    with _hats_lock:
+        entry = _hats.pop(key, None)
+        builds = entry is None
+        if builds:
+            entry = _HatBuild()
+        _hats[key] = entry
+        if len(_hats) > _HATS_KEPT:
+            del _hats[next(iter(_hats))]
+    if builds:
+        try:
+            entry.value = _build_kernel_hat(grid, kernel)
+        except BaseException as err:
+            entry.value = err
+            with _hats_lock:
+                if _hats.get(key) is entry:
+                    del _hats[key]  # a later call builds it again
+            raise
+        finally:
+            entry.built.set()
+    entry.built.wait()
+    if isinstance(entry.value, BaseException):
+        raise entry.value
+    return entry.value
+
+
+def _build_kernel_hat(grid: GridSpec, kernel: RadialKernel) -> np.ndarray:
+    """The kernel's real half-spectrum on the doubled box.  The sampled
     kernel is even, so its transform is real up to rounding."""
     if kernel.transform == "analytic":
         if kernel.kind != "reciprocal":

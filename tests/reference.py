@@ -53,6 +53,7 @@ transform conventions.
 """
 
 import math
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -223,7 +224,9 @@ def apply_multiplier(f: ScalarField, multiplier: Callable[[np.ndarray], np.ndarr
 
 def nonlinear_exponents_reference(arrays: list[np.ndarray], coupling: CouplingSpec,
                                   t: float) -> list[np.ndarray]:
-    """g_mu = sum_nu beta[mu,nu] |u_nu|^{p+1} |u_mu|^{p-1}; the p < 1 case
+    """g_mu = sum_nu beta[mu,nu] |u_nu|^{p+1} |u_mu|^{p-1}, with |u|^3 the
+    product |u| |u| |u| at p = 2 (|u|^2 is |u| |u| at p = 1, as ** computes
+    it); the p < 1 case
     (decoupled mode only) sets g_mu = 0 wherever |u_mu| vanishes, where the
     product g_mu u_mu is zero anyway.  A non-finite exponent raises
     NanAbortError at t, the time of the step being taken; the overflow that
@@ -231,24 +234,22 @@ def nonlinear_exponents_reference(arrays: list[np.ndarray], coupling: CouplingSp
 
     The sum over nu does not depend on how the components are labelled: the
     cross terms are added first (two floats add commutatively; three or more
-    are sorted pointwise), then the self term.  Relabelling the components
-    and beta together therefore relabels g_mu bit for bit."""
+    are sorted pointwise), then the self term, summed from the first term
+    on.  Relabelling the components and beta together therefore relabels
+    g_mu bit for bit."""
     p = coupling.p
     with np.errstate(over="ignore", invalid="ignore"):
         mods = [np.abs(a) for a in arrays]
-        pow_p1 = [m ** (p + 1.0) for m in mods]
+        pow_p1 = [m * m * m if p == 2.0 else m ** (p + 1.0) for m in mods]  # m ** 2.0 is m * m
         out = []
         for mu in range(coupling.n):
             cross = [coupling.beta[mu, nu] * pow_p1[nu] for nu in range(coupling.n)
                      if nu != mu and coupling.beta[mu, nu] != 0.0]
             if len(cross) > 2:
-                cross = np.sort(np.stack(cross), axis=0)
-            s = np.zeros(arrays[mu].shape)
-            for term in cross:
-                s += term
+                cross = list(np.sort(np.stack(cross), axis=0))
             b = coupling.beta[mu, mu]
-            if b != 0.0:
-                s += b * pow_p1[mu]
+            terms = cross + ([b * pow_p1[mu]] if b != 0.0 else [])
+            s = reduce(np.add, terms) if terms else np.zeros(arrays[mu].shape)
             if p == 1.0:
                 fac = 1.0
             elif p > 1.0:

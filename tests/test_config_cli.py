@@ -572,6 +572,26 @@ def test_cli_scatter_free_run(tmp_path):
     assert np.abs(prof[0].values - 0.5 * np.exp(-x ** 2 / 2)).max() < 1e-9
 
 
+@pytest.mark.parametrize("box_l,code", [("3", 1), ("32", 0)])
+def test_cli_scatter_fails_on_a_box_too_small(tmp_path, capsys, box_l, code):
+    # the free flow converges to its profile in either box; in the small one
+    # a hundredth of the mass reaches the outer shell and the run fails
+    out = tmp_path / "scat"
+    assert main(["scatter", "--d", "1", "--grid-m", "256", "--box-l", box_l,
+                 "--p", "2", "--beta", "0", "--amplitude", "0.5", "--dt", "0.005",
+                 "--t-final", "0.5", "--snapshot-stride", "20", "--tol", "1e-8",
+                 "--out-dir", str(out)]) == code
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"]
+    check = summary["checks"]["boundary_mass"]
+    assert check["tol"] == BOUNDARY_MASS_LIMIT and check["pass"] is (code == 0)
+    with open(out / "diagnostics.csv", newline="") as fh:
+        fractions = [float(r["boundary_mass_fraction"]) for r in csv.DictReader(fh)]
+    assert check["value"] == max(fractions)
+    err = capsys.readouterr().err
+    assert ("nlskit: invariant check failed: boundary_mass" in err) is (code == 1)
+
+
 _SMALL_D1 = ["--d", "1", "--grid-m", "64", "--box-l", "8"]
 
 

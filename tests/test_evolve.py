@@ -1,4 +1,6 @@
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ from nlskit import (CouplingSpec, GridSpec, NanAbortError, ScalarField,
                     StepParams, SystemState, energy, evolve,
                     field_from_function, h1_norm, linear_substep, mass,
                     nonlinear_substep, state_from_arrays, strang_step)
-from nlskit.evolve import _chunk_rows, _nonlinear_exponents
+from nlskit.evolve import _chunk_rows, _chunk_shape, _nonlinear_exponents, _rotate
 
-from conftest import free_gaussian_exact, gaussian, single_state
+from conftest import PHASE_TOL, free_gaussian_exact, gaussian, single_state
 from reference import evolve_reference, nonlinear_exponents_reference, rk4_reference_step
+
+evolve_module = importlib.import_module("nlskit.evolve")  # the package exports evolve()
 
 # points per axis by dimension for the stacked-versus-per-component checks
 SMALL_M = {1: 64, 2: 16, 3: 8}
@@ -300,7 +304,7 @@ def test_exponents_in_caller_scratch_name_the_same_non_finite_entry(p, mu):
     stack[2, 0, 1] = np.inf
     causes = []
     for work in (None, np.zeros((7,) + state.grid.shape)):
-        with pytest.raises(NanAbortError) as err:
+        with pytest.raises(NanAbortError) as err, np.errstate(over="ignore", invalid="ignore"):
             _nonlinear_exponents(stack, state.coupling, 0.5, work=work)
         assert err.value.t == 0.5
         causes.append(str(err.value.__cause__))
@@ -329,11 +333,93 @@ def test_exponents_of_a_stack_of_many_chunks_equal_the_reference_bit_for_bit(p):
             assert a.tobytes() == b.tobytes()
     stack[1, 0, 1, 2] = np.nan
     stack[0, 47, 1, 2] = np.inf
-    with pytest.raises(NanAbortError) as err:
+    with pytest.raises(NanAbortError) as err, np.errstate(over="ignore", invalid="ignore"):
         _nonlinear_exponents(stack, coupling, 0.25)
     assert err.value.t == 0.25
     first = (47, 1, 2) if p < 1.0 else (0, 1, 2)  # coupled, the NaN reaches g_0
     assert f"component 0 at grid index {first}" in str(err.value.__cause__)
+
+
+def test_the_rotation_phase_is_exp_of_minus_i_tau_g_over_a_million_angles():
+    # |theta| up to 1e6, |theta| up to 10, and odd multiples of pi, exact
+    # and within 1e-6, where t = tan(theta/2) is largest; the phase rotates
+    # a stack of ones into itself
+    rng = np.random.default_rng(29)
+    odd = (2 * rng.integers(-10 ** 5, 10 ** 5, 2 * 10 ** 5) + 1) * math.pi
+    theta = np.concatenate([rng.uniform(-1e6, 1e6, 3 * 10 ** 5),
+                            rng.uniform(-10.0, 10.0, 3 * 10 ** 5),
+                            odd, odd + rng.uniform(-1e-6, 1e-6, odd.size)])
+    tau = 0.37
+    g = (-theta / tau).reshape(2, -1)
+    phase = np.ones(g.shape, dtype=complex)
+    _rotate(phase, g.copy(), tau)
+    assert np.abs(phase - np.exp(-1j * tau * g)).max() <= PHASE_TOL
+    assert np.abs(np.abs(phase) - 1.0).max() <= PHASE_TOL
+
+
+@pytest.mark.parametrize("tau", (-0.5, 1e-3, 0.5, 7.0))
+def test_a_zero_exponent_leaves_the_stack_unchanged_bit_for_bit(tau):
+    # theta = 0 gives t = 0, r = 2 and the phase 1 + 0i exactly (a few
+    # entries are +0, which stays +0)
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((2, 5, 40)) + 1j * rng.standard_normal((2, 5, 40))
+    z.flat[::7] = 0.0
+    rotated = z.copy()
+    _rotate(rotated, np.zeros(z.shape), tau)
+    assert rotated.tobytes() == z.tobytes()
+
+
+def test_the_p2_product_cube_is_within_3_ulp_of_pow():
+    # N = 1 and beta = 1 at p = 2: g = (|u| |u| |u|) |u| against the former
+    # (|u| ** 3.0) |u|, over moduli from 1e-6 to 1e6
+    n = 10 ** 5
+    rng = np.random.default_rng(2)
+    u = 10.0 ** rng.uniform(-6.0, 6.0, n) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, n))
+    coupling = CouplingSpec(1, np.eye(1), 2.0, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _nonlinear_exponents(u[None], coupling, 0.0)[0]
+    modulus = np.abs(u)
+    want = modulus ** 3.0 * modulus
+    assert np.all(np.abs(got - want) <= 3 * np.spacing(want))
+
+
+def test_the_stepper_allocates_nothing_per_step(monkeypatch):
+    # d = 1, N = 2 at the size of a long d = 1 run, no sink: the traced peak
+    # is the same at 20 steps as at 200 (within one phase chunk), and from
+    # the second step on the memory held rises by less than one real
+    # component between transforms (a phase, exponent or scratch array
+    # made per step would be one or more)
+    grid = GridSpec(1, 8192, 512.0)
+    coupling = CouplingSpec(2, np.array([[1.0, 0.5], [0.5, 1.0]]), 2.0, 1)
+    x = grid.x_mesh[0]
+    state = state_from_arrays(0.0, [a * np.exp(-x * x / 25.0 + 0.05j * x) for a in (0.4, 0.3)],
+                              coupling, grid)
+    transform = evolve_module.transform
+    seen = {"calls": 0, "held": 0, "rise": 0}
+
+    def traced(*args, **kwargs):
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        if seen["calls"] >= 4:   # the first step's transforms are done
+            seen["rise"] = max(seen["rise"], peak - seen["held"])
+        seen["calls"] += 1
+        seen["held"] = held
+        return transform(*args, **kwargs)
+    monkeypatch.setattr(evolve_module, "transform", traced)
+    evolve(state, StepParams(2e-3, 2e-2, 10))  # warm: caches and the FFT plan
+    peaks = []
+    for steps in (20, 200):
+        seen.update(calls=0, held=0, rise=0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            evolve(state, StepParams(2e-3, steps * 2e-3, steps))  # one stride block
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert seen["calls"] == 2 * steps + 2 and seen["rise"] < 8 * grid.npoints
+    phase_chunk = np.empty(_chunk_shape((2,) + grid.shape, 2), dtype=complex).nbytes
+    assert abs(peaks[1] - peaks[0]) <= phase_chunk
 
 
 @pytest.mark.parametrize("stride", (1, 4))

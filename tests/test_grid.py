@@ -2,6 +2,8 @@ import math
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -132,9 +134,11 @@ def test_split_and_inline_work_on_a_d3_stack_equal_the_oracles_bit_for_bit(two_c
     g = rng.uniform(0.0, 3.0, z.shape)
     tau = 0.01
     assert z.size >= PARALLEL_MIN_POINTS
+    # exp(i theta), theta = -tau g, from t = tan(theta/2) as _rotate writes it
+    t = np.tan(-tau * g / 2.0)
+    r = 2.0 / (1.0 + t * t)
     phase = np.empty(z.shape, dtype=complex)
-    np.cos(-tau * g, out=phase.real)
-    np.sin(-tau * g, out=phase.imag)
+    phase.real, phase.imag = r - 1.0, t * r
     axes = (-3, -2, -1)
     expected = {"forward": scipy.fft.fftn(z, axes=axes), "inverse": scipy.fft.ifftn(z, axes=axes),
                 "padded": scipy.fft.rfftn(z[0].real, s=padded_geometry(grid).shape),
@@ -376,6 +380,58 @@ def test_kernel_hat_cache_serves_one_read_only_array_until_evicted(grid1d):
     again = _kernel_hat(grid1d, kernel)
     assert again is not hat and not again.flags.writeable
     assert np.array_equal(again, hat)
+
+
+def test_threads_asking_for_one_kernel_hat_at_once_build_it_once(monkeypatch):
+    # four threads ask at once for a hat no cache holds, the interpreter
+    # switching threads every 1 us; the build is slow, so the later ones ask
+    # while it runs and wait for it
+    grid = GridSpec(2, 32, 5.75)
+    kernel = RadialKernel.from_profile(lambda r: np.exp(-r))
+    built = []
+    build = nlskit.grid._build_kernel_hat
+
+    def slow(grid, kernel):
+        built.append(kernel)
+        time.sleep(0.2)
+        return build(grid, kernel)
+    monkeypatch.setattr(nlskit.grid, "_build_kernel_hat", slow)
+    start, got = threading.Barrier(4), [None] * 4
+
+    def ask(i):
+        start.wait(timeout=10)
+        got[i] = _kernel_hat(grid, kernel)
+    threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert built == [kernel]
+    assert got[0] is not None and all(hat is got[0] for hat in got)
+    assert _kernel_hat(grid, kernel) is got[0] and built == [kernel]
+
+
+def test_a_failed_kernel_hat_build_is_raised_and_tried_again(monkeypatch):
+    grid = GridSpec(2, 16, 5.75)
+    kernel = RadialKernel.from_profile(lambda r: np.exp(-r))
+    build, calls = nlskit.grid._build_kernel_hat, []
+
+    def failing_once(grid, kernel):
+        calls.append(kernel)
+        if len(calls) == 1:
+            raise MemoryError("first build")
+        return build(grid, kernel)
+    monkeypatch.setattr(nlskit.grid, "_build_kernel_hat", failing_once)
+    with pytest.raises(MemoryError, match="first build"):
+        _kernel_hat(grid, kernel)
+    hat = _kernel_hat(grid, kernel)
+    assert len(calls) == 2 and _kernel_hat(grid, kernel) is hat
 
 
 _PAIRING_KERNELS = {

@@ -1,7 +1,8 @@
 """Property tests of the spectral transforms (round trip and Parseval,
 padded half-spectra included), the free flow, the nonlinear substep, the
 Strang step, the symmetry of the stepper (bit for bit in the nonlinear
-substep) and of the wave operator under permuting components, the running
+substep) and of the wave operator under permuting components, the phase
+of the nonlinear rotation against exp(-i tau g), the running
 time integral and the GN ratio's invariances over random dimensions, grids,
 times and data, and the quadrature of the d = 2 analytic kernel against
 its Bessel/Struve closed form."""
@@ -19,9 +20,11 @@ from nlskit import (CouplingSpec, GridSpec, ScalarField, StepParams, energy, evo
                     forward_transform, gn_ratio, linear_substep,
                     mass, nonlinear_substep, state_from_arrays, strang_step, total_mass,
                     wave_operator)
+from nlskit.evolve import _rotate
 from nlskit.grid import _integral_of_j0, padded_geometry, padded_rfft, synthesize, transform
 from nlskit.system import RunningIntegral
 
+from conftest import PHASE_TOL
 from reference import integral_of_j0_reference
 
 # points per axis by dimension: small enough for many examples per test
@@ -160,6 +163,25 @@ def test_nonlinear_substep_preserves_every_pointwise_modulus(state, tau):
     assert out.t == state.t
     for a, b in zip(out.fields, state.fields):
         assert np.allclose(np.abs(a.values), np.abs(b.values), rtol=1e-13, atol=0.0)
+
+
+# angles theta = -tau g anywhere in |theta| <= 1e6, or within 1e-6 of an odd
+# multiple of pi, where t = tan(theta/2) is largest
+ANGLES = st.one_of(st.floats(-1e6, 1e6), st.builds(lambda k, e: (2 * k + 1) * math.pi + e,
+                                                   st.integers(-10 ** 5, 10 ** 5),
+                                                   st.floats(-1e-6, 1e-6)))
+
+
+@PROPERTY
+@given(st.lists(ANGLES, min_size=1, max_size=64), st.floats(1e-3, 10.0))
+def test_the_rotation_applies_exp_of_minus_i_tau_g(angles, tau):
+    # the phase rotates a stack of ones into itself; PHASE_TOL is explained
+    # where it is defined
+    g = -np.array([angles]) / tau
+    phase = np.ones(g.shape, dtype=complex)
+    _rotate(phase, g.copy(), tau)
+    assert np.abs(phase - np.exp(-1j * tau * g)).max() <= PHASE_TOL
+    assert np.abs(np.abs(phase) - 1.0).max() <= PHASE_TOL
 
 
 @PROPERTY
